@@ -21,7 +21,7 @@ from .bloch import (
     fourier_eval,
 )
 from .dirac import DiracPointData
-from .homoclinic import SpinorProfile
+from .homoclinic import SpinorProfile, _rhs
 
 
 @dataclass
@@ -41,13 +41,16 @@ class SeparableForcing:
     """Corrector forcing G1(x, y) = sum_j f_j(x) g_j(y), ten terms.
 
     x_profiles[j] holds the plane-wave coefficients of f_j at the
-    extended cutoff; y_profiles[j](y) returns complex g_j samples.
+    extended cutoff.  g_j(y) = y_factors[j](psi, dpsi) takes samples of
+    the envelope Psi-(y) and of dy Psi-(y), so one evaluation of
+    profile feeds all ten terms.
     """
 
     x_profiles: np.ndarray
-    y_profiles: list
+    y_factors: list
     cutoff_ext: FourierCutoff
     labels: list[str]
+    profile: SpinorProfile | None = None
 
 
 # half-frequency lattice helpers: arrays are centered, entry i holds the
@@ -111,14 +114,14 @@ def _require_coeffs(dirac: DiracPointData):
         raise ValueError(f"Dirac-point data incomplete, missing {missing}")
 
 
-def build_U0(
-    dirac: DiracPointData, profile: SpinorProfile, delta: float, x_grid
-) -> np.ndarray:
-    """Leading-order field U0(x, delta x) = 2 Re(Psi-(delta x) Phi-(x)).
+def _spinor(params, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Psi- = (u + iv)/2 and dy Psi- from the envelope vector field."""
+    du, dv = _rhs(params, u, v)
+    return 0.5 * (u + 1j * v), 0.5 * (du + 1j * dv)
 
-    Real by construction since Psi+ = conj(Psi-) and Phi+ = conj(Phi-).
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
+
+def _sample_U0(dirac: DiracPointData, profile: SpinorProfile, delta: float, x_grid):
+    """U0 samples and the envelope samples (u, v) at y = delta x behind them."""
     y_span = delta * np.max(np.abs(x_grid))
     if y_span > profile.y_max * (1.0 + 1e-12):
         raise ValueError(
@@ -127,7 +130,17 @@ def build_U0(
         )
     phi = fourier_eval(dirac.g1, np.pi, x_grid)
     u, v = profile.evaluate(delta * x_grid)
-    return u * phi.real - v * phi.imag
+    return u * phi.real - v * phi.imag, u, v
+
+
+def build_U0(
+    dirac: DiracPointData, profile: SpinorProfile, delta: float, x_grid
+) -> np.ndarray:
+    """Leading-order field U0(x, delta x) = 2 Re(Psi-(delta x) Phi-(x)).
+
+    Real by construction since Psi+ = conj(Psi-) and Phi+ = conj(Phi-).
+    """
+    return _sample_U0(dirac, profile, delta, np.asarray(x_grid, dtype=float))[0]
 
 
 def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
@@ -160,25 +173,17 @@ def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
         2.0 * cube(Q, Qc, P),
     ]
 
-    def psim(y):
-        u, v = profile.evaluate(y)
-        return 0.5 * (u + 1j * v)
-
-    def dpsim(y):
-        du, dv = profile.derivative(y)
-        return 0.5 * (du + 1j * dv)
-
-    y_profiles = [
-        lambda y: 2.0 * dpsim(y),
-        lambda y: 2.0 * np.conj(dpsim(y)),
-        psim,
-        lambda y: np.conj(psim(y)),
-        lambda y: np.abs(psim(y)) ** 2 * psim(y),
-        lambda y: np.abs(psim(y)) ** 2 * np.conj(psim(y)),
-        lambda y: psim(y) ** 2 * psim(y),
-        lambda y: np.conj(psim(y)) ** 2 * np.conj(psim(y)),
-        lambda y: np.abs(psim(y)) ** 2 * np.conj(psim(y)),
-        lambda y: np.abs(psim(y)) ** 2 * psim(y),
+    y_factors = [
+        lambda p, dp: 2.0 * dp,
+        lambda p, dp: 2.0 * np.conj(dp),
+        lambda p, dp: p,
+        lambda p, dp: np.conj(p),
+        lambda p, dp: np.abs(p) ** 2 * p,
+        lambda p, dp: np.abs(p) ** 2 * np.conj(p),
+        lambda p, dp: p**2 * p,
+        lambda p, dp: np.conj(p) ** 2 * np.conj(p),
+        lambda p, dp: np.abs(p) ** 2 * np.conj(p),
+        lambda p, dp: np.abs(p) ** 2 * p,
     ]
     labels = [
         "2*dxPhi-*dyPsi-",
@@ -196,9 +201,10 @@ def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
     x_profiles = np.stack([_half_to_modes(a, cut_ext.M) for a in x_half])
     return SeparableForcing(
         x_profiles=x_profiles,
-        y_profiles=y_profiles,
+        y_factors=y_factors,
         cutoff_ext=cut_ext,
         labels=labels,
+        profile=profile,
     )
 
 
@@ -206,11 +212,6 @@ def _pad_modes(c: np.ndarray, M_from: int, M_to: int) -> np.ndarray:
     out = np.zeros(2 * M_to + 1, dtype=c.dtype)
     out[M_to - M_from : M_to + M_from + 1] = c
     return out
-
-
-def _y_matrix(forcing: SeparableForcing, y_grid) -> np.ndarray:
-    y_grid = np.asarray(y_grid, dtype=float)
-    return np.stack([g(y_grid) for g in forcing.y_profiles], axis=1)
 
 
 def solvability_check(
@@ -233,7 +234,9 @@ def solvability_check(
         axis=1,
     )
     ip = forcing.x_profiles @ np.conj(kernel)
-    G = _y_matrix(forcing, y_grid)
+    env = forcing.profile
+    psi, dpsi = _spinor(env.params, *env.evaluate(y_grid))
+    G = np.stack([g(psi, dpsi) for g in forcing.y_factors], axis=1)
     proj = G @ ip
     coeffs = G @ forcing.x_profiles
     scale = np.max(np.linalg.norm(coeffs, axis=1))
@@ -312,21 +315,6 @@ def solve_U1(
     )
 
 
-def _eval_separable(
-    x_profiles: np.ndarray, y_profiles, x_grid, y_grid, drop: float = 1e-17
-) -> np.ndarray:
-    """Samples of sum_j f_j(x) g_j(y) on paired grids (complex)."""
-    out = np.zeros(np.shape(x_grid), dtype=complex)
-    for coeffs, g in zip(x_profiles, y_profiles):
-        c = coeffs.copy()
-        top = np.max(np.abs(c))
-        if top == 0.0:
-            continue
-        c[np.abs(c) < drop * top] = 0.0
-        out += fourier_eval(c, np.pi, x_grid) * g(y_grid)
-    return out
-
-
 def evaluate_udelta(
     dirac: DiracPointData,
     profile: SpinorProfile,
@@ -338,7 +326,9 @@ def evaluate_udelta(
     """Samples of sqrt(delta)(U0 + delta U1) on an arbitrary grid.
 
     Returns (scaled field, U0 samples, U1 samples or None).  A corrector
-    solution may be passed in for reuse across delta values.
+    solution may be passed in for reuse across delta values.  The
+    envelope is evaluated once; U0 and every U1 term are built from
+    those samples.
     """
     _require_coeffs(dirac)
     if not 0.0 < delta < 1.0:
@@ -346,18 +336,22 @@ def evaluate_udelta(
             f"delta must lie in (0, 1), got {delta}; the two-scale field "
             "degenerates at delta = 0 and no solve path exists there"
         )
-    u0 = build_U0(dirac, profile, delta, x_grid)
+    x_grid = np.asarray(x_grid, dtype=float)
+    u0, u, v = _sample_U0(dirac, profile, delta, x_grid)
     u1 = None
     samples = u0.copy()
     if with_U1:
         if corrector is None:
             corrector = solve_U1(build_G1(dirac, profile), dirac)
-        field1 = _eval_separable(
-            corrector.x_solutions,
-            corrector.forcing.y_profiles,
-            x_grid,
-            delta * np.asarray(x_grid, dtype=float),
-        )
+        psi, dpsi = _spinor(profile.params, u, v)
+        # one term at a time, so long grids never hold an (N, 10) matrix
+        field1 = np.zeros(x_grid.shape, dtype=complex)
+        for coeffs, g in zip(corrector.x_solutions, corrector.forcing.y_factors):
+            top = np.max(np.abs(coeffs))
+            if top == 0.0:
+                continue
+            c = np.where(np.abs(coeffs) < 1e-17 * top, 0.0, coeffs)
+            field1 += fourier_eval(c, np.pi, x_grid) * g(psi, dpsi)
         im_max = np.max(np.abs(field1.imag))
         re_max = max(np.max(np.abs(field1.real)), 1.0)
         if im_max > 1e-10 * re_max:

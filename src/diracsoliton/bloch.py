@@ -117,17 +117,23 @@ def _check_cutoff(pot: PeriodicPotential, cut: FourierCutoff):
         )
 
 
-def assemble_coefficient_matrix(coeffs: dict[int, float], k: float, M: int) -> np.ndarray:
-    """Matrix of -(d/dx+ik)^2 + sum_j coeffs[j] cos(2 pi j x), any index mix."""
-    m = np.arange(-M, M + 1)
-    A = np.zeros((2 * M + 1, 2 * M + 1))
-    np.fill_diagonal(A, (2.0 * np.pi * m + k) ** 2)
+def coupling_matrix(coeffs: dict[int, float], M: int) -> np.ndarray:
+    """Coefficient-space multiplication operator of sum_j coeffs[j] cos(2 pi j x)."""
+    C = np.zeros((2 * M + 1, 2 * M + 1))
     for j, amp in coeffs.items():
         if j <= 2 * M and amp != 0.0:
             off = 0.5 * amp
             idx = np.arange(2 * M + 1 - j)
-            A[idx, idx + j] += off
-            A[idx + j, idx] += off
+            C[idx, idx + j] += off
+            C[idx + j, idx] += off
+    return C
+
+
+def assemble_coefficient_matrix(coeffs: dict[int, float], k: float, M: int) -> np.ndarray:
+    """Matrix of -(d/dx+ik)^2 + sum_j coeffs[j] cos(2 pi j x), any index mix."""
+    m = np.arange(-M, M + 1)
+    A = coupling_matrix(coeffs, M)
+    A[np.diag_indices_from(A)] = (2.0 * np.pi * m + k) ** 2
     return A
 
 
@@ -146,8 +152,9 @@ def solve_bands_at_k(pot: PeriodicPotential, k: float, cut: FourierCutoff) -> Bl
         raise RuntimeError(
             f"eigensolver failed at k={k}: {exc}; cond(A)={np.linalg.cond(A):.3e}"
         ) from exc
+    # backward-stable eigh leaves residuals of order eps*|A|, whatever |lambda|
     resid = np.max(np.abs(A @ evecs - evecs * evals), axis=0)
-    bad = resid > 1e-10 * (1.0 + np.abs(evals))
+    bad = resid > 1e-10 * (1.0 + np.max(np.abs(evals)))
     if np.any(bad):
         n = int(np.argmax(bad))
         raise RuntimeError(

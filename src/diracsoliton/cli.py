@@ -11,8 +11,10 @@ import argparse
 import ast
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,6 @@ class RunConfig:
     h: float = 1.0 / 256.0
     L: float | None = None
     y_max: float | None = None
-    ode_tol: float = 1e-10
     newton_tol: float = 1e-10
     newton_max_iters: int = 25
     n_bands: int = 12
@@ -56,9 +57,43 @@ class RunConfig:
         return FourierCutoff(self.M)
 
     def validate(self):
+        """Reject a malformed configuration before any numerical work."""
+
+        def integer(x):
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        def real(x):
+            return (integer(x) or isinstance(x, float)) and math.isfinite(x)
+
+        for key in ("V", "W"):
+            pairs = getattr(self, key)
+            if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2
+                and integer(p[0]) and real(p[1])
+                for p in pairs
+            ):
+                raise ValueError(f"{key} must be a list of [index, amplitude] pairs")
+            indices = [m for m, _ in pairs]
+            if len(set(indices)) != len(indices):
+                raise ValueError(f"{key} repeats a cosine index: {indices}")
+        for key in ("M", "pair", "n_bands", "n_k", "newton_max_iters"):
+            val = getattr(self, key)
+            if not integer(val) or val < 1:
+                raise ValueError(f"{key} must be a positive integer, got {val!r}")
+        if not isinstance(self.deltas, (list, tuple)) or not all(
+            real(d) for d in self.deltas
+        ):
+            raise ValueError(f"deltas must be a list of numbers, got {self.deltas!r}")
+        for key in ("mu_sharp", "a", "h", "newton_tol", "L", "y_max"):
+            val = getattr(self, key)
+            if not real(val) and not (val is None and key in ("L", "y_max")):
+                raise ValueError(f"{key} must be a finite number, got {val!r}")
+        for key in ("newton_tol", "L", "y_max"):
+            val = getattr(self, key)
+            if val is not None and val <= 0.0:
+                raise ValueError(f"{key} must be positive, got {val!r}")
         self.potential_V()
         self.potential_W()
-        self.cutoff()
         if not 0.0 < self.a < 1.0:
             raise ValueError("a must lie in (0, 1)")
         for d in self.deltas:
@@ -66,7 +101,7 @@ class RunConfig:
                 raise ValueError(
                     f"delta={d} outside (0, 1); delta = 0 has no soliton branch"
                 )
-        if self.h <= 0.0 or self.h > 1.0 / 64.0:
+        if not 0.0 < self.h <= 1.0 / 64.0:
             raise ValueError("h must lie in (0, 1/64]")
 
 
@@ -118,7 +153,44 @@ def _write_csv(path: Path, header: str, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_bands(cfg: RunConfig, out: Path) -> dict:
+@dataclass
+class Pipeline:
+    """The stages of one invocation, each computed once, on first use.
+
+    dirac -> params -> profile -> corrector; the subcommands write
+    artifacts from these, and verify-all shares one set between them.
+    """
+
+    cfg: RunConfig
+
+    @cached_property
+    def dirac(self):
+        cfg = self.cfg
+        return certify_dirac_point(
+            cfg.potential_V(), cfg.potential_W(), cfg.cutoff(), cfg.pair
+        )
+
+    @cached_property
+    def params(self) -> NLDParams:
+        d = self.dirac
+        return NLDParams(d.c_sharp, d.theta_sharp, self.cfg.mu_sharp, d.beta1, d.beta2)
+
+    @cached_property
+    def profile(self):
+        return integrate_homoclinic(self.params, y_max=self.cfg.y_max)
+
+    @cached_property
+    def corrector(self):
+        forcing = az.build_G1(self.dirac, self.profile)
+        y = self.profile.y_grid
+        az.solvability_check(
+            forcing, self.dirac, y[:: max(1, len(y) // 400)], fail_tol=1e-6
+        )
+        return az.solve_U1(forcing, self.dirac)
+
+
+def cmd_bands(run: Pipeline, out: Path):
+    cfg = run.cfg
     pot = cfg.potential_V()
     k_grid = np.linspace(0.0, 2.0 * np.pi, cfg.n_k)
     sweep = band_sweep(pot, k_grid, cfg.cutoff())
@@ -137,12 +209,10 @@ def cmd_bands(cfg: RunConfig, out: Path) -> dict:
         **_config_block(cfg),
     }
     _write_json(out / "bands.json", summary)
-    return summary
 
 
-def cmd_dirac(cfg: RunConfig, out: Path) -> dict:
-    V, W = cfg.potential_V(), cfg.potential_W()
-    data = certify_dirac_point(V, W, cfg.cutoff(), cfg.pair)
+def cmd_dirac(run: Pipeline, out: Path):
+    cfg, data = run.cfg, run.dirac
     payload = {
         "band_pair": list(data.band_pair),
         "mu_star": _fmt(data.mu_star),
@@ -157,7 +227,7 @@ def cmd_dirac(cfg: RunConfig, out: Path) -> dict:
     _write_json(out / "dirac_point.json", payload)
     gaps = []
     for delta in cfg.deltas:
-        rep = verify_gap_opening(V, W, data, float(delta), cfg.a)
+        rep = verify_gap_opening(data.pot_V, data.pot_W, data, float(delta), cfg.a)
         gaps.append(
             {
                 "delta": _fmt(rep.delta),
@@ -171,26 +241,10 @@ def cmd_dirac(cfg: RunConfig, out: Path) -> dict:
             }
         )
     _write_json(out / "gap_report.json", {"reports": gaps, **_config_block(cfg)})
-    return payload
 
 
-def _certified_params(cfg: RunConfig):
-    data = certify_dirac_point(
-        cfg.potential_V(), cfg.potential_W(), cfg.cutoff(), cfg.pair
-    )
-    params = NLDParams(
-        c_sharp=data.c_sharp,
-        theta_sharp=data.theta_sharp,
-        mu_sharp=cfg.mu_sharp,
-        beta1=data.beta1,
-        beta2=data.beta2,
-    )
-    return data, params
-
-
-def cmd_nld(cfg: RunConfig, out: Path) -> dict:
-    data, params = _certified_params(cfg)
-    profile = integrate_homoclinic(params, y_max=cfg.y_max, tol=cfg.ode_tol)
+def cmd_nld(run: Pipeline, out: Path):
+    params, profile = run.params, run.profile
     psi = profile.psi_minus
     rows = [
         (
@@ -214,54 +268,42 @@ def cmd_nld(cfg: RunConfig, out: Path) -> dict:
         "sigma_min_restricted": _fmt(kres.sigma_min_restricted),
         "sigma_min_unrestricted": _fmt(kres.sigma_min_unrestricted),
         "operator_norm": _fmt(kres.operator_norm),
-        **_config_block(cfg),
+        **_config_block(run.cfg),
     }
     _write_json(out / "nld_diagnostics.json", diag)
-    return diag
 
 
-def cmd_soliton(cfg: RunConfig, out: Path) -> dict:
-    V, W = cfg.potential_V(), cfg.potential_W()
-    data, params = _certified_params(cfg)
-    profile = integrate_homoclinic(params, y_max=cfg.y_max, tol=cfg.ode_tol)
-    forcing = az.build_G1(data, profile)
-    az.solvability_check(
-        forcing, data, profile.y_grid[:: max(1, len(profile.y_grid) // 400)],
-        fail_tol=1e-6,
-    )
-    corrector = az.solve_U1(forcing, data)
+def cmd_soliton(run: Pipeline, out: Path):
+    cfg, data, params, profile = run.cfg, run.dirac, run.params, run.profile
+    V, W = data.pot_V, data.pot_W
+    corrector = run.corrector
     parity = nt.parity_from_theta(data.theta_sharp)
     ncfg = nt.NewtonConfig(
         max_iters=cfg.newton_max_iters, tol=cfg.newton_tol, parity=parity
     )
     ell = 1.0 / params.decay_rate
-    deltas, resid_norms, l2_errors, h2_errors = [], [], [], []
-    per_delta = []
-    for delta in cfg.deltas:
-        delta = float(delta)
+    deltas = [float(d) for d in cfg.deltas]
+    resid_norms, h2_errors, per_delta = [], [], []
+    for delta in deltas:
         L = cfg.L if cfg.L is not None else min(
             18.5 * ell, 0.995 * profile.y_max
         ) / delta
         fld = az.assemble_udelta(data, profile, True, delta, L, cfg.h, corrector)
-        rnorm = az.residual_norm(fld, V, W)
+        resid_norms.append(az.residual_norm(fld, V, W))
         x_half = nt.staggered_grid(L, cfg.h)
         init, _, _ = az.evaluate_udelta(data, profile, True, delta, x_half, corrector)
         mu_delta = data.mu_star + delta * params.mu_sharp
         op = nt.discretize_operator(V, W, delta, mu_delta, x_half, parity)
         sol = nt.newton_solve(op, delta, mu_delta, init, ncfg)
-        sol.jacobian_min_eig = nt.jacobian_min_eig(op, sol.samples)
-        errs = nt.error_vs_ansatz(sol, data, profile)
-        sol.error_vs_ansatz = errs
+        min_eig = nt.jacobian_min_eig(op, sol.samples)
+        l2_error, h2_error = nt.error_vs_ansatz(sol, data, profile)
         tag = repr(delta).replace(".", "p")
         _write_csv(
             out / f"soliton_delta_{tag}.csv",
             "x,u",
             [(float(x), float(u)) for x, u in zip(sol.x_grid, sol.samples)],
         )
-        deltas.append(delta)
-        resid_norms.append(rnorm)
-        l2_errors.append(errs[0])
-        h2_errors.append(errs[1])
+        h2_errors.append(h2_error)
         per_delta.append(
             {
                 "delta": _fmt(delta),
@@ -269,9 +311,9 @@ def cmd_soliton(cfg: RunConfig, out: Path) -> dict:
                 "L": _fmt(L),
                 "iters": len(sol.newton_history),
                 "final_residual": _fmt(sol.newton_history[-1]),
-                "l2_error": _fmt(errs[0]),
-                "h2_error": _fmt(errs[1]),
-                "jacobian_min_eig": _fmt(sol.jacobian_min_eig),
+                "l2_error": _fmt(l2_error),
+                "h2_error": _fmt(h2_error),
+                "jacobian_min_eig": _fmt(min_eig),
             }
         )
     report = {
@@ -288,22 +330,18 @@ def cmd_soliton(cfg: RunConfig, out: Path) -> dict:
         **_config_block(cfg),
     }
     _write_json(out / "soliton_scaling.json", report)
-    return report
 
 
-def cmd_verify_all(cfg: RunConfig, out: Path) -> dict:
+def cmd_verify_all(run: Pipeline, out: Path):
+    for cmd in (cmd_bands, cmd_dirac, cmd_nld, cmd_soliton):
+        cmd(run, out)
     summary = {
         "bands": "bands.json",
         "dirac": "dirac_point.json",
         "nld": "nld_diagnostics.json",
         "soliton": "soliton_scaling.json",
     }
-    cmd_bands(cfg, out)
-    cmd_dirac(cfg, out)
-    cmd_nld(cfg, out)
-    cmd_soliton(cfg, out)
-    _write_json(out / "verify_all.json", {"artifacts": summary, **_config_block(cfg)})
-    return summary
+    _write_json(out / "verify_all.json", {"artifacts": summary, **_config_block(run.cfg)})
 
 
 def _seed_regressions(out: Path):
@@ -352,7 +390,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        COMMANDS[args.command](cfg, out)
+        COMMANDS[args.command](Pipeline(cfg), out)
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

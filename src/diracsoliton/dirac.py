@@ -21,6 +21,7 @@ from .bloch import (
     PeriodicPotential,
     assemble_coefficient_matrix,
     assemble_fb_matrix,
+    coupling_matrix,
     fourier_eval,
     solve_bands_at_k,
 )
@@ -63,15 +64,13 @@ class GapReport:
         return not self.violations
 
 
-def parity_block_split(matrix: np.ndarray, parity_ok: bool = True):
+def parity_block_split(matrix: np.ndarray):
     """Split an assembled k = pi matrix into even/odd Fourier-index blocks.
 
     Returns (even_block, odd_block, even_positions, odd_positions) where
     the positions index rows of the full matrix.  Any cross-block entry
     above 1e-14 indicates an assembly bug and is fatal.
     """
-    if not parity_ok:
-        raise ValueError("parity block split requires an even-index potential")
     size = matrix.shape[0]
     M = (size - 1) // 2
     m = np.arange(-M, M + 1)
@@ -194,22 +193,11 @@ def band_slope_oracle(
     return float(slope_minus), float(slope_plus)
 
 
-def _coupling_matrix(pot: PeriodicPotential, M: int) -> np.ndarray:
-    """Coefficient-space multiplication operator of the cosine series."""
-    C = np.zeros((2 * M + 1, 2 * M + 1))
-    for j, amp in pot.coeffs.items():
-        if j <= 2 * M:
-            idx = np.arange(2 * M + 1 - j)
-            C[idx, idx + j] += 0.5 * amp
-            C[idx + j, idx] += 0.5 * amp
-    return C
-
-
 def compute_theta_sharp(data: DiracPointData, pot_W: PeriodicPotential) -> float:
     """Gap-opening coefficient theta# = <W Phi+(., pi), Phi-(., pi)>."""
     if pot_W.parity_class is not ParityClass.ODD_INDEX:
         raise ValueError("theta# requires an odd-index potential W")
-    C = _coupling_matrix(pot_W, data.cutoff.M)
+    C = coupling_matrix(pot_W.coeffs, data.cutoff.M)
     val = complex(np.vdot(data.g1, C @ data.g2))
     if abs(val.imag) > 1e-12 * (1.0 + abs(val)):
         raise RuntimeError(f"theta# has spurious imaginary part {val.imag:.3e}")

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from diracsoliton import (
     build_U0,
     evaluate_udelta,
     fit_order,
+    integrate_homoclinic,
     residual_norm,
     solvability_check,
     solve_U1,
@@ -17,22 +19,15 @@ from diracsoliton.ansatz import SeparableForcing, TwoScaleField, extended_cutoff
 from diracsoliton.bloch import assemble_coefficient_matrix
 
 
-class _PerturbedProfile:
-    """Envelope with a constant offset on u; breaks the spinor equations."""
+@pytest.fixture(scope="module")
+def detuned_profile(default_params):
+    """Homoclinic of the spinor system with theta# off by 0.1%.
 
-    def __init__(self, base, eps):
-        self._base = base
-        self._eps = eps
-        self.params = base.params
-        self.y_grid = base.y_grid
-        self.y_max = base.y_max
-
-    def evaluate(self, y):
-        u, v = self._base.evaluate(y)
-        return u + self._eps, v
-
-    def derivative(self, y):
-        return self._base.derivative(y)
+    It solves its own system exactly, so it only breaks the equations
+    of the Dirac point the forcing is built from.
+    """
+    theta = default_params.theta_sharp * (1.0 + 1e-3)
+    return integrate_homoclinic(dataclasses.replace(default_params, theta_sharp=theta))
 
 
 class TestBuildU0:
@@ -70,7 +65,7 @@ class TestBuildG1:
     def test_ten_terms(self, default_dirac, default_profile):
         forcing = build_G1(default_dirac, default_profile)
         assert forcing.x_profiles.shape[0] == 10
-        assert len(forcing.y_profiles) == 10
+        assert len(forcing.y_factors) == 10
         assert len(forcing.labels) == 10
 
     def test_free_profiles_are_sparse(self, free_dirac, free_profile):
@@ -86,9 +81,10 @@ class TestBuildG1:
     def test_terms_vanish_with_the_envelope(self, default_dirac, default_profile):
         """Far in the tail every slow factor is at the decay floor."""
         forcing = build_G1(default_dirac, default_profile)
-        y = default_profile.y_max
-        for g in forcing.y_profiles:
-            assert abs(g(np.array([y]))[0]) < 1e-5
+        y = np.array([default_profile.y_max])
+        psi, dpsi = default_profile.psi_at(y)[0], default_profile.dpsi_at(y)[0]
+        for g in forcing.y_factors:
+            assert abs(g(psi, dpsi)[0]) < 1e-5
 
 
 class TestSolvability:
@@ -99,15 +95,17 @@ class TestSolvability:
         rel = solvability_check(forcing, default_dirac, default_profile.y_grid[::10])
         assert rel <= 1e-6
 
-    def test_perturbed_envelope_detected(self, default_dirac, default_profile):
-        bad = _PerturbedProfile(default_profile, 1e-3)
-        forcing = build_G1(default_dirac, bad)
+    def test_perturbed_envelope_detected(
+        self, default_dirac, default_profile, detuned_profile
+    ):
+        forcing = build_G1(default_dirac, detuned_profile)
         rel = solvability_check(forcing, default_dirac, default_profile.y_grid[::10])
         assert 1e-5 < rel < 1e-1
 
-    def test_fail_tol_raises_with_location(self, default_dirac, default_profile):
-        bad = _PerturbedProfile(default_profile, 1e-3)
-        forcing = build_G1(default_dirac, bad)
+    def test_fail_tol_raises_with_location(
+        self, default_dirac, default_profile, detuned_profile
+    ):
+        forcing = build_G1(default_dirac, detuned_profile)
         with pytest.raises(RuntimeError, match="y="):
             solvability_check(
                 forcing, default_dirac, default_profile.y_grid[::10], fail_tol=1e-6
@@ -118,7 +116,7 @@ class TestSolveU1:
     def _forcing_from_vector(self, dirac, vec):
         return SeparableForcing(
             x_profiles=np.stack([vec.astype(complex)]),
-            y_profiles=[lambda y: np.ones_like(np.asarray(y, dtype=float))],
+            y_factors=[lambda psi, dpsi: np.ones_like(psi)],
             cutoff_ext=extended_cutoff(dirac.cutoff),
             labels=["probe"],
         )

@@ -125,6 +125,12 @@ class TestSweep:
             expect = np.sort((2.0 * np.pi * m + sol.k) ** 2)
             assert np.allclose(sol.eigenvalues, expect, atol=1e-9)
 
+    def test_large_cutoff_sweep_passes_residual_check(self, pot_v):
+        """eigh residuals scale with |A| ~ (2 pi M)^2, not with |lambda|."""
+        k_grid = np.linspace(0.0, 2.0 * np.pi, 129)
+        sweep = band_sweep(pot_v, k_grid, FourierCutoff(96))
+        assert np.all(np.diff(sweep.band(0)[:65]) >= 0.0)
+
     def test_band_reflection_symmetry(self, pot_v, cut64):
         k_grid = np.linspace(0.1, 2.0 * np.pi - 0.1, 21)
         sweep = band_sweep(pot_v, k_grid, cut64)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from diracsoliton import cli
 from diracsoliton.cli import RunConfig, load_config, main
 
 FREE_CFG = """\
@@ -101,6 +102,37 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
 
+CONFIG_DEFECTS = [
+    ("deltas = 0.1", "deltas"),
+    ("M = 64.5", "M must"),
+    ("V = [[2, 20.0], [2, 5.0]]", "repeats a cosine index"),
+    ("W = [[1]]", "W must"),
+    ("n_k = 0", "n_k"),
+    ("n_bands = 0", "n_bands"),
+    ("L = -5.0", "L must"),
+    ("L = 0", "L must"),
+    ("y_max = 0.0", "y_max"),
+    ("newton_tol = 0.0", "newton_tol"),
+    ("newton_tol = -1.0", "newton_tol"),
+    ("newton_max_iters = 0", "newton_max_iters"),
+    ("pair = 0", "pair"),
+    ("a = 'x'", "a must"),
+]
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("line,key", CONFIG_DEFECTS)
+    def test_rejected_before_numerical_work(self, tmp_path, capsys, line, key):
+        p = tmp_path / "bad.cfg"
+        p.write_text(FREE_CFG + line + "\n")
+        out = tmp_path / "out"
+        rc = main(["verify-all", "--config", str(p), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "configuration error" in err and key in err
+        assert not out.exists()
+
+
 class TestBandsCommand:
     def test_artifacts(self, free_cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -176,3 +208,44 @@ class TestDeterminismAndGolden:
         assert rc == 0
         for f in ("bands.csv", "bands.json"):
             assert (out / "golden" / f).read_bytes() == (out / f).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def verify_all_run(tmp_path_factory):
+    """verify-all on FREE_CFG, counting the stage calls it makes."""
+    root = tmp_path_factory.mktemp("shared")
+    cfg = root / "free.cfg"
+    cfg.write_text(FREE_CFG)
+    calls = {"certify_dirac_point": 0, "integrate_homoclinic": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(cli, name, counting(name, getattr(cli, name)))
+        rc = main(["verify-all", "--config", str(cfg), "--out", str(root / "all")])
+    assert rc == 0
+    return cfg, root, calls
+
+
+class TestSharedStages:
+    def test_each_stage_runs_once(self, verify_all_run):
+        _, _, calls = verify_all_run
+        assert calls == {"certify_dirac_point": 1, "integrate_homoclinic": 1}
+
+    def test_same_bytes_as_single_commands(self, verify_all_run):
+        cfg, root, _ = verify_all_run
+        single = root / "single"
+        for command in ("bands", "dirac", "nld", "soliton"):
+            assert main([command, "--config", str(cfg), "--out", str(single)]) == 0
+        names = sorted(p.name for p in (root / "all").iterdir())
+        assert "verify_all.json" in names
+        names.remove("verify_all.json")
+        assert names == sorted(p.name for p in single.iterdir())
+        for name in names:
+            assert (root / "all" / name).read_bytes() == (single / name).read_bytes(), name

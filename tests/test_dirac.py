@@ -71,10 +71,6 @@ class TestParityBlockSplit:
         assert np.max(np.abs(A[np.ix_(even_pos, odd_pos)])) == 0.0
         assert even.shape[0] + odd.shape[0] == A.shape[0]
 
-    def test_refuses_without_parity(self):
-        with pytest.raises(ValueError, match="parity"):
-            parity_block_split(np.eye(5), parity_ok=False)
-
 
 class TestCSharp:
     def test_free_value(self, free_dirac):

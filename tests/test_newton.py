@@ -110,6 +110,15 @@ class TestDiscreteOperator:
         with pytest.raises(ValueError, match="uniform"):
             discretize_operator(pot_free, pot_free, 0.0, 0.0, x, Parity.EVEN)
 
+    def test_long_grid_with_non_dyadic_spacing_accepted(self, pot_free):
+        """(i + 1/2) h rounds about 1e-13 off h at x = 900; that is uniform."""
+        x = staggered_grid(900.0, 0.01)
+        op = discretize_operator(pot_free, pot_free, 0.0, 0.0, x, Parity.EVEN)
+        assert op.h == pytest.approx(0.01, rel=1e-12)
+        x[len(x) // 2 :] += 1e-8
+        with pytest.raises(ValueError, match="uniform"):
+            discretize_operator(pot_free, pot_free, 0.0, 0.0, x, Parity.EVEN)
+
     def test_potential_enters_diagonal(self, pot_v, pot_w):
         x = staggered_grid(2.0, 1 / 128)
         op = discretize_operator(pot_v, pot_w, 0.1, 3.0, x, Parity.EVEN)
