@@ -54,6 +54,7 @@ from .ansatz import (
     residual_norm,
     solvability_check,
     solve_U1,
+    staggered_grid,
 )
 from .newton import (
     NewtonConfig,
@@ -65,8 +66,6 @@ from .newton import (
     jacobian_min_eig,
     newton_solve,
     parity_from_theta,
-    staggered_grid,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

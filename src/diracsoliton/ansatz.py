@@ -33,7 +33,6 @@ class TwoScaleField:
     x_grid: np.ndarray
     samples: np.ndarray
     u0_samples: np.ndarray
-    u1_samples: np.ndarray | None = None
 
 
 @dataclass
@@ -363,6 +362,14 @@ def evaluate_udelta(
     return np.sqrt(delta) * samples, u0, u1
 
 
+def staggered_grid(L: float, h: float) -> np.ndarray:
+    """Half-line grid x_i = (i + 1/2) h covering [0, L]."""
+    if h <= 0 or L <= h:
+        raise ValueError("need 0 < h < L")
+    n = int(round(L / h))
+    return (np.arange(n) + 0.5) * h
+
+
 def assemble_udelta(
     dirac: DiracPointData,
     profile: SpinorProfile,
@@ -372,7 +379,11 @@ def assemble_udelta(
     h: float,
     corrector: CorrectorSolution | None = None,
 ) -> TwoScaleField:
-    """Candidate soliton sqrt(delta) (U0 + delta U1) on [-L, L], spacing h."""
+    """Candidate soliton sqrt(delta) (U0 + delta U1) on [-L, L], spacing h.
+
+    The grid x = +-(i + 1/2) h is staggered_grid(L, h) and its mirror
+    image, so its positive half is the Newton solver's grid.
+    """
     params = profile.params
     ell = 1.0 / params.decay_rate
     if delta > 0.0:
@@ -382,9 +393,9 @@ def assemble_udelta(
                 f"domain half-length {L:.4g} below the envelope-decay floor "
                 f"{L_min:.4g} for delta={delta}"
             )
-    n = int(round(L / h))
-    x_grid = np.arange(-n, n + 1) * h
-    samples, u0, u1 = evaluate_udelta(
+    x_half = staggered_grid(L, h)
+    x_grid = np.concatenate([-x_half[::-1], x_half])
+    samples, u0, _ = evaluate_udelta(
         dirac, profile, with_U1, delta, x_grid, corrector
     )
     return TwoScaleField(
@@ -393,7 +404,6 @@ def assemble_udelta(
         x_grid=x_grid,
         samples=samples,
         u0_samples=u0,
-        u1_samples=u1,
     )
 
 

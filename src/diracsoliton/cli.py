@@ -274,7 +274,14 @@ def cmd_nld(run: Pipeline, out: Path):
 
 
 def cmd_soliton(run: Pipeline, out: Path):
-    cfg, data, params, profile = run.cfg, run.dirac, run.params, run.profile
+    cfg, data = run.cfg, run.dirac
+    deltas = [float(d) for d in cfg.deltas]
+    if not all(nt.frequency_window_check(data, cfg.mu_sharp, d, cfg.a) for d in deltas):
+        raise ValueError(
+            f"mu_sharp={cfg.mu_sharp} outside the frequency window "
+            f"|mu#| < a |theta#| = {cfg.a * abs(data.theta_sharp):.6g}"
+        )
+    params, profile = run.params, run.profile
     V, W = data.pot_V, data.pot_W
     corrector = run.corrector
     parity = nt.parity_from_theta(data.theta_sharp)
@@ -282,7 +289,6 @@ def cmd_soliton(run: Pipeline, out: Path):
         max_iters=cfg.newton_max_iters, tol=cfg.newton_tol, parity=parity
     )
     ell = 1.0 / params.decay_rate
-    deltas = [float(d) for d in cfg.deltas]
     resid_norms, h2_errors, per_delta = [], [], []
     for delta in deltas:
         L = cfg.L if cfg.L is not None else min(
@@ -290,11 +296,10 @@ def cmd_soliton(run: Pipeline, out: Path):
         ) / delta
         fld = az.assemble_udelta(data, profile, True, delta, L, cfg.h, corrector)
         resid_norms.append(az.residual_norm(fld, V, W))
-        x_half = nt.staggered_grid(L, cfg.h)
-        init, _, _ = az.evaluate_udelta(data, profile, True, delta, x_half, corrector)
-        mu_delta = data.mu_star + delta * params.mu_sharp
-        op = nt.discretize_operator(V, W, delta, mu_delta, x_half, parity)
-        sol = nt.newton_solve(op, delta, mu_delta, init, ncfg)
+        half = len(fld.x_grid) // 2  # Newton runs on the positive half
+        mu_delta = fld.mu_delta
+        op = nt.discretize_operator(V, W, delta, mu_delta, fld.x_grid[half:], parity)
+        sol = nt.newton_solve(op, delta, mu_delta, fld.samples[half:], ncfg)
         min_eig = nt.jacobian_min_eig(op, sol.samples)
         l2_error, h2_error = nt.error_vs_ansatz(sol, data, profile)
         tag = repr(delta).replace(".", "p")

@@ -14,6 +14,7 @@ from diracsoliton import (
     residual_norm,
     solvability_check,
     solve_U1,
+    staggered_grid,
 )
 from diracsoliton.ansatz import SeparableForcing, TwoScaleField, extended_cutoff
 from diracsoliton.bloch import assemble_coefficient_matrix
@@ -194,8 +195,13 @@ class TestAssemble:
 
     def test_field_even(self, free_dirac, free_profile):
         ell = 1.0 / free_profile.params.decay_rate
-        fld = assemble_udelta(free_dirac, free_profile, True, 0.1, 10.5 * ell / 0.1, 1 / 64)
+        L, h = 10.5 * ell / 0.1, 1 / 64
+        fld = assemble_udelta(free_dirac, free_profile, True, 0.1, L, h)
         assert np.max(np.abs(fld.samples - fld.samples[::-1])) < 1e-11
+        # the grid is the Newton solver's staggered half-line and its mirror
+        x = fld.x_grid
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(x[len(x) // 2 :], staggered_grid(L, h))
 
     def test_evaluate_on_custom_grid(self, free_dirac, free_profile):
         x = np.linspace(0.25, 30.0, 500)

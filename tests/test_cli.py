@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from diracsoliton import cli
+from diracsoliton import ansatz, cli
 from diracsoliton.cli import RunConfig, load_config, main
 
 FREE_CFG = """\
@@ -100,6 +100,16 @@ class TestExitCodes:
         rc = main(["soliton", "--config", str(p), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_frequency_outside_safety_window_exits_2(self, tmp_path, capsys):
+        # |mu#| = 0.47 < |theta#| = 0.5 but above a |theta#| = 0.45
+        p = tmp_path / "edge.cfg"
+        p.write_text(FREE_CFG + "mu_sharp = 0.47\n")
+        out = tmp_path / "out"
+        rc = main(["soliton", "--config", str(p), "--out", str(out), "--delta", "0.2"])
+        assert rc == 2
+        assert "frequency window" in capsys.readouterr().err
+        assert not (out / "soliton_scaling.json").exists()
 
 
 CONFIG_DEFECTS = [
@@ -216,7 +226,12 @@ def verify_all_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("shared")
     cfg = root / "free.cfg"
     cfg.write_text(FREE_CFG)
-    calls = {"certify_dirac_point": 0, "integrate_homoclinic": 0}
+    stages = [
+        (cli, "certify_dirac_point"),
+        (cli, "integrate_homoclinic"),
+        (ansatz, "evaluate_udelta"),
+    ]
+    calls = {name: 0 for _, name in stages}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -226,8 +241,8 @@ def verify_all_run(tmp_path_factory):
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            mp.setattr(cli, name, counting(name, getattr(cli, name)))
+        for owner, name in stages:
+            mp.setattr(owner, name, counting(name, getattr(owner, name)))
         rc = main(["verify-all", "--config", str(cfg), "--out", str(root / "all")])
     assert rc == 0
     return cfg, root, calls
@@ -236,7 +251,12 @@ def verify_all_run(tmp_path_factory):
 class TestSharedStages:
     def test_each_stage_runs_once(self, verify_all_run):
         _, _, calls = verify_all_run
-        assert calls == {"certify_dirac_point": 1, "integrate_homoclinic": 1}
+        # FREE_CFG has one delta: one synthesis feeds residual and Newton
+        assert calls == {
+            "certify_dirac_point": 1,
+            "integrate_homoclinic": 1,
+            "evaluate_udelta": 1,
+        }
 
     def test_same_bytes_as_single_commands(self, verify_all_run):
         cfg, root, _ = verify_all_run
