@@ -18,6 +18,7 @@ from .bloch import (
     FourierCutoff,
     PeriodicPotential,
     assemble_coefficient_matrix,
+    cell_offsets,
     fourier_eval,
 )
 from .dirac import DiracPointData
@@ -119,17 +120,54 @@ def _spinor(params, u, v) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (u + 1j * v), 0.5 * (du + 1j * dv)
 
 
-def _sample_U0(dirac: DiracPointData, profile: SpinorProfile, delta: float, x_grid):
-    """U0 samples and the envelope samples (u, v) at y = delta x behind them."""
+def _synthesise(
+    dirac: DiracPointData,
+    profile: SpinorProfile,
+    delta: float,
+    x_grid,
+    corrector: CorrectorSolution | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """U0 samples, and U1 samples when a corrector is given.
+
+    Every carrier is e^{i pi x} times a 1-periodic function, so the
+    carriers are summed once at the grid's distinct cell offsets, as one
+    table of g1 and the corrector x-solutions, and gathered term by term;
+    the Bloch phase e^{i pi n} = (-1)^n of the cell n = floor(x) multiplies
+    last.
+    """
+    x_grid = np.asarray(x_grid, dtype=float)
     y_span = delta * np.max(np.abs(x_grid))
     if y_span > profile.y_max * (1.0 + 1e-12):
         raise ValueError(
             f"envelope support exceeds its grid: delta*|x| reaches {y_span:.3g} "
             f"but the profile ends at {profile.y_max:.3g}; enlarge y_max or shrink L"
         )
-    phi = fourier_eval(dirac.g1, np.pi, x_grid)
     u, v = profile.evaluate(delta * x_grid)
-    return u * phi.real - v * phi.imag, u, v
+    if corrector is None:
+        carriers = dirac.g1[None, :]
+    else:
+        M_ext = corrector.forcing.cutoff_ext.M
+        carriers = np.vstack(
+            [_pad_modes(dirac.g1, dirac.cutoff.M, M_ext), corrector.x_solutions]
+        )
+    r, where, n = cell_offsets(x_grid)
+    where = where.reshape(x_grid.shape)
+    sign = (1.0 - 2.0 * (n % 2)).reshape(x_grid.shape)  # e^{i pi n}, exactly
+    table = fourier_eval(carriers, np.pi, r)
+    phi = table[0][where] * sign
+    u0 = u * phi.real - v * phi.imag
+    if corrector is None:
+        return u0, None
+    psi, dpsi = _spinor(profile.params, u, v)
+    field1 = np.zeros(x_grid.shape, dtype=complex)
+    for row, g in zip(table[1:], corrector.forcing.y_factors):
+        field1 += row[where] * g(psi, dpsi)
+    field1 *= sign
+    im_max = np.max(np.abs(field1.imag))
+    re_max = max(np.max(np.abs(field1.real)), 1.0)
+    if im_max > 1e-10 * re_max:
+        raise RuntimeError(f"corrector field has imaginary residue {im_max:.3e}")
+    return u0, field1.real
 
 
 def build_U0(
@@ -139,7 +177,7 @@ def build_U0(
 
     Real by construction since Psi+ = conj(Psi-) and Phi+ = conj(Phi-).
     """
-    return _sample_U0(dirac, profile, delta, np.asarray(x_grid, dtype=float))[0]
+    return _synthesise(dirac, profile, delta, x_grid, None)[0]
 
 
 def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
@@ -326,8 +364,8 @@ def evaluate_udelta(
 
     Returns (scaled field, U0 samples, U1 samples or None).  A corrector
     solution may be passed in for reuse across delta values.  The
-    envelope is evaluated once; U0 and every U1 term are built from
-    those samples.
+    envelope is evaluated once and the carriers once per distinct cell
+    offset of the grid; U0 and every U1 term are built from those.
     """
     _require_coeffs(dirac)
     if not 0.0 < delta < 1.0:
@@ -335,30 +373,10 @@ def evaluate_udelta(
             f"delta must lie in (0, 1), got {delta}; the two-scale field "
             "degenerates at delta = 0 and no solve path exists there"
         )
-    x_grid = np.asarray(x_grid, dtype=float)
-    u0, u, v = _sample_U0(dirac, profile, delta, x_grid)
-    u1 = None
-    samples = u0.copy()
-    if with_U1:
-        if corrector is None:
-            corrector = solve_U1(build_G1(dirac, profile), dirac)
-        psi, dpsi = _spinor(profile.params, u, v)
-        # one term at a time, so long grids never hold an (N, 10) matrix
-        field1 = np.zeros(x_grid.shape, dtype=complex)
-        for coeffs, g in zip(corrector.x_solutions, corrector.forcing.y_factors):
-            top = np.max(np.abs(coeffs))
-            if top == 0.0:
-                continue
-            c = np.where(np.abs(coeffs) < 1e-17 * top, 0.0, coeffs)
-            field1 += fourier_eval(c, np.pi, x_grid) * g(psi, dpsi)
-        im_max = np.max(np.abs(field1.imag))
-        re_max = max(np.max(np.abs(field1.real)), 1.0)
-        if im_max > 1e-10 * re_max:
-            raise RuntimeError(
-                f"corrector field has imaginary residue {im_max:.3e}"
-            )
-        u1 = field1.real
-        samples = samples + delta * u1
+    if with_U1 and corrector is None:
+        corrector = solve_U1(build_G1(dirac, profile), dirac)
+    u0, u1 = _synthesise(dirac, profile, delta, x_grid, corrector if with_U1 else None)
+    samples = u0 if u1 is None else u0 + delta * u1
     return np.sqrt(delta) * samples, u0, u1
 
 

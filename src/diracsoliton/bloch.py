@@ -179,24 +179,43 @@ def bloch_wave_eval(sol: BlochSolution, band: int, x_grid) -> np.ndarray:
     return fourier_eval(sol.eigenvectors[:, band], sol.k, x_grid)
 
 
-def fourier_eval(coeff_vec: np.ndarray, k: float, x_grid, chunk: int = 65536) -> np.ndarray:
-    """Evaluate e^{ikx} sum_m c_m e^{2 pi i m x} by direct summation.
+def cell_offsets(x_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split x = n + r with n = floor(x): (distinct r, index of each x's r, n).
 
-    Chunked over x so large grids do not allocate an (N, 2M+1) matrix.
-    Negligibly small coefficients are dropped up front.
+    x - floor(x) is exact in floating point, so a grid x = (i + 1/2) h
+    with 1/h a power of two has exactly 1/h distinct offsets.
     """
-    coeff_vec = np.asarray(coeff_vec)
-    M = (len(coeff_vec) - 1) // 2
-    m = np.arange(-M, M + 1)
-    keep = np.abs(coeff_vec) > 1e-300
-    m, c = m[keep], coeff_vec[keep]
-    freqs = 2.0 * np.pi * m + k
     x = np.asarray(x_grid, dtype=float).ravel()
-    out = np.empty(x.shape, dtype=complex)
-    for lo in range(0, len(x), chunk):
-        xs = x[lo:lo + chunk]
-        out[lo:lo + chunk] = np.exp(1j * np.outer(xs, freqs)) @ c
-    return out.reshape(np.shape(x_grid))
+    n = np.floor(x)
+    r, where = np.unique(x - n, return_inverse=True)
+    return r, where, n
+
+
+# entries of the largest exp(i freq r) block formed at once (16 MB complex)
+_SUM_BLOCK = 1 << 20
+
+
+def fourier_eval(coeff_vec: np.ndarray, k: float, x_grid) -> np.ndarray:
+    """Evaluate e^{ikx} sum_m c_m e^{2 pi i m x}, one row per coefficient row.
+
+    The sum is 1-periodic up to the Bloch phase, f(n + r) = e^{ikn} f(r),
+    so it is summed directly only at the distinct cell offsets r of the
+    grid and carried to each x by e^{ikn}.  A (T, 2M+1) stack of
+    coefficient vectors gives a (T, *x_grid.shape) result.
+    """
+    c = np.asarray(coeff_vec)
+    M = (c.shape[-1] - 1) // 2
+    # modes that vanish in every row: carriers of one index parity are half zeros
+    keep = np.any(np.atleast_2d(c) != 0.0, axis=0)
+    c = c[..., keep]
+    freqs = (2.0 * np.pi * np.arange(-M, M + 1) + k)[keep]
+    r, where, n = cell_offsets(x_grid)
+    cells = np.empty(c.shape[:-1] + r.shape, dtype=complex)
+    step = max(1, _SUM_BLOCK // max(1, len(freqs)))  # offsets per block of the sum
+    for lo in range(0, len(r), step):
+        cells[..., lo:lo + step] = (np.exp(1j * np.outer(r[lo:lo + step], freqs)) @ c.T).T
+    out = cells[..., where] * np.exp(1j * k * n)
+    return out.reshape(c.shape[:-1] + np.shape(x_grid))
 
 
 def cell_inner_product(f_coeffs: np.ndarray, g_coeffs: np.ndarray) -> complex:

@@ -157,8 +157,9 @@ def _write_csv(path: Path, header: str, rows):
 class Pipeline:
     """The stages of one invocation, each computed once, on first use.
 
-    dirac -> params -> profile -> corrector; the subcommands write
-    artifacts from these, and verify-all shares one set between them.
+    dirac -> params -> profile -> corrector, and the deltas checked
+    against the frequency window; the subcommands write artifacts from
+    these, and verify-all shares one set between them.
     """
 
     cfg: RunConfig
@@ -169,6 +170,18 @@ class Pipeline:
         return certify_dirac_point(
             cfg.potential_V(), cfg.potential_W(), cfg.cutoff(), cfg.pair
         )
+
+    @cached_property
+    def deltas(self) -> list[float]:
+        """The deltas, once mu_delta is known to lie in every protected gap."""
+        cfg, data = self.cfg, self.dirac
+        deltas = [float(d) for d in cfg.deltas]
+        if not all(nt.frequency_window_check(data, cfg.mu_sharp, d, cfg.a) for d in deltas):
+            raise ValueError(
+                f"mu_sharp={cfg.mu_sharp} outside the frequency window "
+                f"|mu#| < a |theta#| = {cfg.a * abs(data.theta_sharp):.6g}"
+            )
+        return deltas
 
     @cached_property
     def params(self) -> NLDParams:
@@ -274,13 +287,7 @@ def cmd_nld(run: Pipeline, out: Path):
 
 
 def cmd_soliton(run: Pipeline, out: Path):
-    cfg, data = run.cfg, run.dirac
-    deltas = [float(d) for d in cfg.deltas]
-    if not all(nt.frequency_window_check(data, cfg.mu_sharp, d, cfg.a) for d in deltas):
-        raise ValueError(
-            f"mu_sharp={cfg.mu_sharp} outside the frequency window "
-            f"|mu#| < a |theta#| = {cfg.a * abs(data.theta_sharp):.6g}"
-        )
+    cfg, data, deltas = run.cfg, run.dirac, run.deltas
     params, profile = run.params, run.profile
     V, W = data.pot_V, data.pot_W
     corrector = run.corrector
@@ -338,6 +345,7 @@ def cmd_soliton(run: Pipeline, out: Path):
 
 
 def cmd_verify_all(run: Pipeline, out: Path):
+    run.deltas  # reject a detuning outside the window before the first artifact
     for cmd in (cmd_bands, cmd_dirac, cmd_nld, cmd_soliton):
         cmd(run, out)
     summary = {

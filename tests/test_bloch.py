@@ -13,6 +13,7 @@ from diracsoliton import (
     cell_inner_product,
     solve_bands_at_k,
 )
+from diracsoliton.bloch import fourier_eval
 
 
 class TestPeriodicPotential:
@@ -186,6 +187,83 @@ class TestBlochWave:
         sol = solve_bands_at_k(pot_free, 0.0, FourierCutoff(2))
         with pytest.raises(ValueError, match="band"):
             bloch_wave_eval(sol, 99, [0.0])
+
+
+def _broad_coefficients(M: int = 98, seed: int = 7) -> np.ndarray:
+    """197 complex modes with slow decay, so high frequencies carry weight."""
+    rng = np.random.default_rng(seed)
+    m = np.arange(-M, M + 1)
+    c = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
+    return c * np.exp(-np.abs(m) / 40.0)
+
+
+def _mp_reference(c, k, x) -> np.ndarray:
+    """e^{ikx} sum_m c_m e^{2 pi i m x} in 40-digit arithmetic at the given floats."""
+    import mpmath
+
+    M = (len(c) - 1) // 2
+    out = []
+    with mpmath.workdps(40):
+        cs = [mpmath.mpc(complex(v)) for v in c]
+        for xi in x:
+            X = mpmath.mpf(float(xi))
+            z = mpmath.expj(2 * mpmath.pi * X)
+            term = mpmath.expj(mpmath.mpf(float(k)) * X) * z ** (-M)
+            total = mpmath.mpc(0)
+            for cm in cs:
+                total += cm * term
+                term *= z
+            out.append(complex(total))
+    return np.array(out)
+
+
+def _sample(x: np.ndarray, n: int = 150, seed: int = 3) -> np.ndarray:
+    """Indices of n points of x, always including both ends."""
+    rng = np.random.default_rng(seed)
+    return np.unique(np.concatenate([[0, len(x) - 1], rng.choice(len(x), n)]))
+
+
+class TestFourierEval:
+    """Cell-offset synthesis against a high-precision direct sum, |x| <= 1400."""
+
+    K = np.pi
+
+    def _check(self, x, idx):
+        c = _broad_coefficients()
+        vals = fourier_eval(c, self.K, x)[idx]
+        ref = _mp_reference(c, self.K, x[idx])
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_staggered_dyadic_grid(self):
+        half = (np.arange(1400 * 64) + 0.5) / 64.0
+        x = np.concatenate([-half[::-1], half])
+        self._check(x, _sample(x))
+
+    def test_non_dyadic_grid(self):
+        x = (np.arange(-140000, 140000) + 0.5) * 0.01
+        self._check(x, _sample(x))
+
+    def test_random_points(self):
+        x = np.random.default_rng(11).uniform(-1400.0, 1400.0, 200)
+        self._check(x, np.arange(len(x)))
+
+    @pytest.mark.parametrize("k", [np.pi, 0.7, 0.0])
+    def test_quasi_periodic(self, k):
+        c = _broad_coefficients()
+        # dyadic points, so x + 1 is exact
+        x = np.random.default_rng(5).integers(-1400 * 1024, 1400 * 1024, 500) / 1024.0
+        a = fourier_eval(c, k, x + 1.0)
+        b = np.exp(1j * k) * fourier_eval(c, k, x)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_stacked_rows_equal_single_calls(self):
+        stack = np.stack([_broad_coefficients(seed=s) for s in range(4)])
+        x = np.concatenate([(np.arange(-640, 640) + 0.5) / 64.0, [1399.3, -0.2]])
+        vals = fourier_eval(stack, np.pi, x)
+        assert vals.shape == (4, len(x))
+        for row, c in zip(vals, stack):
+            single = fourier_eval(c, np.pi, x)
+            assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
 
 
 class TestInnerProduct:

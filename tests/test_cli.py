@@ -111,6 +111,15 @@ class TestExitCodes:
         assert "frequency window" in capsys.readouterr().err
         assert not (out / "soliton_scaling.json").exists()
 
+    def test_verify_all_outside_safety_window_writes_nothing(self, tmp_path, capsys):
+        p = tmp_path / "edge.cfg"
+        p.write_text(FREE_CFG + "mu_sharp = 0.47\n")
+        out = tmp_path / "out"
+        rc = main(["verify-all", "--config", str(p), "--out", str(out), "--delta", "0.2"])
+        assert rc == 2
+        assert "frequency window" in capsys.readouterr().err
+        assert not [f.name for f in out.iterdir() if f.suffix in (".json", ".csv")]
+
 
 CONFIG_DEFECTS = [
     ("deltas = 0.1", "deltas"),
@@ -232,25 +241,37 @@ def verify_all_run(tmp_path_factory):
         (ansatz, "evaluate_udelta"),
     ]
     calls = {name: 0 for _, name in stages}
+    synthesising = []  # non-empty while evaluate_udelta runs
+    carrier_points = []  # grid points of each carrier sum made inside it
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            synthesising.append(name == "evaluate_udelta")
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                synthesising.pop()
 
         return wrapper
+
+    def carriers(coeff_vec, k, x_grid, fourier_eval=ansatz.fourier_eval):
+        if any(synthesising):
+            carrier_points.append(np.size(x_grid))
+        return fourier_eval(coeff_vec, k, x_grid)
 
     with pytest.MonkeyPatch.context() as mp:
         for owner, name in stages:
             mp.setattr(owner, name, counting(name, getattr(owner, name)))
+        mp.setattr(ansatz, "fourier_eval", carriers)
         rc = main(["verify-all", "--config", str(cfg), "--out", str(root / "all")])
     assert rc == 0
-    return cfg, root, calls
+    return cfg, root, calls, carrier_points
 
 
 class TestSharedStages:
     def test_each_stage_runs_once(self, verify_all_run):
-        _, _, calls = verify_all_run
+        _, _, calls, _ = verify_all_run
         # FREE_CFG has one delta: one synthesis feeds residual and Newton
         assert calls == {
             "certify_dirac_point": 1,
@@ -258,8 +279,14 @@ class TestSharedStages:
             "evaluate_udelta": 1,
         }
 
+    def test_one_carrier_sum_per_grid_at_cell_offsets(self, verify_all_run):
+        _, _, calls, carrier_points = verify_all_run
+        assert len(carrier_points) == calls["evaluate_udelta"]
+        # h = 1/64: the staggered grid x = +-(i + 1/2) h has 64 cell offsets
+        assert all(0 < n <= 64 for n in carrier_points)
+
     def test_same_bytes_as_single_commands(self, verify_all_run):
-        cfg, root, _ = verify_all_run
+        cfg, root, _, _ = verify_all_run
         single = root / "single"
         for command in ("bands", "dirac", "nld", "soliton"):
             assert main([command, "--config", str(cfg), "--out", str(single)]) == 0

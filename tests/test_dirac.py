@@ -15,6 +15,8 @@ from diracsoliton import (
     solve_bands_at_k,
     verify_gap_opening,
 )
+from diracsoliton.bloch import assemble_coefficient_matrix
+from diracsoliton.dirac import default_gap_k_grid
 
 
 class TestFindDiracPoint:
@@ -176,6 +178,28 @@ class TestGapOpening:
             for a in (0.5, 0.9, 0.999)
         ]
         assert counts == sorted(counts)
+
+    @pytest.mark.parametrize("delta,a", [(0.0, 0.9), (0.4, 0.999), (0.8, 0.999)])
+    def test_windowed_banded_sweep_matches_dense_spectra(
+        self, pot_v, pot_w, default_dirac, delta, a
+    ):
+        """Violations equal those read off the full dense spectrum at each k."""
+        rep = verify_gap_opening(pot_v, pot_w, default_dirac, delta, a)
+        mu, M = default_dirac.mu_star, default_dirac.cutoff.M
+        lo, hi = rep.interval
+        coeffs = {**pot_v.coeffs, **{j: delta * w for j, w in pot_w.coeffs.items()}}
+        expect = []
+        for k in default_gap_k_grid():
+            ev = np.linalg.eigvalsh(assemble_coefficient_matrix(coeffs, k, M))
+            if delta == 0.0:
+                inside = np.abs(ev - mu) <= 1e-9 * (1.0 + abs(mu))
+            else:
+                inside = (ev > lo) & (ev < hi)
+            expect += [(k, n + 1, ev[n]) for n in np.where(inside)[0]]
+        assert expect
+        assert [v[:2] for v in rep.violations] == [e[:2] for e in expect]
+        # both solvers are backward stable to eps |H(k)|, |H(k)| ~ (2 pi M)^2
+        assert np.allclose([v[2] for v in rep.violations], [e[2] for e in expect], atol=1e-9)
 
     def test_bad_safety_fraction(self, pot_v, pot_w, default_dirac):
         with pytest.raises(ValueError, match="safety fraction"):
