@@ -261,7 +261,10 @@ def solvability_check(
 
     For an envelope that solves the effective spinor system the forcing
     is orthogonal to the carrier pair at every y, which is exactly the
-    condition making the corrector solvable.
+    condition making the corrector solvable.  dy Psi comes from
+    differences of the envelope's samples at y +- s, y +- 2s with
+    s = 1e-3 / decay_rate, so an envelope that does not solve the
+    system shows in the projection.
     """
     M_ext = forcing.cutoff_ext.M
     M = dirac.cutoff.M
@@ -272,7 +275,15 @@ def solvability_check(
     )
     ip = forcing.x_profiles @ np.conj(kernel)
     env = forcing.profile
-    psi, dpsi = _spinor(env.params, *env.evaluate(y_grid))
+    y_grid = np.asarray(y_grid, dtype=float)
+    # dy Psi from fourth-order differences of the dense output: taken from
+    # the vector field instead, any (u, v) would project to zero
+    s = 1e-3 / env.params.decay_rate
+    stencil = np.add.outer(s * np.arange(-2.0, 3.0), y_grid)
+    u, v = (w.reshape(stencil.shape) for w in env.evaluate(stencil.ravel()))
+    weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * s)
+    psi = 0.5 * (u[2] + 1j * v[2])
+    dpsi = 0.5 * (weights @ u + 1j * (weights @ v))
     G = np.stack([g(psi, dpsi) for g in forcing.y_factors], axis=1)
     proj = G @ ip
     coeffs = G @ forcing.x_profiles
@@ -281,7 +292,6 @@ def solvability_check(
         return 0.0
     rel = float(np.max(np.abs(proj)) / scale)
     if fail_tol is not None and rel > fail_tol:
-        y_grid = np.asarray(y_grid, dtype=float)
         bad = float(y_grid[np.argmax(np.max(np.abs(proj), axis=1))])
         raise RuntimeError(
             f"kernel projection {rel:.3e} exceeds {fail_tol:.1e} at y={bad:.4g}: "

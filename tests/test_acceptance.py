@@ -5,6 +5,7 @@ the closed-form free-lattice coefficients through the delta-scaling of
 the Newton soliton and the byte-level determinism of the CLI driver.
 """
 
+import json
 import time
 
 import numpy as np
@@ -125,6 +126,32 @@ def test_symmetric_subspace_invertibility(default_params, default_profile):
     assert res.sigma_min_unrestricted <= 1e-4 * res.operator_norm
     assert res.sigma_min_restricted >= 10.0 * res.sigma_min_unrestricted
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_linearised_nld_margin_matches_lattice_jacobian(tmp_path):
+    """The lattice Jacobian's soliton eigenvalue is delta times the NLD margin on Y.
+
+    Free lattice with theta# < 0 (the odd-parity sector), a domain whose
+    Dirichlet cut carries no edge state.
+    """
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text(
+        "V = []\n"
+        "W = [[1, -1.0]]\n"
+        "M = 16\n"
+        "mu_sharp = 0.1\n"
+        "deltas = [0.2, 0.1]\n"
+        "h = 0.015625\n"
+        "L = 1400.0\n"
+        "y_max = 290.0\n"
+    )
+    out = tmp_path / "out"
+    assert cli_main(["verify-all", "--config", str(cfg), "--out", str(out)]) == 0
+    nld = json.loads((out / "nld_diagnostics.json").read_text())
+    margin = float(nld["sigma_min_restricted"])
+    runs = json.loads((out / "soliton_scaling.json").read_text())["runs"]
+    (run,) = [r for r in runs if float(r["delta"]) == 0.1]
+    assert abs(float(run["jacobian_min_eig"]) / 0.1 - margin) <= 1e-3
 
 
 def test_corrector_solvability(default_dirac, default_profile):

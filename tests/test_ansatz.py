@@ -113,6 +113,19 @@ class TestSolvability:
             )
 
 
+    def test_offset_envelope_raises(self, default_dirac, default_profile):
+        """u + 1e-3 breaks the spinor system; dy Psi must not hide it."""
+        dense = default_profile._dense
+        offset = dataclasses.replace(
+            default_profile, _dense=lambda y: dense(y) + np.array([[1e-3], [0.0]])
+        )
+        forcing = build_G1(default_dirac, offset)
+        with pytest.raises(RuntimeError, match="kernel projection"):
+            solvability_check(
+                forcing, default_dirac, default_profile.y_grid[::10], fail_tol=1e-6
+            )
+
+
 class TestSolveU1:
     def _forcing_from_vector(self, dirac, vec):
         return SeparableForcing(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,36 @@ class TestDeterminismAndGolden:
             outs.append(out)
         for fname in ("nld_profile.csv", "nld_diagnostics.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_nld_independent_of_blas_threads(self, free_cfg_path, tmp_path):
+        src = str(Path(cli.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": src if not path else os.pathsep.join([src, path]),
+            }
+            subprocess.run(
+                [
+                    sys.executable,
+                    "-c",
+                    "import sys; from diracsoliton.cli import main; sys.exit(main())",
+                    "nld",
+                    "--config",
+                    free_cfg_path,
+                    "--out",
+                    str(out),
+                ],
+                env=env,
+                check=True,
+            )
+            outs.append(out)
+        for fname in ("nld_profile.csv", "nld_diagnostics.json"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
     def test_seed_regressions_copies(self, free_cfg_path, tmp_path):
         out = tmp_path / "out"

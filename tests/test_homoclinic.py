@@ -186,3 +186,49 @@ class TestKernelCheck:
         prof = integrate_homoclinic(p, y_max=20.0)
         res = kernel_check_on_Y(p, prof)
         assert res.sigma_min_restricted >= 10.0 * res.sigma_min_unrestricted
+
+    def test_canonical_margin_matches_pseudospectral_reference(
+        self, canonical_params, canonical_profile
+    ):
+        """Y-sector margin against a dense Fourier-pseudospectral operator.
+
+        N is odd: an even N zeroes the Nyquist derivative and adds a
+        spurious mode near 0.80.
+        """
+        n, half = 255, canonical_profile.y_max
+        y = (np.arange(n) - n // 2) * (2.0 * half / n)
+        u, v = canonical_profile.evaluate(y)
+        diff = np.subtract.outer(np.arange(n), np.arange(n))
+        with np.errstate(divide="ignore"):
+            D = 0.5 * (-1.0) ** diff / np.sin(np.pi * diff / n)
+        np.fill_diagonal(D, 0.0)
+        D *= np.pi / half
+        p = canonical_params
+        Huu = 3.0 * p.b * u**2 + p.a * v**2 + p.mu_sharp - p.theta_sharp
+        Hvv = 3.0 * p.b * v**2 + p.a * u**2 + p.mu_sharp + p.theta_sharp
+        Huv = np.diag(2.0 * p.a * u * v)
+        # L = c J d/dy - Hess H on (p, q)
+        L = np.block(
+            [
+                [-np.diag(Huu), -Huv - p.c_sharp * D],
+                [-Huv + p.c_sharp * D, -np.diag(Hvv)],
+            ]
+        )
+        # Y = {p even, q odd}: the +1 eigenspace of (p, q)(y) -> (p(-y), -q(-y))
+        R = np.zeros((2 * n, 2 * n))
+        R[np.arange(n), np.arange(n)[::-1]] = 1.0
+        R[n + np.arange(n), n + np.arange(n)[::-1]] = -1.0
+        e, Q = np.linalg.eigh(R)
+        B = Q[:, e > 0]
+        ref = np.min(np.abs(np.linalg.eigvalsh(B.T @ L @ B)))
+        res = kernel_check_on_Y(canonical_params, canonical_profile)
+        assert res.sigma_min_restricted == pytest.approx(ref, abs=1e-4)
+
+    def test_default_lattice_margin_converges(self, default_params, default_profile):
+        unrestricted = []
+        for n_points in (601, 1201, 2401):
+            res = kernel_check_on_Y(default_params, default_profile, n_points)
+            assert res.sigma_min_restricted == pytest.approx(0.34475, abs=1e-3)
+            unrestricted.append(res.sigma_min_unrestricted)
+        # the translation mode closes at fourth order: 16x per halving of h
+        assert unrestricted[0] > 10.0 * unrestricted[1] > 100.0 * unrestricted[2]
