@@ -476,8 +476,8 @@ def fit_order(deltas, norms) -> float:
     """Least-squares slope of log(norm) against log(delta)."""
     deltas = np.asarray(deltas, dtype=float)
     norms = np.asarray(norms, dtype=float)
-    if len(deltas) < 2:
-        raise ValueError("order fit needs at least two delta values")
+    if len(np.unique(deltas)) < 2:
+        raise ValueError("order fit needs at least two distinct delta values")
     if np.any(norms <= 0.0) or np.any(deltas <= 0.0):
         raise ValueError("order fit needs positive deltas and norms")
     return float(np.polyfit(np.log(deltas), np.log(norms), 1)[0])

@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,9 @@ class RunConfig:
             real(d) for d in self.deltas
         ):
             raise ValueError(f"deltas must be a list of numbers, got {self.deltas!r}")
+        if len(set(map(float, self.deltas))) != len(self.deltas):
+            # each delta names its soliton CSV and is one abscissa of the order fit
+            raise ValueError(f"deltas repeats a delta: {self.deltas}")
         for key in ("mu_sharp", "a", "h", "newton_tol", "L", "y_max"):
             val = getattr(self, key)
             if not real(val) and not (val is None and key in ("L", "y_max")):
@@ -146,11 +150,20 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows):
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, columns: dict):
+    """Write equal-length columns under a header of their names.
+
+    The whole table is one `%` operation: integer columns as %d, the
+    others as %.17g, the digits `_fmt` writes.
+    """
+    cols = [np.asarray(c) for c in columns.values()]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols)
+    body = (row + "\n") * len(cols[0]) % tuple(
+        chain.from_iterable(zip(*(c.tolist() for c in cols)))
+    )
+    with path.open("w") as f:
+        f.write(",".join(columns) + "\n")
+        f.write(body)
 
 
 @dataclass
@@ -207,17 +220,21 @@ def cmd_bands(run: Pipeline, out: Path):
     pot = cfg.potential_V()
     k_grid = np.linspace(0.0, 2.0 * np.pi, cfg.n_k)
     sweep = band_sweep(pot, k_grid, cfg.cutoff())
-    rows = []
-    for sol in sweep.solutions:
-        for n in range(min(cfg.n_bands, len(sol.eigenvalues))):
-            rows.append((float(sol.k), n + 1, float(sol.eigenvalues[n])))
-    _write_csv(out / "bands.csv", "k,band_index,mu", rows)
+    n_bands = min(cfg.n_bands, cfg.cutoff().size)
+    _write_csv(
+        out / "bands.csv",
+        {
+            "k": np.repeat(sweep.k_grid, n_bands),
+            "band_index": np.tile(np.arange(1, n_bands + 1), len(sweep.k_grid)),
+            "mu": np.concatenate([sol.eigenvalues[:n_bands] for sol in sweep.solutions]),
+        },
+    )
     summary = {
         "n_k": cfg.n_k,
         "n_bands": cfg.n_bands,
         "band_ranges": [
             [_fmt(np.min(sweep.band(n))), _fmt(np.max(sweep.band(n)))]
-            for n in range(min(cfg.n_bands, cfg.cutoff().size))
+            for n in range(n_bands)
         ],
         **_config_block(cfg),
     }
@@ -259,20 +276,17 @@ def cmd_dirac(run: Pipeline, out: Path):
 def cmd_nld(run: Pipeline, out: Path):
     params, profile = run.params, run.profile
     psi = profile.psi_minus
-    rows = [
-        (
-            float(y),
-            float(u),
-            float(v),
-            float(p.real),
-            float(p.imag),
-            float(H),
-        )
-        for y, u, v, p, H in zip(
-            profile.y_grid, profile.u, profile.v, psi, profile.hamiltonian_trace
-        )
-    ]
-    _write_csv(out / "nld_profile.csv", "y,u,v,re_psi_minus,im_psi_minus,H", rows)
+    _write_csv(
+        out / "nld_profile.csv",
+        {
+            "y": profile.y_grid,
+            "u": profile.u,
+            "v": profile.v,
+            "re_psi_minus": psi.real,
+            "im_psi_minus": psi.imag,
+            "H": profile.hamiltonian_trace,
+        },
+    )
     kres = kernel_check_on_Y(params, profile)
     diag = {
         "decay_rate_fit": _fmt(profile.decay_rate_fit),
@@ -310,11 +324,7 @@ def cmd_soliton(run: Pipeline, out: Path):
         min_eig = nt.jacobian_min_eig(op, sol.samples)
         l2_error, h2_error = nt.error_vs_ansatz(sol, data, profile)
         tag = repr(delta).replace(".", "p")
-        _write_csv(
-            out / f"soliton_delta_{tag}.csv",
-            "x,u",
-            [(float(x), float(u)) for x, u in zip(sol.x_grid, sol.samples)],
-        )
+        _write_csv(out / f"soliton_delta_{tag}.csv", {"x": sol.x_grid, "u": sol.samples})
         h2_errors.append(h2_error)
         per_delta.append(
             {

@@ -266,11 +266,17 @@ def verify_gap_opening(
 ) -> GapReport:
     """Sweep the bands of H + delta*W and test the predicted gap interval.
 
-    W breaks the half-period structure, so the full mixed-index matrix
-    is assembled at each k, in band storage.  Only the eigenvalues from
-    a Gershgorin lower bound up to the top of the interval are computed,
-    so a band's index is its position among them.  Success means no
-    band value inside (mu* - a delta |theta#|, mu* + a delta |theta#|).
+    Success means no band value inside (mu* - a delta |theta#|,
+    mu* + a delta |theta#|).  W breaks the half-period structure, so
+    the operator is the full mixed-index band matrix.  A screen first
+    counts, for every k at once, the eigenvalues below each end of the
+    interval (Sylvester's inertia of a small Schur complement, see
+    `_inertia_counts`); equal counts with both ends well clear of the
+    spectrum leave no eigenvalue inside.  Only the k-points it flags
+    are solved exactly, in grid order: the eigenvalues from a
+    Gershgorin lower bound up to the top of the interval (LAPACK
+    `sbevx`), so a band's index is its position among them, and these
+    values alone decide and describe each violation.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("safety fraction a must lie in (0, 1)")
@@ -281,6 +287,7 @@ def verify_gap_opening(
         theta = compute_theta_sharp(data, pot_W)
     if k_grid is None:
         k_grid = default_gap_k_grid()
+    k_grid = np.asarray(k_grid, dtype=float)
     half = a * delta * abs(theta)
     lo, hi = data.mu_star - half, data.mu_star + half
     coeffs = dict(pot_V.coeffs)
@@ -290,12 +297,15 @@ def verify_gap_opening(
     # degenerate interval {mu*}: mu* itself is in the spectrum, so test a
     # tolerance band around it, inclusively
     tol = 1e-9 * (1.0 + abs(data.mu_star))
-    top = hi if half > 0.0 else data.mu_star + tol
+    edges = (lo, hi) if half > 0.0 else (data.mu_star - tol, data.mu_star + tol)
+    counts, nearest = _inertia_counts(coeffs, M, k_grid, edges)
+    margin = _FLAG_RTOL * (1.0 + abs(data.mu_star))
+    flagged = (counts[0] != counts[1]) | np.any(nearest <= margin, axis=0)
     violations = []
-    for k in np.asarray(k_grid, dtype=float):
+    for k in k_grid[flagged]:
         ab, floor = _banded_matrix(coeffs, k, M)
         # LAPACK's window (floor, top] is closed at top: the strict test below
-        evals = eigvals_banded(ab, select="v", select_range=(floor, top))
+        evals = eigvals_banded(ab, select="v", select_range=(floor, edges[1]))
         if half == 0.0:
             inside = np.where(np.abs(evals - data.mu_star) <= tol)[0]
         else:
@@ -314,6 +324,95 @@ def verify_gap_opening(
     )
 
 
+# A tail row's diagonal exceeds every shift by twice its Gershgorin radius
+# R.  Then every pivot of the tail elimination stays above R, so the tails
+# are positive definite and well conditioned, and |A_mt A_tt^-1| < 1 bounds
+# the Schur complement's eigenvalue nearest 0 by about twice the distance
+# from the shift to the spectrum (it is never below that distance).
+_TAIL_DOMINANCE = 2.0
+# Relative distance from 0 below which an eigenvalue of the Schur complement
+# leaves the count in doubt and the k-point goes to the exact solve.  It lies
+# far above both eigen-solvers' backward error eps |H(k)| (~1e-10 at
+# M = 128), so an exact eigenvalue that could land inside the interval is
+# always caught.
+_FLAG_RTOL = 1e-9
+
+
+def _band_couplings(coeffs: dict[int, float], M: int) -> dict[int, float]:
+    """The cosine amplitudes that couple retained modes, by index j <= 2M."""
+    return {j: amp for j, amp in coeffs.items() if amp != 0.0 and j <= 2 * M}
+
+
+def _inertia_counts(coeffs: dict[int, float], M: int, k_grid, sigmas):
+    """Count the eigenvalues of the truncated H(k) below each shift, for all k.
+
+    Rows whose diagonal (2 pi m + k)^2 clears every shift by
+    _TAIL_DOMINANCE times the Gershgorin radius at every k form two
+    tails; eliminating them (unpivoted Cholesky order, from the outer
+    end inward) leaves a Schur complement S on the few middle rows.  By
+    Haynsworth's inertia additivity the tails add no negative
+    eigenvalue, so the number of negative eigenvalues of S(sigma) is
+    the number of eigenvalues below sigma.  Returns counts and the
+    smallest |eigenvalue| of each S, both of shape (len(sigmas), len(k)).
+    """
+    bands = _band_couplings(coeffs, M)
+    u = max(bands, default=0)
+    k = np.asarray(k_grid, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
+    d = (2.0 * np.pi * np.arange(-M, M + 1)[None, :] + k[:, None]) ** 2
+    radius = sum(abs(amp) for amp in bands.values())
+    clear = d.min(axis=0) - sigmas.max()
+    core = np.flatnonzero(clear <= _TAIL_DOMINANCE * radius)
+    lo, hi = (core[0], core[-1]) if core.size else (np.argmin(clear),) * 2
+    n = 2 * M + 1
+    while hi - lo < u:  # at least u + 1 middle rows: the tails do not couple
+        lo, hi = max(lo - 1, 0), min(hi + 1, n - 1)
+
+    def couplings(size):  # amp_j / 2 on the j-th off-diagonals
+        out = np.zeros((size, size))
+        for j, amp in bands.items():
+            out += 0.5 * amp * (np.eye(size, k=j) + np.eye(size, k=-j))
+        return out
+
+    shifted = d.T[:, None, :] - sigmas[:, None]  # (row, shift, k)
+    width = hi - lo + 1
+    middle = np.moveaxis(shifted[lo : hi + 1], 0, -1)  # (shift, k, row)
+    S = couplings(width) + middle[..., None] * np.eye(width)
+    # both tails in one elimination, outer end first; the shorter one is
+    # padded at its outer end with rows of infinite diagonal, which add nothing
+    lower, upper = shifted[:lo], shifted[hi + 1 :][::-1]
+    tails = np.full((max(len(lower), len(upper)), 2) + shifted.shape[1:], np.inf)
+    tails[len(tails) - len(lower) :, 0] = lower
+    tails[len(tails) - len(upper) :, 1] = upper
+    carry = np.moveaxis(_tail_schur(tails, couplings(u + 1)), (0, 1), (-2, -1))
+    S[..., :u, :u] += carry[0]
+    S[..., width - u :, width - u :] += carry[1, ..., ::-1, ::-1]
+    eig = np.linalg.eigvalsh(S)
+    return np.count_nonzero(eig < 0.0, axis=-1), np.min(np.abs(eig), axis=-1)
+
+
+def _tail_schur(diag: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Schur correction a tail leaves on the u rows next to it.
+
+    diag holds the tail's shifted diagonal, outer end first, along its
+    first axis (the other axes are a batch); T is the (u + 1) x (u + 1)
+    coupling window.  Each step eliminates one row with the window
+    sliding inward; the (u, u, batch) carry is what the eliminated rows
+    have added to the next u rows.
+    """
+    u = len(T) - 1
+    carry = np.zeros((u, u) + diag.shape[1:])
+    for pivot in diag if u else ():
+        pivot = pivot + carry[0, 0]
+        col = np.zeros((u,) + diag.shape[1:])
+        col[:-1] = carry[1:, 0]
+        col += T[1:, 0].reshape((u,) + (1,) * (diag.ndim - 1))
+        nxt = np.zeros_like(carry)
+        nxt[:-1, :-1] = carry[1:, 1:]
+        carry = nxt - col[:, None] * (col / pivot)[None, :]
+    return carry
+
+
 def _banded_matrix(coeffs: dict[int, float], k: float, M: int) -> tuple[np.ndarray, float]:
     """assemble_coefficient_matrix in upper LAPACK band storage.
 
@@ -321,7 +420,7 @@ def _banded_matrix(coeffs: dict[int, float], k: float, M: int) -> tuple[np.ndarr
     (Gershgorin: each row holds at most two entries amp/2 per index).
     """
     m = np.arange(-M, M + 1)
-    bands = {j: amp for j, amp in coeffs.items() if amp != 0.0 and j <= 2 * M}
+    bands = _band_couplings(coeffs, M)
     u = max(bands, default=0)
     ab = np.zeros((u + 1, 2 * M + 1))
     ab[u] = (2.0 * np.pi * m + k) ** 2

@@ -288,6 +288,8 @@ class TestFitOrder:
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="two"):
             fit_order([0.1], [1.0])
+        with pytest.raises(ValueError, match="two distinct"):
+            fit_order([0.2, 0.2], [1.0, 2.0])
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):

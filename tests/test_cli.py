@@ -140,6 +140,7 @@ CONFIG_DEFECTS = [
     ("newton_max_iters = 0", "newton_max_iters"),
     ("pair = 0", "pair"),
     ("a = 'x'", "a must"),
+    ("deltas = [0.2, 0.2]", "repeats a delta"),
 ]
 
 
@@ -206,6 +207,17 @@ class TestSolitonCommand:
         assert float(run["jacobian_min_eig"]) > 0.0
 
 
+class TestWriteCsv:
+    def test_matches_per_element_format(self, tmp_path):
+        x = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3.0, 1e300, -1.0 / 3.0, 0.1])
+        n = np.arange(len(x)) - 2
+        cli._write_csv(tmp_path / "t.csv", {"x": x, "band_index": n, "y": x[::-1]})
+        expect = ["x,band_index,y"] + [
+            f"{float(a):.17g},{int(b)},{float(c):.17g}" for a, b, c in zip(x, n, x[::-1])
+        ]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(expect) + "\n"
+
+
 class TestDeterminismAndGolden:
     def test_nld_byte_identical(self, free_cfg_path, tmp_path):
         outs = []
@@ -216,7 +228,17 @@ class TestDeterminismAndGolden:
         for fname in ("nld_profile.csv", "nld_diagnostics.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
-    def test_nld_independent_of_blas_threads(self, free_cfg_path, tmp_path):
+    @pytest.mark.parametrize(
+        "command,files",
+        [
+            ("nld", ("nld_profile.csv", "nld_diagnostics.json")),
+            ("dirac", ("dirac_point.json", "gap_report.json")),
+        ],
+        ids=["nld", "dirac"],
+    )
+    def test_artifacts_independent_of_blas_threads(
+        self, free_cfg_path, tmp_path, command, files
+    ):
         src = str(Path(cli.__file__).parents[1])
         path = os.environ.get("PYTHONPATH")
         outs = []
@@ -233,7 +255,7 @@ class TestDeterminismAndGolden:
                     sys.executable,
                     "-c",
                     "import sys; from diracsoliton.cli import main; sys.exit(main())",
-                    "nld",
+                    command,
                     "--config",
                     free_cfg_path,
                     "--out",
@@ -243,7 +265,7 @@ class TestDeterminismAndGolden:
                 check=True,
             )
             outs.append(out)
-        for fname in ("nld_profile.csv", "nld_diagnostics.json"):
+        for fname in files:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
     def test_seed_regressions_copies(self, free_cfg_path, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracsoliton import (
     FourierCutoff,
@@ -15,6 +17,7 @@ from diracsoliton import (
     solve_bands_at_k,
     verify_gap_opening,
 )
+from diracsoliton import dirac
 from diracsoliton.bloch import assemble_coefficient_matrix
 from diracsoliton.dirac import default_gap_k_grid
 
@@ -204,3 +207,42 @@ class TestGapOpening:
     def test_bad_safety_fraction(self, pot_v, pot_w, default_dirac):
         with pytest.raises(ValueError, match="safety fraction"):
             verify_gap_opening(pot_v, pot_w, default_dirac, 0.1, 1.5)
+
+    def test_exact_solves_only_where_flagged(self, pot_v, pot_w, default_dirac, monkeypatch):
+        calls = []
+        solve = dirac.eigvals_banded
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dirac, "eigvals_banded", counted)
+        assert verify_gap_opening(pot_v, pot_w, default_dirac, 0.1, 0.9).gap_open
+        assert calls == []
+        rep = verify_gap_opening(pot_v, pot_w, default_dirac, 0.0, 0.9)
+        assert len(calls) == len({k for k, _, _ in rep.violations}) == 1
+
+
+class TestInertiaScreen:
+    @given(
+        amps=st.lists(st.floats(-30.0, 30.0), min_size=4, max_size=4),
+        M=st.sampled_from([6, 16, 64]),
+        ks=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=1, max_size=3),
+        band=st.integers(0, 12),
+        offset=st.sampled_from([-1e-12, 1e-12]),
+        generic=st.floats(-40.0, 400.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_dense_unless_flagged(self, amps, M, ks, band, offset, generic):
+        """Eigenvalues below sigma, on a dense eigenvalue +- 1e-12 or generic."""
+        coeffs = dict(zip((2, 4, 1, 3), amps))  # even and odd cosine series
+        spectra = [
+            np.linalg.eigvalsh(assemble_coefficient_matrix(coeffs, k, M)) for k in ks
+        ]
+        sigmas = [spectra[0][band] + offset, generic]
+        counts, nearest = dirac._inertia_counts(coeffs, M, ks, sigmas)
+        margin = dirac._FLAG_RTOL * (1.0 + np.abs(sigmas))[:, None]
+        expect = np.array([[np.count_nonzero(ev < s) for ev in spectra] for s in sigmas])
+        flagged = nearest <= margin
+        assert flagged[0, 0]  # an eigenvalue on the edge always goes to the exact path
+        assert np.array_equal(counts[~flagged], expect[~flagged])
