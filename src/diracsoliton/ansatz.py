@@ -27,7 +27,12 @@ from .homoclinic import SpinorProfile, _rhs
 
 @dataclass
 class TwoScaleField:
-    """Assembled real candidate soliton on a uniform fast-variable grid."""
+    """Real candidate soliton sqrt(delta) (U0 + delta U1) on a parity half-line.
+
+    x_grid is the Newton solver's staggered grid x_i = (i + 1/2) h on
+    [0, L]; the field on the full line is its even or odd mirror image.
+    samples holds the scaled field, u0_samples the unscaled U0.
+    """
 
     delta: float
     mu_delta: float
@@ -407,10 +412,10 @@ def assemble_udelta(
     h: float,
     corrector: CorrectorSolution | None = None,
 ) -> TwoScaleField:
-    """Candidate soliton sqrt(delta) (U0 + delta U1) on [-L, L], spacing h.
+    """Candidate soliton sqrt(delta) (U0 + delta U1) on staggered_grid(L, h).
 
-    The grid x = +-(i + 1/2) h is staggered_grid(L, h) and its mirror
-    image, so its positive half is the Newton solver's grid.
+    The grid is the Newton solver's half-line; the parity fixed by the
+    sign of theta# mirrors the field to the full line [-L, L].
     """
     params = profile.params
     ell = 1.0 / params.decay_rate
@@ -421,8 +426,7 @@ def assemble_udelta(
                 f"domain half-length {L:.4g} below the envelope-decay floor "
                 f"{L_min:.4g} for delta={delta}"
             )
-    x_half = staggered_grid(L, h)
-    x_grid = np.concatenate([-x_half[::-1], x_half])
+    x_grid = staggered_grid(L, h)
     samples, u0, _ = evaluate_udelta(
         dirac, profile, with_U1, delta, x_grid, corrector
     )
@@ -435,41 +439,21 @@ def assemble_udelta(
     )
 
 
-_D2_STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _EDGE_SKIP = 5
 
 
-def residual_profile(
-    field: TwoScaleField, pot_V: PeriodicPotential, pot_W: PeriodicPotential
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interior samples of (-dx^2 + V + delta W - mu_delta) u - u^3.
+def residual_norm(field: TwoScaleField, op) -> float:
+    """Full-line discrete L2 norm of (-dx^2 + V + delta W - mu_delta) u - u^3.
 
-    The second derivative uses the 4th-order centered stencil; the first
-    and last few points are excluded so every retained sample is
-    stencil-valid and clear of the truncation edge.
+    op is that operator discretised on the field's grid
+    (newton.discretize_operator), whose first rows fold in the mirror
+    image at 0.  The last _EDGE_SKIP points are left out: their stencil
+    reaches past, or lies next to, the Dirichlet cut at L.
     """
-    x = field.x_grid
-    h = float(x[1] - x[0])
-    if h > 1.0 / 64.0 + 1e-15:
-        raise ValueError(f"grid spacing {h} too coarse to resolve the cell")
     u = field.samples
-    d2 = np.convolve(u, _D2_STENCIL[::-1], mode="valid") / h**2
-    s = _EDGE_SKIP
-    inner = slice(s, len(u) - s)
-    d2 = d2[s - 2 : len(d2) - (s - 2)]
-    xi = x[inner]
-    ui = u[inner]
-    pot = pot_V(xi) + field.delta * pot_W(xi) - field.mu_delta
-    return xi, -d2 + pot * ui - ui**3
-
-
-def residual_norm(
-    field: TwoScaleField, pot_V: PeriodicPotential, pot_W: PeriodicPotential
-) -> float:
-    """Discrete L2 norm of the stationary-equation residual."""
-    x, r = residual_profile(field, pot_V, pot_W)
-    h = float(x[1] - x[0])
-    return float(np.sqrt(h * np.sum(r**2)))
+    r = (op.apply(u) - u**3)[:-_EDGE_SKIP]
+    # both halves of the line contribute equally
+    return float(np.sqrt(2.0 * op.h * np.sum(r**2)))
 
 
 def fit_order(deltas, norms) -> float:

@@ -117,13 +117,17 @@ def _check_cutoff(pot: PeriodicPotential, cut: FourierCutoff):
         )
 
 
-def coupling_matrix(coeffs: dict[int, float], M: int) -> np.ndarray:
-    """Coefficient-space multiplication operator of sum_j coeffs[j] cos(2 pi j x)."""
-    C = np.zeros((2 * M + 1, 2 * M + 1))
+def coupling_matrix(coeffs: dict[int, float], size: int) -> np.ndarray:
+    """Coefficient-space multiplication operator of sum_j coeffs[j] cos(2 pi j x).
+
+    On size consecutive plane-wave modes: amp_j / 2 on the j-th
+    off-diagonals (2M + 1 modes for the cutoff |m| <= M).
+    """
+    C = np.zeros((size, size))
     for j, amp in coeffs.items():
-        if j <= 2 * M and amp != 0.0:
+        if j < size and amp != 0.0:
             off = 0.5 * amp
-            idx = np.arange(2 * M + 1 - j)
+            idx = np.arange(size - j)
             C[idx, idx + j] += off
             C[idx + j, idx] += off
     return C
@@ -132,7 +136,7 @@ def coupling_matrix(coeffs: dict[int, float], M: int) -> np.ndarray:
 def assemble_coefficient_matrix(coeffs: dict[int, float], k: float, M: int) -> np.ndarray:
     """Matrix of -(d/dx+ik)^2 + sum_j coeffs[j] cos(2 pi j x), any index mix."""
     m = np.arange(-M, M + 1)
-    A = coupling_matrix(coeffs, M)
+    A = coupling_matrix(coeffs, 2 * M + 1)
     A[np.diag_indices_from(A)] = (2.0 * np.pi * m + k) ** 2
     return A
 

@@ -198,7 +198,7 @@ def compute_theta_sharp(data: DiracPointData, pot_W: PeriodicPotential) -> float
     """Gap-opening coefficient theta# = <W Phi+(., pi), Phi-(., pi)>."""
     if pot_W.parity_class is not ParityClass.ODD_INDEX:
         raise ValueError("theta# requires an odd-index potential W")
-    C = coupling_matrix(pot_W.coeffs, data.cutoff.M)
+    C = coupling_matrix(pot_W.coeffs, data.cutoff.size)
     val = complex(np.vdot(data.g1, C @ data.g2))
     if abs(val.imag) > 1e-12 * (1.0 + abs(val)):
         raise RuntimeError(f"theta# has spurious imaginary part {val.imag:.3e}")
@@ -368,23 +368,17 @@ def _inertia_counts(coeffs: dict[int, float], M: int, k_grid, sigmas):
     while hi - lo < u:  # at least u + 1 middle rows: the tails do not couple
         lo, hi = max(lo - 1, 0), min(hi + 1, n - 1)
 
-    def couplings(size):  # amp_j / 2 on the j-th off-diagonals
-        out = np.zeros((size, size))
-        for j, amp in bands.items():
-            out += 0.5 * amp * (np.eye(size, k=j) + np.eye(size, k=-j))
-        return out
-
     shifted = d.T[:, None, :] - sigmas[:, None]  # (row, shift, k)
     width = hi - lo + 1
     middle = np.moveaxis(shifted[lo : hi + 1], 0, -1)  # (shift, k, row)
-    S = couplings(width) + middle[..., None] * np.eye(width)
+    S = coupling_matrix(bands, width) + middle[..., None] * np.eye(width)
     # both tails in one elimination, outer end first; the shorter one is
     # padded at its outer end with rows of infinite diagonal, which add nothing
     lower, upper = shifted[:lo], shifted[hi + 1 :][::-1]
     tails = np.full((max(len(lower), len(upper)), 2) + shifted.shape[1:], np.inf)
     tails[len(tails) - len(lower) :, 0] = lower
     tails[len(tails) - len(upper) :, 1] = upper
-    carry = np.moveaxis(_tail_schur(tails, couplings(u + 1)), (0, 1), (-2, -1))
+    carry = np.moveaxis(_tail_schur(tails, coupling_matrix(bands, u + 1)), (0, 1), (-2, -1))
     S[..., :u, :u] += carry[0]
     S[..., width - u :, width - u :] += carry[1, ..., ::-1, ::-1]
     eig = np.linalg.eigvalsh(S)

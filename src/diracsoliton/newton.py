@@ -17,10 +17,11 @@ from scipy.linalg import solve_banded
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
-from .ansatz import build_U0, staggered_grid  # noqa: F401 (re-exported: the solver grid)
+# staggered_grid is re-exported as the solver grid; build_U0 stays importable
+# here because solbench/spans.py patches newton.build_U0
+from .ansatz import TwoScaleField, build_U0, staggered_grid  # noqa: F401
 from .bloch import PeriodicPotential
-from .dirac import DiracPointData, GapReport
-from .homoclinic import SpinorProfile
+from .dirac import DiracPointData
 
 
 class Parity(enum.Enum):
@@ -215,17 +216,16 @@ def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
     return float(lam[0])
 
 
-def error_vs_ansatz(
-    sol: SolitonField, dirac: DiracPointData, profile: SpinorProfile
-) -> tuple[float, float]:
+def error_vs_ansatz(sol: SolitonField, field: TwoScaleField) -> tuple[float, float]:
     """Full-line L2 and discrete-H2 distances to the leading-order field.
 
-    The comparison field is sqrt(delta) U0 sampled on the solver grid.
-    Discrete H2 norm: sqrt(|w|_L2^2 + |D2_h w|_L2^2) with the mirrored
-    three-point second difference (second order; the solver's stencil
-    is the five-point, fourth-order one).
+    The comparison field is sqrt(delta) U0 from the two-scale field the
+    solver started from, sampled on the same grid.  Discrete H2 norm:
+    sqrt(|w|_L2^2 + |D2_h w|_L2^2) with the mirrored three-point second
+    difference (second order; the solver's stencil is the five-point,
+    fourth-order one).
     """
-    a = np.sqrt(sol.delta) * build_U0(dirac, profile, sol.delta, sol.x_grid)
+    a = np.sqrt(sol.delta) * field.u0_samples
     w = sol.samples - a
     h = float(sol.x_grid[1] - sol.x_grid[0])
     sign = 1.0 if sol.parity is Parity.EVEN else -1.0
@@ -239,25 +239,14 @@ def error_vs_ansatz(
     return float(np.sqrt(l2sq)), h2
 
 
-def frequency_window_check(
-    dirac: DiracPointData,
-    mu_sharp: float,
-    delta: float,
-    a: float,
-    gap_report: GapReport | None = None,
-) -> bool:
-    """Whether mu_delta = mu* + delta mu# sits inside the protected gap."""
+def frequency_window_check(dirac: DiracPointData, mu_sharp: float, a: float) -> bool:
+    """Whether |mu#| < a |theta#|.
+
+    mu_delta = mu* + delta mu# then lies in the protected gap
+    (mu* - a delta |theta#|, mu* + a delta |theta#|) at every delta.
+    """
     if not 0.0 < a < 1.0:
         raise ValueError("safety fraction a must lie in (0, 1)")
     if dirac.theta_sharp is None:
         raise ValueError("Dirac-point data lacks theta_sharp")
-    if not abs(mu_sharp) < a * abs(dirac.theta_sharp):
-        return False
-    if gap_report is not None:
-        if not gap_report.gap_open:
-            return False
-        mu_delta = dirac.mu_star + delta * mu_sharp
-        lo, hi = gap_report.interval
-        if not lo < mu_delta < hi:
-            return False
-    return True
+    return abs(mu_sharp) < a * abs(dirac.theta_sharp)

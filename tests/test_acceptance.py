@@ -22,7 +22,6 @@ from diracsoliton import (
     d0_apply,
     discretize_operator,
     error_vs_ansatz,
-    evaluate_udelta,
     fit_order,
     integrate_homoclinic,
     jacobian_min_eig,
@@ -34,7 +33,6 @@ from diracsoliton import (
     residual_norm,
     solvability_check,
     solve_U1,
-    staggered_grid,
     verify_gap_opening,
 )
 from diracsoliton.bloch import fourier_eval
@@ -174,13 +172,15 @@ def test_residual_scaling_order(pot_v, pot_w, default_dirac, default_profile):
     corrector = solve_U1(build_G1(default_dirac, default_profile), default_dirac)
     ell = 1.0 / default_profile.params.decay_rate
     h = 1.0 / 256.0
+    parity = parity_from_theta(default_dirac.theta_sharp)
     norms = []
     for delta in DELTAS:
         fld = assemble_udelta(
             default_dirac, default_profile, True, delta, 10.5 * ell / delta, h,
             corrector,
         )
-        norms.append(residual_norm(fld, pot_v, pot_w))
+        op = discretize_operator(pot_v, pot_w, delta, fld.mu_delta, fld.x_grid, parity)
+        norms.append(residual_norm(fld, op))
     order = fit_order(DELTAS, norms)
     assert order >= 0.8, (norms, order)
     assert time.perf_counter() - t0 < 300.0
@@ -197,18 +197,17 @@ def test_newton_soliton_error_scaling(pot_v, pot_w, default_dirac, default_profi
     h2_errors = []
     for delta in DELTAS:
         L = min(18.5 * ell, 0.995 * default_profile.y_max) / delta
-        x = staggered_grid(L, h)
-        init, _, _ = evaluate_udelta(
-            default_dirac, default_profile, True, delta, x, corrector
+        fld = assemble_udelta(
+            default_dirac, default_profile, True, delta, L, h, corrector
         )
         mu_delta = default_dirac.mu_star + delta * params.mu_sharp
-        op = discretize_operator(pot_v, pot_w, delta, mu_delta, x, parity)
-        sol = newton_solve(op, delta, mu_delta, init, cfg)
+        op = discretize_operator(pot_v, pot_w, delta, mu_delta, fld.x_grid, parity)
+        sol = newton_solve(op, delta, mu_delta, fld.samples, cfg)
         assert len(sol.newton_history) <= 8
         assert sol.newton_history[-1] < 1e-10
         lam = jacobian_min_eig(op, sol.samples)
         assert lam > 0.0, (delta, lam)
-        _, h2 = error_vs_ansatz(sol, default_dirac, default_profile)
+        _, h2 = error_vs_ansatz(sol, fld)
         h2_errors.append(h2)
     order = fit_order(DELTAS, h2_errors)
     assert order >= 0.8, (h2_errors, order)

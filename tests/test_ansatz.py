@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 
 from diracsoliton import (
+    FourierCutoff,
+    NLDParams,
+    Parity,
+    ParityClass,
+    PeriodicPotential,
     assemble_udelta,
     build_G1,
     build_U0,
+    certify_dirac_point,
+    discretize_operator,
     evaluate_udelta,
     fit_order,
     integrate_homoclinic,
+    parity_from_theta,
     residual_norm,
     solvability_check,
     solve_U1,
@@ -210,11 +218,10 @@ class TestAssemble:
         ell = 1.0 / free_profile.params.decay_rate
         L, h = 10.5 * ell / 0.1, 1 / 64
         fld = assemble_udelta(free_dirac, free_profile, True, 0.1, L, h)
-        assert np.max(np.abs(fld.samples - fld.samples[::-1])) < 1e-11
-        # the grid is the Newton solver's staggered half-line and its mirror
-        x = fld.x_grid
-        assert np.array_equal(x, -x[::-1])
-        assert np.array_equal(x[len(x) // 2 :], staggered_grid(L, h))
+        mirror, _, _ = evaluate_udelta(free_dirac, free_profile, True, 0.1, -fld.x_grid)
+        assert np.max(np.abs(fld.samples - mirror)) < 1e-11
+        # the grid is the Newton solver's staggered half-line
+        assert np.array_equal(fld.x_grid, staggered_grid(L, h))
 
     def test_evaluate_on_custom_grid(self, free_dirac, free_profile):
         x = np.linspace(0.25, 30.0, 500)
@@ -223,9 +230,13 @@ class TestAssemble:
         assert np.allclose(samples, np.sqrt(0.1) * u0)
 
 
+def _free_operator(fld, pot_V, pot_W, parity=Parity.EVEN):
+    return discretize_operator(pot_V, pot_W, fld.delta, fld.mu_delta, fld.x_grid, parity)
+
+
 class TestResidual:
     def test_zero_field(self, pot_free, pot_w):
-        x = np.arange(-64, 65) / 64.0
+        x = staggered_grid(1.0, 1 / 64)
         fld = TwoScaleField(
             delta=0.1,
             mu_delta=1.0,
@@ -233,12 +244,12 @@ class TestResidual:
             samples=np.zeros_like(x),
             u0_samples=np.zeros_like(x),
         )
-        assert residual_norm(fld, pot_free, pot_w) == 0.0
+        assert residual_norm(fld, _free_operator(fld, pot_free, pot_w)) == 0.0
 
     def test_manufactured_linear_mode(self, pot_free, pot_w):
         """A small plane-wave probe leaves only discretization residue."""
         h = 1 / 128
-        x = np.arange(-2048, 2049) * h
+        x = staggered_grid(16.0, h)
         q = 3.0
         eps = 1e-4
         fld = TwoScaleField(
@@ -249,10 +260,10 @@ class TestResidual:
             u0_samples=eps * np.cos(q * x),
         )
         # residual = FD error O(h^4 q^6 eps) plus the cubic term O(eps^3)
-        assert residual_norm(fld, pot_free, pot_w) < 1e-8
+        assert residual_norm(fld, _free_operator(fld, pot_free, pot_w)) < 1e-8
 
     def test_coarse_grid_rejected(self, pot_free, pot_w):
-        x = np.arange(-32, 33) / 32.0
+        x = staggered_grid(1.0, 1 / 32)
         fld = TwoScaleField(
             delta=0.1,
             mu_delta=1.0,
@@ -261,23 +272,48 @@ class TestResidual:
             u0_samples=np.zeros_like(x),
         )
         with pytest.raises(ValueError, match="coarse"):
-            residual_norm(fld, pot_free, pot_w)
+            residual_norm(fld, _free_operator(fld, pot_free, pot_w))
 
     def test_residual_order_free_example(self, free_dirac, free_profile, pot_free, pot_w):
         h = 1 / 128
         ell = 1.0 / free_profile.params.decay_rate
         deltas = [0.2, 0.1]
-        norms = [
-            residual_norm(
-                assemble_udelta(
-                    free_dirac, free_profile, True, d, 10.5 * ell / d, h
-                ),
-                pot_free,
-                pot_w,
-            )
+        fields = [
+            assemble_udelta(free_dirac, free_profile, True, d, 10.5 * ell / d, h)
             for d in deltas
         ]
+        norms = [residual_norm(f, _free_operator(f, pot_free, pot_w)) for f in fields]
         assert fit_order(deltas, norms) >= 0.8
+
+    @pytest.mark.parametrize("amp", [1.0, -1.0], ids=["even", "odd"])
+    def test_matches_full_line_stencil(self, pot_free, amp):
+        """The half-line operator gives the full-line five-point residual.
+
+        Reference: the field mirrored by parity onto [-L, L], the
+        fourth-order stencil (-1, 16, -30, 16, -1) / 12h^2 and five
+        points left out at both ends.
+        """
+        W = PeriodicPotential({1: amp}, ParityClass.ODD_INDEX)
+        dirac = certify_dirac_point(pot_free, W, FourierCutoff(16))
+        profile = integrate_homoclinic(
+            NLDParams(dirac.c_sharp, dirac.theta_sharp, 0.0, dirac.beta1, dirac.beta2)
+        )
+        parity = parity_from_theta(dirac.theta_sharp)
+        delta, h = 0.1, 1 / 64
+        L = 10.5 / (profile.params.decay_rate * delta)
+        fld = assemble_udelta(dirac, profile, True, delta, L, h)
+        got = residual_norm(fld, _free_operator(fld, pot_free, W, parity))
+
+        sign = 1.0 if parity is Parity.EVEN else -1.0
+        x = np.concatenate([-fld.x_grid[::-1], fld.x_grid])
+        u = np.concatenate([sign * fld.samples[::-1], fld.samples])
+        stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h**2)
+        d2 = np.convolve(u, stencil, mode="valid")[3:-3]
+        inner = slice(5, len(u) - 5)
+        pot = pot_free(x[inner]) + delta * W(x[inner]) - fld.mu_delta
+        r = -d2 + pot * u[inner] - u[inner] ** 3
+        expect = np.sqrt(h * np.sum(r**2))
+        assert got == pytest.approx(expect, rel=1e-8)
 
 
 class TestFitOrder:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diracsoliton import ansatz, cli
+from diracsoliton import ansatz, cli, newton
 from diracsoliton.cli import RunConfig, load_config, main
 
 FREE_CFG = """\
@@ -233,8 +233,9 @@ class TestDeterminismAndGolden:
         [
             ("nld", ("nld_profile.csv", "nld_diagnostics.json")),
             ("dirac", ("dirac_point.json", "gap_report.json")),
+            ("soliton", ("soliton_delta_0p1.csv", "soliton_scaling.json")),
         ],
-        ids=["nld", "dirac"],
+        ids=["nld", "dirac", "soliton"],
     )
     def test_artifacts_independent_of_blas_threads(
         self, free_cfg_path, tmp_path, command, files
@@ -266,7 +267,14 @@ class TestDeterminismAndGolden:
             )
             outs.append(out)
         for fname in files:
-            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
+            a, b = ((out / fname).read_bytes() for out in outs)
+            if fname == "soliton_scaling.json":
+                # ARPACK's reductions leave the last digits to the thread count
+                a, b = json.loads(a), json.loads(b)
+                for ra, rb in zip(a["runs"], b["runs"]):
+                    lam_a, lam_b = (float(r.pop("jacobian_min_eig")) for r in (ra, rb))
+                    assert lam_a == pytest.approx(lam_b, rel=1e-12)
+            assert a == b, fname
 
     def test_seed_regressions_copies(self, free_cfg_path, tmp_path):
         out = tmp_path / "out"
@@ -295,14 +303,19 @@ def verify_all_run(tmp_path_factory):
         (cli, "certify_dirac_point"),
         (cli, "integrate_homoclinic"),
         (ansatz, "evaluate_udelta"),
+        (ansatz, "build_U0"),
+        (newton, "build_U0"),
     ]
     calls = {name: 0 for _, name in stages}
     synthesising = []  # non-empty while evaluate_udelta runs
     carrier_points = []  # grid points of each carrier sum made inside it
+    synthesis_points = []  # grid points of each evaluate_udelta call
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "evaluate_udelta":
+                synthesis_points.append(np.size(args[4] if len(args) > 4 else kwargs["x_grid"]))
             synthesising.append(name == "evaluate_udelta")
             try:
                 return fn(*args, **kwargs)
@@ -322,27 +335,35 @@ def verify_all_run(tmp_path_factory):
         mp.setattr(ansatz, "fourier_eval", carriers)
         rc = main(["verify-all", "--config", str(cfg), "--out", str(root / "all")])
     assert rc == 0
-    return cfg, root, calls, carrier_points
+    return cfg, root, calls, carrier_points, synthesis_points
 
 
 class TestSharedStages:
     def test_each_stage_runs_once(self, verify_all_run):
-        _, _, calls, _ = verify_all_run
-        # FREE_CFG has one delta: one synthesis feeds residual and Newton
+        _, _, calls, _, _ = verify_all_run
+        # FREE_CFG has one delta: one synthesis feeds the residual, Newton
+        # and the error norms
         assert calls == {
             "certify_dirac_point": 1,
             "integrate_homoclinic": 1,
             "evaluate_udelta": 1,
+            "build_U0": 0,
         }
 
+    def test_synthesis_covers_the_newton_grid_only(self, verify_all_run):
+        _, root, _, _, synthesis_points = verify_all_run
+        runs = json.loads((root / "all" / "soliton_scaling.json").read_text())["runs"]
+        expect = [len(ansatz.staggered_grid(float(r["L"]), 0.015625)) for r in runs]
+        assert synthesis_points == expect
+
     def test_one_carrier_sum_per_grid_at_cell_offsets(self, verify_all_run):
-        _, _, calls, carrier_points = verify_all_run
+        _, _, calls, carrier_points, _ = verify_all_run
         assert len(carrier_points) == calls["evaluate_udelta"]
-        # h = 1/64: the staggered grid x = +-(i + 1/2) h has 64 cell offsets
+        # h = 1/64: the staggered grid x = (i + 1/2) h has 64 cell offsets
         assert all(0 < n <= 64 for n in carrier_points)
 
     def test_same_bytes_as_single_commands(self, verify_all_run):
-        cfg, root, _, _ = verify_all_run
+        cfg, root, _, _, _ = verify_all_run
         single = root / "single"
         for command in ("bands", "dirac", "nld", "soliton"):
             assert main([command, "--config", str(cfg), "--out", str(single)]) == 0

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from diracsoliton import (
-    GapReport,
     NewtonConfig,
     Parity,
     SolitonField,
+    TwoScaleField,
     build_U0,
     discretize_operator,
     error_vs_ansatz,
@@ -226,6 +226,18 @@ class TestJacobian:
         assert jacobian_min_eig(op, np.zeros(n)) == pytest.approx(0.01, abs=1e-12)
 
 
+def _leading_order(sol, dirac, profile):
+    """The two-scale field U0 alone, on the solver grid."""
+    u0 = build_U0(dirac, profile, sol.delta, sol.x_grid)
+    return TwoScaleField(
+        delta=sol.delta,
+        mu_delta=sol.mu_delta,
+        x_grid=sol.x_grid,
+        samples=np.sqrt(sol.delta) * u0,
+        u0_samples=u0,
+    )
+
+
 class TestErrorVsAnsatz:
     def test_zero_for_ansatz_itself(self, free_soliton, free_dirac, free_profile):
         op, sol = free_soliton
@@ -237,12 +249,12 @@ class TestErrorVsAnsatz:
             samples=a,
             parity=Parity.EVEN,
         )
-        l2, h2 = error_vs_ansatz(fake, free_dirac, free_profile)
+        l2, h2 = error_vs_ansatz(fake, _leading_order(fake, free_dirac, free_profile))
         assert l2 == 0.0 and h2 == 0.0
 
     def test_l2_below_h2(self, free_soliton, free_dirac, free_profile):
         _, sol = free_soliton
-        l2, h2 = error_vs_ansatz(sol, free_dirac, free_profile)
+        l2, h2 = error_vs_ansatz(sol, _leading_order(sol, free_dirac, free_profile))
         assert 0.0 < l2 <= h2
         # leading-order mismatch is O(delta) relative to the O(1) norms
         assert l2 < 1.0
@@ -265,27 +277,12 @@ class TestErrorVsAnsatz:
 
 class TestFrequencyWindow:
     def test_inside_window(self, default_dirac):
-        assert frequency_window_check(default_dirac, 0.0, 0.1, 0.9)
+        assert frequency_window_check(default_dirac, 0.0, 0.9)
 
     def test_outside_window(self, default_dirac):
         theta = abs(default_dirac.theta_sharp)
-        assert not frequency_window_check(default_dirac, 0.95 * theta, 0.1, 0.9)
+        assert not frequency_window_check(default_dirac, 0.95 * theta, 0.9)
 
     def test_bad_fraction_rejected(self, default_dirac):
         with pytest.raises(ValueError, match="fraction"):
-            frequency_window_check(default_dirac, 0.0, 0.1, 1.0)
-
-    def test_gap_report_consulted(self, default_dirac):
-        mu = default_dirac.mu_star
-        open_rep = GapReport(delta=0.1, a=0.9, interval=(mu - 0.03, mu + 0.03))
-        closed_rep = GapReport(
-            delta=0.1,
-            a=0.9,
-            interval=(mu - 0.03, mu + 0.03),
-            violations=[(np.pi, 1, mu)],
-        )
-        assert frequency_window_check(default_dirac, 0.0, 0.1, 0.9, open_rep)
-        assert not frequency_window_check(default_dirac, 0.0, 0.1, 0.9, closed_rep)
-        theta = abs(default_dirac.theta_sharp)
-        narrow = GapReport(delta=0.1, a=0.9, interval=(mu - 1e-4, mu + 1e-4))
-        assert not frequency_window_check(default_dirac, 0.5 * theta, 0.1, 0.9, narrow)
+            frequency_window_check(default_dirac, 0.0, 1.0)
