@@ -35,7 +35,6 @@ from .homoclinic import (
     NLDParams,
     SpinorProfile,
     angle_monotone,
-    d0_apply,
     equilibria,
     hamiltonian,
     initial_condition,

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -64,7 +64,10 @@ class RunConfig:
             return isinstance(x, int) and not isinstance(x, bool)
 
         def real(x):
-            return (integer(x) or isinstance(x, float)) and math.isfinite(x)
+            # an integer beyond float range is not a finite number either
+            if integer(x):
+                return abs(x) <= sys.float_info.max
+            return isinstance(x, float) and math.isfinite(x)
 
         for key in ("V", "W"):
             pairs = getattr(self, key)
@@ -111,6 +114,7 @@ class RunConfig:
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     cfg = RunConfig()
+    keys = {f.name for f in fields(RunConfig)}
     if path is not None:
         text = Path(path).read_text()
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -121,13 +125,16 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key = key.strip()
-            if not hasattr(cfg, key):
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
             try:
                 setattr(cfg, key, ast.literal_eval(val.strip()))
-            except (ValueError, SyntaxError) as exc:
+            except (ValueError, SyntaxError, TypeError) as exc:
+                # TypeError: a set or dict literal with an unhashable member
                 raise ValueError(f"{path}:{lineno}: bad value for '{key}': {exc}")
     for key, val in (overrides or {}).items():
+        if key not in keys:
+            raise ValueError(f"unknown config key '{key}'")
         setattr(cfg, key, val)
     cfg.validate()
     return cfg
@@ -305,9 +312,7 @@ def cmd_soliton(run: Pipeline, out: Path):
     V, W = data.pot_V, data.pot_W
     corrector = run.corrector
     parity = nt.parity_from_theta(data.theta_sharp)
-    ncfg = nt.NewtonConfig(
-        max_iters=cfg.newton_max_iters, tol=cfg.newton_tol, parity=parity
-    )
+    ncfg = nt.NewtonConfig(max_iters=cfg.newton_max_iters, tol=cfg.newton_tol)
     ell = 1.0 / params.decay_rate
     resid_norms, h2_errors, per_delta = [], [], []
     for delta in deltas:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
 from .bloch import (
     FourierCutoff,
@@ -273,10 +272,10 @@ def verify_gap_opening(
     interval (Sylvester's inertia of a small Schur complement, see
     `_inertia_counts`); equal counts with both ends well clear of the
     spectrum leave no eigenvalue inside.  Only the k-points it flags
-    are solved exactly, in grid order: the eigenvalues from a
-    Gershgorin lower bound up to the top of the interval (LAPACK
-    `sbevx`), so a band's index is its position among them, and these
-    values alone decide and describe each violation.
+    are solved exactly, in grid order, with the same dense solve as
+    the half-gap at pi; a band's index is its position in the
+    ascending spectrum, and these values alone decide and describe
+    each violation.
     """
     if not 0.0 < a < 1.0:
         raise ValueError("safety fraction a must lie in (0, 1)")
@@ -303,9 +302,7 @@ def verify_gap_opening(
     flagged = (counts[0] != counts[1]) | np.any(nearest <= margin, axis=0)
     violations = []
     for k in k_grid[flagged]:
-        ab, floor = _banded_matrix(coeffs, k, M)
-        # LAPACK's window (floor, top] is closed at top: the strict test below
-        evals = eigvals_banded(ab, select="v", select_range=(floor, edges[1]))
+        evals = np.linalg.eigvalsh(assemble_coefficient_matrix(coeffs, k, M))
         if half == 0.0:
             inside = np.where(np.abs(evals - data.mu_star) <= tol)[0]
         else:
@@ -332,15 +329,10 @@ def verify_gap_opening(
 _TAIL_DOMINANCE = 2.0
 # Relative distance from 0 below which an eigenvalue of the Schur complement
 # leaves the count in doubt and the k-point goes to the exact solve.  It lies
-# far above both eigen-solvers' backward error eps |H(k)| (~1e-10 at
+# far above the eigen-solver's backward error eps |H(k)| (~1e-10 at
 # M = 128), so an exact eigenvalue that could land inside the interval is
 # always caught.
 _FLAG_RTOL = 1e-9
-
-
-def _band_couplings(coeffs: dict[int, float], M: int) -> dict[int, float]:
-    """The cosine amplitudes that couple retained modes, by index j <= 2M."""
-    return {j: amp for j, amp in coeffs.items() if amp != 0.0 and j <= 2 * M}
 
 
 def _inertia_counts(coeffs: dict[int, float], M: int, k_grid, sigmas):
@@ -355,7 +347,8 @@ def _inertia_counts(coeffs: dict[int, float], M: int, k_grid, sigmas):
     the number of eigenvalues below sigma.  Returns counts and the
     smallest |eigenvalue| of each S, both of shape (len(sigmas), len(k)).
     """
-    bands = _band_couplings(coeffs, M)
+    # the cosine amplitudes that couple retained modes, by index j <= 2M
+    bands = {j: amp for j, amp in coeffs.items() if amp != 0.0 and j <= 2 * M}
     u = max(bands, default=0)
     k = np.asarray(k_grid, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
@@ -405,20 +398,3 @@ def _tail_schur(diag: np.ndarray, T: np.ndarray) -> np.ndarray:
         nxt[:-1, :-1] = carry[1:, 1:]
         carry = nxt - col[:, None] * (col / pivot)[None, :]
     return carry
-
-
-def _banded_matrix(coeffs: dict[int, float], k: float, M: int) -> tuple[np.ndarray, float]:
-    """assemble_coefficient_matrix in upper LAPACK band storage.
-
-    Returns the band rows and a value strictly below every eigenvalue
-    (Gershgorin: each row holds at most two entries amp/2 per index).
-    """
-    m = np.arange(-M, M + 1)
-    bands = _band_couplings(coeffs, M)
-    u = max(bands, default=0)
-    ab = np.zeros((u + 1, 2 * M + 1))
-    ab[u] = (2.0 * np.pi * m + k) ** 2
-    for j, amp in bands.items():
-        ab[u - j, j:] = 0.5 * amp
-    floor = float(np.min(ab[u])) - sum(abs(a) for a in bands.values()) - 1.0
-    return ab, floor

@@ -70,8 +70,8 @@ class SpinorProfile:
 
     evaluate uses the integrator's dense output on y >= 0 and the parity
     relations on y < 0, so off-grid values carry integrator accuracy
-    rather than interpolation error; derivatives come from the vector
-    field at those values.
+    rather than interpolation error; derivatives are taken from the
+    vector field (_rhs) at those values.
     """
 
     params: NLDParams
@@ -106,14 +106,6 @@ class SpinorProfile:
         else:
             u = np.where(neg, -u, u)
         return u, v
-
-    def psi_at(self, y) -> np.ndarray:
-        u, v = self.evaluate(y)
-        return np.stack([0.5 * (u + 1j * v), 0.5 * (u - 1j * v)])
-
-    def dpsi_at(self, y) -> np.ndarray:
-        du, dv = _rhs(self.params, *self.evaluate(y))
-        return np.stack([0.5 * (du + 1j * dv), 0.5 * (du - 1j * dv)])
 
 
 def hamiltonian(params: NLDParams, u, v):
@@ -329,56 +321,6 @@ def angle_monotone(profile: SpinorProfile, floor_rel: float = 1e-6) -> bool:
     return bool(np.all(d < 0.0) or np.all(d > 0.0))
 
 
-def _fd1(samples: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative on a uniform grid, one-sided at the ends."""
-    d = np.empty_like(samples)
-    d[2:-2] = (
-        samples[:-4] - 8.0 * samples[1:-3] + 8.0 * samples[3:-1] - samples[4:]
-    ) / (12.0 * h)
-    for i in (0, 1):
-        d[i] = (
-            -25.0 * samples[i] + 48.0 * samples[i + 1] - 36.0 * samples[i + 2]
-            + 16.0 * samples[i + 3] - 3.0 * samples[i + 4]
-        ) / (12.0 * h)
-    for i in (-1, -2):
-        d[i] = (
-            25.0 * samples[i] - 48.0 * samples[i - 1] + 36.0 * samples[i - 2]
-            - 16.0 * samples[i - 3] + 3.0 * samples[i - 4]
-        ) / (12.0 * h)
-    return d
-
-
-def _potential_matrix(params: NLDParams, psi_minus: np.ndarray) -> np.ndarray:
-    """Pointwise 2x2 coupling built from the soliton, shape (2, 2, n)."""
-    b1, b2 = params.beta1, params.beta2
-    diag = 6.0 * b1 * np.abs(psi_minus) ** 2
-    off_top = 3.0 * (b1 * psi_minus**2 + b2 * np.conj(psi_minus) ** 2)
-    off_bot = 3.0 * (b1 * np.conj(psi_minus) ** 2 + b2 * psi_minus**2)
-    return np.array([[diag, off_top], [off_bot, diag]])
-
-
-def d0_apply(params: NLDParams, profile: SpinorProfile, eta: np.ndarray) -> np.ndarray:
-    """Apply the linearized operator at the soliton to spinor samples.
-
-    eta has shape (2, n) on profile.y_grid; the derivative uses the
-    fourth-order stencil above.  The derivative spinor Psi' lies in the
-    kernel, which is the main consistency check downstream.
-    """
-    eta = np.asarray(eta, dtype=complex)
-    if eta.shape != (2, len(profile.y_grid)):
-        raise ValueError(
-            f"eta shape {eta.shape} does not match grid (2, {len(profile.y_grid)})"
-        )
-    h = profile.y_grid[1] - profile.y_grid[0]
-    c, th, mu = params.c_sharp, params.theta_sharp, params.mu_sharp
-    deta = np.stack([_fd1(eta[0], h), _fd1(eta[1], h)])
-    W = _potential_matrix(params, profile.psi_minus)
-    out = np.empty_like(eta)
-    out[0] = 1j * c * deta[0] + th * eta[1] - mu * eta[0] - W[0, 0] * eta[0] - W[0, 1] * eta[1]
-    out[1] = -1j * c * deta[1] + th * eta[0] - mu * eta[1] - W[1, 0] * eta[0] - W[1, 1] * eta[1]
-    return out
-
-
 @dataclass
 class KernelCheckResult:
     """|eigenvalues| of the linearisation at the soliton.
@@ -401,17 +343,20 @@ _STAGGER_D = (27.0 / 24.0, -1.0 / 24.0)
 _STAGGER_I = (9.0 / 16.0, -1.0 / 16.0)
 
 
-def _half_line_band(
+def _sector_bands(
     params: NLDParams, profile: SpinorProfile, n_points: int
-) -> tuple[np.ndarray, float]:
-    """L = c J d/dy - Hess H on y >= 0 in upper LAPACK band storage.
+) -> dict[float, np.ndarray]:
+    """L = c J d/dy - Hess H per parity sector, in upper LAPACK band storage.
 
     Unknowns interleave p(jh), j = 0..N, at even and q((j + 1/2) h),
     j < N, at odd indices, with h = y_max / N; both vanish beyond
     y_max.  The cross term H_uv = 2auv sits on the nodes and reaches q
     through the midpoint interpolation I: -H_uv I q in the p rows,
-    -I^T (H_uv p) in the q rows.  Also returns the coefficient of the
-    mirror ghost p(-h) in the row of q(h/2).
+    -I^T (H_uv p) in the q rows.  The sector p(-y) = sign p(y),
+    q(-y) = -sign q(y) is folded onto y >= 0: the mirror ghost p(-h)
+    enters the row of q(h/2); for sign +1 p(0), its own mirror, enters
+    with weight sqrt(2) so the fold stays symmetric, for sign -1 it is
+    zero and dropped.  Keyed by sign.
     """
     n = 2 * (n_points // 2)
     h = 2.0 * profile.y_max / n
@@ -429,7 +374,16 @@ def _half_line_band(
         ab[3 - k, k:] = np.where(p_row, -1.0, 1.0) * c * d / h - w[node] * g
     # w is odd, so H_uv(-h) = -w[2]
     ghost = -c * _STAGGER_D[1] / h + w[2] * _STAGGER_I[1]
-    return ab, ghost
+    bands = {}
+    for sign in (1.0, -1.0):
+        band = ab.copy()
+        band[2, 2] += sign * ghost  # p(-h) = sign p(h) in the row of q(h/2)
+        if sign > 0:
+            band[[2, 0], [1, 3]] *= np.sqrt(2.0)
+        else:
+            band = band[:, 1:]
+        bands[sign] = band
+    return bands
 
 
 def kernel_check_on_Y(
@@ -439,33 +393,26 @@ def kernel_check_on_Y(
 
     L acts on (p, q), zeta = ((p + iq)/2, (p - iq)/2), with
     J = [[0, -1], [1, 0]] and H the envelope Hamiltonian; up to a unitary
-    change of variables it is the spinor operator of d0_apply.  It is
-    discretised on a staggered grid: p on the nodes jh, q on the
-    midpoints (j + 1/2) h, fourth-order staggered derivative, h =
-    y_max / (n_points // 2).  Its symbol vanishes only at wavenumber
-    0, so unlike a centred stencil it has no doubler mode near the
-    kernel (Stacey, Phys. Rev. D 26, 468, 1982).
+    change of variables it is the linearisation of the stationary NLD
+    system at the soliton.  It is discretised on a staggered grid: p on
+    the nodes jh, q on the midpoints (j + 1/2) h, fourth-order staggered
+    derivative, h = y_max / (n_points // 2).  Its symbol vanishes only at
+    wavenumber 0, so unlike a centred stencil it has no doubler mode near
+    the kernel (Stacey, Phys. Rev. D 26, 468, 1982).
 
     L commutes with (p, q)(y) -> (p(-y), -q(-y)), so it splits into the
     sectors p even/q odd and p odd/q even.  Y is the first for theta# > 0
     and the second for theta# < 0.  Each sector is folded onto y >= 0
-    through its mirror ghosts, as in newton.discretize_operator; p(0),
-    its own mirror, enters with weight sqrt(2) so the fold stays
-    symmetric.  The eigenvalues of each bandwidth-3 sector come from
-    LAPACK band storage.  Unrestricted, the translation mode gives a
-    near-kernel; on Y the smallest |eigenvalue| stays bounded away
-    from zero.
+    through its mirror ghosts (_sector_bands), as in
+    newton.discretize_operator.  The eigenvalues of each bandwidth-3
+    sector come from LAPACK band storage.  Unrestricted, the translation
+    mode Psi' gives a near-kernel; on Y the smallest |eigenvalue| stays
+    bounded away from zero.
     """
-    ab, ghost = _half_line_band(params, profile, n_points)
-    spectra = {}
-    for sign in (1.0, -1.0):
-        band = ab.copy()
-        band[2, 2] += sign * ghost  # p(-h) = sign p(h) in the row of q(h/2)
-        if sign > 0:
-            band[[2, 0], [1, 3]] *= np.sqrt(2.0)
-        else:
-            band = band[:, 1:]  # p(0) = 0 when p is odd
-        spectra[sign] = np.abs(eigvals_banded(band))
+    spectra = {
+        sign: np.abs(eigvals_banded(band))
+        for sign, band in _sector_bands(params, profile, n_points).items()
+    }
     both = np.concatenate(list(spectra.values()))
     return KernelCheckResult(
         sigma_min_unrestricted=float(np.min(both)),

@@ -37,7 +37,6 @@ def parity_from_theta(theta_sharp: float) -> Parity:
 class NewtonConfig:
     max_iters: int = 25
     tol: float = 1e-10
-    parity: Parity = Parity.EVEN
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -151,8 +150,6 @@ def newton_solve(
     directly at every step.  Collapse to zero and divergence are errors,
     reported with the residual history.
     """
-    if cfg.parity is not op.parity:
-        raise ValueError("config parity disagrees with the discretized operator")
     u = np.asarray(initial, dtype=float).copy()
     if len(u) != len(op.x_grid):
         raise ValueError("initial guess not sampled on the operator grid")

@@ -9,6 +9,7 @@ from diracsoliton import (
     certify_dirac_point,
     integrate_homoclinic,
 )
+from diracsoliton.homoclinic import _rhs, _sector_bands
 
 DEFAULT_V = {2: 20.0}
 DEFAULT_W = {1: 1.0}
@@ -89,3 +90,44 @@ def free_profile(free_params):
 
 def l2(h, w):
     return float(np.sqrt(h * np.sum(np.abs(w) ** 2)))
+
+
+def _band_apply(band, x):
+    """Product of a symmetric matrix in upper LAPACK band storage with x."""
+    u = len(band) - 1
+    y = band[u] * x
+    for k in range(1, u + 1):
+        y[:-k] += band[u - k, k:] * x[k:]
+        y[k:] += band[u - k, k:] * x[:-k]
+    return y
+
+
+def _sector_residual(profile, n_points, translation=True):
+    """|L x| / |x| on the kernel check's folded sector band.
+
+    x is the translation mode (u', v') from the vector field, or with
+    translation=False the soliton (u, v), at the band's points: p on the
+    nodes jh, q on the midpoints (j + 1/2) h, in its own parity sector.
+    Psi' lies in the sector p odd for theta# > 0, the soliton in the
+    other one; the even sector weights p(0) by sqrt(2), so its sample is
+    scaled by 1/sqrt(2).
+    """
+    params = profile.params
+    n = 2 * (n_points // 2)
+    u, v = profile.evaluate(profile.y_max / n * np.arange(n + 1))
+    sign = np.sign(params.theta_sharp)
+    if translation:
+        u, v = _rhs(params, u, v)
+        sign = -sign
+    x = np.where(np.arange(n + 1) % 2 == 0, u, v)
+    if sign > 0:
+        x[0] /= np.sqrt(2.0)
+    else:
+        x = x[1:]
+    band = _sector_bands(params, profile, n_points)[sign]
+    return float(np.linalg.norm(_band_apply(band, x)) / np.linalg.norm(x))
+
+
+@pytest.fixture(scope="session")
+def sector_residual():
+    return _sector_residual

@@ -24,7 +24,7 @@ from diracsoliton import (
     solve_U1,
     staggered_grid,
 )
-from diracsoliton.ansatz import SeparableForcing, TwoScaleField, extended_cutoff
+from diracsoliton.ansatz import SeparableForcing, TwoScaleField, _spinor, extended_cutoff
 from diracsoliton.bloch import assemble_coefficient_matrix
 
 
@@ -91,7 +91,7 @@ class TestBuildG1:
         """Far in the tail every slow factor is at the decay floor."""
         forcing = build_G1(default_dirac, default_profile)
         y = np.array([default_profile.y_max])
-        psi, dpsi = default_profile.psi_at(y)[0], default_profile.dpsi_at(y)[0]
+        psi, dpsi = _spinor(default_profile.params, *default_profile.evaluate(y))
         for g in forcing.y_factors:
             assert abs(g(psi, dpsi)[0]) < 1e-5
 

@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracsoliton import ansatz, cli, newton
 from diracsoliton.cli import RunConfig, load_config, main
@@ -141,7 +145,32 @@ CONFIG_DEFECTS = [
     ("pair = 0", "pair"),
     ("a = 'x'", "a must"),
     ("deltas = [0.2, 0.2]", "repeats a delta"),
+    # only the dataclass fields are keys, not its methods or attributes
+    ("validate = 1", "validate"),
+    ("potential_V = 0", "potential_V"),
+    ("cutoff = 3", "cutoff"),
+    ("__class__ = 1", "__class__"),
+    ("V = {[1]: 2}", "bad value"),
+    # integers beyond float range are not finite numbers
+    pytest.param(f"mu_sharp = {10**400}", "mu_sharp", id="mu_sharp = 10**400"),
+    pytest.param(f"deltas = [{10**400}]", "deltas", id="deltas = [10**400]"),
+    pytest.param(f"V = [[2, {-10**400}]]", "V must", id="V = [[2, -10**400]]"),
 ]
+
+_FUZZ_KEYS = st.sampled_from(
+    [f.name for f in dataclasses.fields(RunConfig)]
+    + ["validate", "potential_V", "potential_W", "cutoff", "__class__", "__dict__", "__init__"]
+)
+_FUZZ_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**500), 10**500)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestConfigContract:
@@ -155,6 +184,33 @@ class TestConfigContract:
         assert rc == 2
         assert "configuration error" in err and key in err
         assert not out.exists()
+
+
+class TestConfigFuzz:
+    @given(
+        entries=st.lists(st.tuples(_FUZZ_KEYS, _FUZZ_VALUES), max_size=4),
+        via_file=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_validated_config_or_value_error(self, entries, via_file):
+        """load_config returns a validated RunConfig or raises ValueError.
+
+        Entries go in as config-file lines or as overrides; no numerical
+        work is done.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            path, overrides = None, dict(entries)
+            if via_file:
+                path = Path(tmp) / "fuzz.cfg"
+                path.write_text(
+                    "".join(f"{k} = {v!r}\n" for k, v in entries), encoding="utf-8"
+                )
+                path, overrides = str(path), None
+            try:
+                cfg = load_config(path, overrides)
+            except ValueError:
+                return
+        assert isinstance(cfg, RunConfig)
 
 
 class TestBandsCommand:

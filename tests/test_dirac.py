@@ -209,18 +209,22 @@ class TestGapOpening:
             verify_gap_opening(pot_v, pot_w, default_dirac, 0.1, 1.5)
 
     def test_exact_solves_only_where_flagged(self, pot_v, pot_w, default_dirac, monkeypatch):
+        """Dense solves: the half-gap at pi, plus one per flagged k-point."""
         calls = []
-        solve = dirac.eigvals_banded
+        assemble = dirac.assemble_coefficient_matrix
 
         def counted(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
+            calls.append(args[1])  # k
+            return assemble(*args, **kwargs)
 
-        monkeypatch.setattr(dirac, "eigvals_banded", counted)
+        monkeypatch.setattr(dirac, "assemble_coefficient_matrix", counted)
         assert verify_gap_opening(pot_v, pot_w, default_dirac, 0.1, 0.9).gap_open
-        assert calls == []
+        assert calls == [np.pi]
+        calls.clear()
         rep = verify_gap_opening(pot_v, pot_w, default_dirac, 0.0, 0.9)
-        assert len(calls) == len({k for k, _, _ in rep.violations}) == 1
+        flagged = sorted({k for k, _, _ in rep.violations})
+        assert len(flagged) == 1
+        assert calls == flagged + [np.pi]
 
 
 class TestInertiaScreen:

@@ -4,7 +4,6 @@ import pytest
 from diracsoliton import (
     NLDParams,
     angle_monotone,
-    d0_apply,
     equilibria,
     hamiltonian,
     initial_condition,
@@ -133,35 +132,18 @@ class TestIntegration:
 
 
 class TestLinearization:
-    def test_derivative_spinor_near_kernel(self, canonical_params, canonical_profile):
-        eta = canonical_profile.dpsi_at(canonical_profile.y_grid)
-        out = d0_apply(canonical_params, canonical_profile, eta)
-        assert np.linalg.norm(out) <= 1e-6 * np.linalg.norm(eta)
+    """The staggered band of kernel_check_on_Y applied to sampled modes."""
 
-    def test_zero_maps_to_zero(self, canonical_params, canonical_profile):
-        eta = np.zeros((2, len(canonical_profile.y_grid)), dtype=complex)
-        out = d0_apply(canonical_params, canonical_profile, eta)
-        assert np.all(out == 0.0)
+    def test_derivative_spinor_near_kernel(self, canonical_profile, sector_residual):
+        odd = integrate_homoclinic(NLDParams(1.0, -1.0, 0.0, 1.0, 0.0), y_max=20.0)
+        for prof in (canonical_profile, odd):
+            res = [sector_residual(prof, n) for n in (601, 1201, 2401)]
+            # fourth order: 16x per halving of h
+            assert res[0] > 10.0 * res[1] > 100.0 * res[2], res
+            assert sector_residual(prof, 6001) <= 1e-6
 
-    def test_soliton_itself_not_in_kernel(self, canonical_params, canonical_profile):
-        eta = canonical_profile.psi_at(canonical_profile.y_grid)
-        out = d0_apply(canonical_params, canonical_profile, eta)
-        assert np.linalg.norm(out) > 1e-3 * np.linalg.norm(eta)
-
-    def test_grid_mismatch_rejected(self, canonical_params, canonical_profile):
-        with pytest.raises(ValueError, match="shape"):
-            d0_apply(canonical_params, canonical_profile, np.zeros((2, 7)))
-
-    def test_linearity(self, canonical_params, canonical_profile):
-        n = len(canonical_profile.y_grid)
-        rng = np.random.default_rng(7)
-        e1 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        e2 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        out = d0_apply(canonical_params, canonical_profile, 2.0 * e1 + 3j * e2)
-        ref = 2.0 * d0_apply(
-            canonical_params, canonical_profile, e1
-        ) + 3j * d0_apply(canonical_params, canonical_profile, e2)
-        assert np.allclose(out, ref, atol=1e-10)
+    def test_soliton_itself_not_in_kernel(self, canonical_profile, sector_residual):
+        assert sector_residual(canonical_profile, 6001, translation=False) > 1e-3
 
 
 class TestKernelCheck:

@@ -156,17 +156,6 @@ class TestNewton:
                 op, sol.delta, sol.mu_delta, np.zeros_like(sol.samples), NewtonConfig()
             )
 
-    def test_parity_mismatch_rejected(self, free_soliton):
-        op, sol = free_soliton
-        with pytest.raises(ValueError, match="parity"):
-            newton_solve(
-                op,
-                sol.delta,
-                sol.mu_delta,
-                sol.samples,
-                NewtonConfig(parity=Parity.ODD),
-            )
-
     def test_wrong_grid_length_rejected(self, free_soliton):
         op, sol = free_soliton
         with pytest.raises(ValueError, match="grid"):
