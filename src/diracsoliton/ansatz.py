@@ -3,9 +3,10 @@
 The candidate field is u_delta(x) = sqrt(delta) (U0(x, delta x)
 + delta U1(x, delta x)) with U0 = Psi-(y) Phi-(x) + Psi+(y) Phi+(x).
 All fast-variable functions here are pi-pseudo-periodic,
-f(x) = sum_j c_j e^{i pi j x} with j odd, so products and conjugates are
-tracked on the integer half-frequency lattice and converted back to the
-standard plane-wave representation at an extended cutoff.
+f(x) = e^{i pi x} sum_m c_m e^{2 pi i m x}, and are kept as their
+plane-wave coefficients c_m, the representation of the Bloch modes.  The
+corrector forcing lives at the extended cutoff M_ext = 3M + 2, which
+holds the triple products of the carriers exactly.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import numpy as np
 
 from .bloch import (
     FourierCutoff,
-    PeriodicPotential,
     assemble_coefficient_matrix,
     cell_offsets,
+    coupling_matrix,
     fourier_eval,
 )
 from .dirac import DiracPointData
@@ -46,62 +47,18 @@ class SeparableForcing:
     """Corrector forcing G1(x, y) = sum_j f_j(x) g_j(y), ten terms.
 
     x_profiles[j] holds the plane-wave coefficients of f_j at the
-    extended cutoff.  g_j(y) = y_factors[j](psi, dpsi) takes samples of
-    the envelope Psi-(y) and of dy Psi-(y), so one evaluation of
-    profile feeds all ten terms.
+    extended cutoff, entry M_ext + m that of e^{i pi x} e^{2 pi i m x}.
+    g_j(y) = y_factors[j](psi, dpsi) takes samples of the envelope
+    Psi-(y) and of dy Psi-(y), so one evaluation of profile feeds all
+    ten terms.  kernel holds the carriers Phi-, Phi+ (rows g1, g2) at
+    the same cutoff: the kernel of the corrector's cell operator.
     """
 
     x_profiles: np.ndarray
     y_factors: list
     cutoff_ext: FourierCutoff
-    labels: list[str]
+    kernel: np.ndarray | None = None
     profile: SpinorProfile | None = None
-
-
-# half-frequency lattice helpers: arrays are centered, entry i holds the
-# coefficient of e^{i pi (i - J) x} with J = (len - 1) // 2.
-
-def _half_from_modes(c: np.ndarray) -> np.ndarray:
-    """Embed e^{i pi x} sum c_m e^{2 pi i m x} on the half lattice."""
-    M = (len(c) - 1) // 2
-    out = np.zeros(2 * (2 * M + 1) + 1, dtype=complex)
-    out[2::2] = c
-    return out
-
-
-def _half_conj(a: np.ndarray) -> np.ndarray:
-    return np.conj(a)[::-1]
-
-
-def _half_potential(pot: PeriodicPotential) -> np.ndarray:
-    J = 2 * pot.max_index
-    out = np.zeros(2 * J + 1, dtype=complex)
-    for m, amp in pot.coeffs.items():
-        out[J + 2 * m] += 0.5 * amp
-        out[J - 2 * m] += 0.5 * amp
-    return out
-
-
-def _half_derivative(a: np.ndarray) -> np.ndarray:
-    J = (len(a) - 1) // 2
-    return 1j * np.pi * np.arange(-J, J + 1) * a
-
-
-def _half_to_modes(a: np.ndarray, M_ext: int) -> np.ndarray:
-    """Extract the e^{i pi x}-representation coefficients at cutoff M_ext."""
-    J = (len(a) - 1) // 2
-    out = np.zeros(2 * M_ext + 1, dtype=complex)
-    for i, coeff in enumerate(a):
-        if coeff == 0.0:
-            continue
-        j = i - J
-        if j % 2 == 0:
-            raise RuntimeError("even half-frequency coefficient: parity bookkeeping bug")
-        m = (j - 1) // 2
-        if m < -M_ext or m > M_ext:
-            raise RuntimeError(f"mode {m} exceeds extended cutoff {M_ext}")
-        out[m + M_ext] = coeff
-    return out
 
 
 def extended_cutoff(cut: FourierCutoff) -> FourierCutoff:
@@ -125,6 +82,15 @@ def _spinor(params, u, v) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (u + 1j * v), 0.5 * (du + 1j * dv)
 
 
+def _check_support(profile: SpinorProfile, y_span: float):
+    """Reject a field whose slow variable delta*|x| reaches y_span > y_max."""
+    if y_span > profile.y_max * (1.0 + 1e-12):
+        raise ValueError(
+            f"envelope support exceeds its grid: delta*|x| reaches {y_span:.3g} "
+            f"but the profile ends at {profile.y_max:.3g}; enlarge y_max or shrink L"
+        )
+
+
 def _synthesise(
     dirac: DiracPointData,
     profile: SpinorProfile,
@@ -141,20 +107,12 @@ def _synthesise(
     last.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    y_span = delta * np.max(np.abs(x_grid))
-    if y_span > profile.y_max * (1.0 + 1e-12):
-        raise ValueError(
-            f"envelope support exceeds its grid: delta*|x| reaches {y_span:.3g} "
-            f"but the profile ends at {profile.y_max:.3g}; enlarge y_max or shrink L"
-        )
+    _check_support(profile, delta * np.max(np.abs(x_grid)))
     u, v = profile.evaluate(delta * x_grid)
     if corrector is None:
         carriers = dirac.g1[None, :]
     else:
-        M_ext = corrector.forcing.cutoff_ext.M
-        carriers = np.vstack(
-            [_pad_modes(dirac.g1, dirac.cutoff.M, M_ext), corrector.x_solutions]
-        )
+        carriers = np.vstack([corrector.forcing.kernel[0], corrector.x_solutions])
     r, where, n = cell_offsets(x_grid)
     where = where.reshape(x_grid.shape)
     sign = (1.0 - 2.0 * (n % 2)).reshape(x_grid.shape)  # e^{i pi n}, exactly
@@ -191,30 +149,41 @@ def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
     Two terms from the mixed fast/slow derivative 2 dx dy U0, two from
     (mu# - W) U0, six from the cubic power |U0|^2 U0.  Slow-variable
     derivatives come from the envelope vector field, not differences.
+    W multiplies through bloch.coupling_matrix.  The coefficients are
+    real and Phi+ is g1 index-flipped, so conj(Phi-) = Phi+ and
+    conj(Phi+) = Phi-: every cubic term is one of P^2 Q, P Q^2, P^3, Q^3.
     """
     _require_coeffs(dirac)
     mu_sharp = profile.params.mu_sharp
-    P = _half_from_modes(dirac.g1)
-    Q = _half_from_modes(dirac.g2)
-    Wv = _half_potential(dirac.pot_W)
-    Pc, Qc = _half_conj(P), _half_conj(Q)
+    cut_ext = extended_cutoff(dirac.cutoff)
+    M, M_ext = dirac.cutoff.M, cut_ext.M
+    kernel = np.stack([_pad_modes(g, M, M_ext) for g in (dirac.g1, dirac.g2)])
+    P, Q = kernel
+    # W Phi reaches mode |m| + j from carrier mode m; past M_ext it would be lost
+    modes = np.flatnonzero(np.any(kernel != 0.0, axis=0)) - M_ext
+    reach = dirac.pot_W.max_index + int(np.max(np.abs(modes)))
+    if reach > M_ext:
+        raise RuntimeError(f"W Phi reaches mode {reach}, beyond the extended cutoff {M_ext}")
+    dx = 1j * np.pi * (2 * cut_ext.indices() + 1)
+    C = coupling_matrix(dirac.pot_W.coeffs, cut_ext.size)
 
     def cube(a, b, c):
-        return np.convolve(np.convolve(a, b), c)
+        # e^{3 i pi x} = e^{i pi x} e^{2 pi i x}: one mode up, support within 3M + 1
+        return np.convolve(np.convolve(a, b), c)[2 * M_ext - 1 : 4 * M_ext]
 
-    x_half = [
-        _half_derivative(P),
-        _half_derivative(Q),
-        mu_sharp * np.pad(P, (len(Wv) - 1) // 2) - np.convolve(Wv, P),
-        mu_sharp * np.pad(Q, (len(Wv) - 1) // 2) - np.convolve(Wv, Q),
-        cube(P, Pc, P),
-        cube(Q, Qc, Q),
-        cube(P, P, Qc),
-        cube(Q, Q, Pc),
-        2.0 * cube(P, Pc, Q),
-        2.0 * cube(Q, Qc, P),
-    ]
-
+    PPQ, PQQ = cube(P, P, Q), cube(P, Q, Q)
+    x_profiles = np.stack([
+        dx * P,  # 2 dxPhi- * dyPsi-
+        dx * Q,  # 2 dxPhi+ * dyPsi+
+        mu_sharp * P - C @ P,  # (mu# - W) Phi- * Psi-
+        mu_sharp * Q - C @ Q,  # (mu# - W) Phi+ * Psi+
+        PPQ,  # |Phi-|^2 Phi- * |Psi-|^2 Psi-
+        PQQ,  # |Phi+|^2 Phi+ * |Psi+|^2 Psi+
+        cube(P, P, P),  # Phi-^2 conj(Phi+) * Psi-^2 conj(Psi+)
+        cube(Q, Q, Q),  # Phi+^2 conj(Phi-) * Psi+^2 conj(Psi-)
+        2.0 * PQQ,  # 2 |Phi-|^2 Phi+ * |Psi-|^2 Psi+
+        2.0 * PPQ,  # 2 |Phi+|^2 Phi- * |Psi+|^2 Psi-
+    ])
     y_factors = [
         lambda p, dp: 2.0 * dp,
         lambda p, dp: 2.0 * np.conj(dp),
@@ -227,25 +196,11 @@ def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
         lambda p, dp: np.abs(p) ** 2 * np.conj(p),
         lambda p, dp: np.abs(p) ** 2 * p,
     ]
-    labels = [
-        "2*dxPhi-*dyPsi-",
-        "2*dxPhi+*dyPsi+",
-        "(mu#-W)Phi-*Psi-",
-        "(mu#-W)Phi+*Psi+",
-        "|Phi-|^2Phi-*|Psi-|^2Psi-",
-        "|Phi+|^2Phi+*|Psi+|^2Psi+",
-        "Phi-^2conj(Phi+)*Psi-^2conj(Psi+)",
-        "Phi+^2conj(Phi-)*Psi+^2conj(Psi-)",
-        "2|Phi-|^2Phi+*|Psi-|^2Psi+",
-        "2|Phi+|^2Phi-*|Psi+|^2Psi-",
-    ]
-    cut_ext = extended_cutoff(dirac.cutoff)
-    x_profiles = np.stack([_half_to_modes(a, cut_ext.M) for a in x_half])
     return SeparableForcing(
         x_profiles=x_profiles,
         y_factors=y_factors,
         cutoff_ext=cut_ext,
-        labels=labels,
+        kernel=kernel,
         profile=profile,
     )
 
@@ -271,14 +226,7 @@ def solvability_check(
     s = 1e-3 / decay_rate, so an envelope that does not solve the
     system shows in the projection.
     """
-    M_ext = forcing.cutoff_ext.M
-    M = dirac.cutoff.M
-    kernel = np.stack(
-        [_pad_modes(dirac.g1.astype(complex), M, M_ext),
-         _pad_modes(dirac.g2.astype(complex), M, M_ext)],
-        axis=1,
-    )
-    ip = forcing.x_profiles @ np.conj(kernel)
+    ip = forcing.x_profiles @ forcing.kernel.T  # the carriers are real
     env = forcing.profile
     y_grid = np.asarray(y_grid, dtype=float)
     # dy Psi from fourth-order differences of the dense output: taken from
@@ -311,7 +259,6 @@ class CorrectorSolution:
 
     x_solutions: np.ndarray
     forcing: SeparableForcing
-    mu_star: float
     solve_residual_max: float
 
 
@@ -362,7 +309,6 @@ def solve_U1(
     return CorrectorSolution(
         x_solutions=sols,
         forcing=forcing,
-        mu_star=mu,
         solve_residual_max=res_max,
     )
 
@@ -426,6 +372,9 @@ def assemble_udelta(
                 f"domain half-length {L:.4g} below the envelope-decay floor "
                 f"{L_min:.4g} for delta={delta}"
             )
+    if h > 0.0:  # staggered_grid rejects h <= 0
+        # its last point (n - 1/2) h, checked before the grid is allocated
+        _check_support(profile, delta * (round(L / h) - 0.5) * h)
     x_grid = staggered_grid(L, h)
     samples, u0, _ = evaluate_udelta(
         dirac, profile, with_U1, delta, x_grid, corrector

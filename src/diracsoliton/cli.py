@@ -84,10 +84,13 @@ class RunConfig:
             val = getattr(self, key)
             if not integer(val) or val < 1:
                 raise ValueError(f"{key} must be a positive integer, got {val!r}")
-        if not isinstance(self.deltas, (list, tuple)) or not all(
+        if not isinstance(self.deltas, (list, tuple)) or not self.deltas or not all(
             real(d) for d in self.deltas
         ):
-            raise ValueError(f"deltas must be a list of numbers, got {self.deltas!r}")
+            # no delta leaves the gap opening and the soliton scaling unchecked
+            raise ValueError(
+                f"deltas must be a non-empty list of numbers, got {self.deltas!r}"
+            )
         if len(set(map(float, self.deltas))) != len(self.deltas):
             # each delta names its soliton CSV and is one abscissa of the order fit
             raise ValueError(f"deltas repeats a delta: {self.deltas}")

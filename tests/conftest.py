@@ -88,10 +88,6 @@ def free_profile(free_params):
     return integrate_homoclinic(free_params)
 
 
-def l2(h, w):
-    return float(np.sqrt(h * np.sum(np.abs(w) ** 2)))
-
-
 def _band_apply(band, x):
     """Product of a symmetric matrix in upper LAPACK band storage with x."""
     u = len(band) - 1

@@ -24,8 +24,9 @@ from diracsoliton import (
     solve_U1,
     staggered_grid,
 )
+from diracsoliton import ansatz
 from diracsoliton.ansatz import SeparableForcing, TwoScaleField, _spinor, extended_cutoff
-from diracsoliton.bloch import assemble_coefficient_matrix
+from diracsoliton.bloch import assemble_coefficient_matrix, fourier_eval
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +76,6 @@ class TestBuildG1:
         forcing = build_G1(default_dirac, default_profile)
         assert forcing.x_profiles.shape[0] == 10
         assert len(forcing.y_factors) == 10
-        assert len(forcing.labels) == 10
 
     def test_free_profiles_are_sparse(self, free_dirac, free_profile):
         forcing = build_G1(free_dirac, free_profile)
@@ -86,6 +86,55 @@ class TestBuildG1:
         forcing = build_G1(default_dirac, default_profile)
         assert forcing.cutoff_ext.M == 3 * default_dirac.cutoff.M + 2
         assert extended_cutoff(default_dirac.cutoff).M == forcing.cutoff_ext.M
+
+    @pytest.mark.parametrize("lattice", ["default", "free"])
+    def test_rows_match_their_physical_definition(self, request, lattice):
+        """Each x-profile, summed at sample points, against its definition.
+
+        Phi-, Phi+ and W are sampled directly and multiplied pointwise;
+        dx Phi comes from fourth-order differences of the sampled carrier.
+        """
+        dirac = request.getfixturevalue(f"{lattice}_dirac")
+        profile = request.getfixturevalue(f"{lattice}_profile")
+        mu = 0.03  # a detuning, so mu# enters the (mu# - W) rows
+        detuned = dataclasses.replace(
+            profile, params=dataclasses.replace(profile.params, mu_sharp=mu)
+        )
+        forcing = build_G1(dirac, detuned)
+        x = np.linspace(-1.3, 2.1, 37)
+        rows = fourier_eval(forcing.x_profiles, np.pi, x)
+        pm, pp = (fourier_eval(g, np.pi, x) for g in (dirac.g1, dirac.g2))
+        W = dirac.pot_W(x)
+        s = 1e-3
+        weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * s)
+        stencil = x + s * np.arange(-2.0, 3.0)[:, None]
+        dpm, dpp = (weights @ fourier_eval(g, np.pi, stencil) for g in (dirac.g1, dirac.g2))
+        expect = [
+            (dpm, 1e-8),
+            (dpp, 1e-8),
+            ((mu - W) * pm, 1e-13),
+            ((mu - W) * pp, 1e-13),
+            (np.abs(pm) ** 2 * pm, 1e-13),
+            (np.abs(pp) ** 2 * pp, 1e-13),
+            (pm**2 * np.conj(pp), 1e-13),
+            (pp**2 * np.conj(pm), 1e-13),
+            (2.0 * np.abs(pm) ** 2 * pp, 1e-13),
+            (2.0 * np.abs(pp) ** 2 * pm, 1e-13),
+        ]
+        for j, (row, (want, tol)) in enumerate(zip(rows, expect)):
+            err = np.max(np.abs(row - want)) / np.max(np.abs(want))
+            assert err < tol, (j, err)
+
+    def test_W_beyond_the_extended_cutoff_rejected(self, pot_free, free_profile):
+        """M = 16: the free carriers sit at modes 0 and -1, M_ext = 50."""
+
+        def lattice(j):
+            W = PeriodicPotential({1: 1.0, j: 0.5}, ParityClass.ODD_INDEX)
+            return certify_dirac_point(pot_free, W, FourierCutoff(16))
+
+        build_G1(lattice(49), free_profile)  # W Phi+ reaches mode -50
+        with pytest.raises(RuntimeError, match="extended cutoff"):
+            build_G1(lattice(51), free_profile)
 
     def test_terms_vanish_with_the_envelope(self, default_dirac, default_profile):
         """Far in the tail every slow factor is at the decay floor."""
@@ -140,7 +189,6 @@ class TestSolveU1:
             x_profiles=np.stack([vec.astype(complex)]),
             y_factors=[lambda psi, dpsi: np.ones_like(psi)],
             cutoff_ext=extended_cutoff(dirac.cutoff),
-            labels=["probe"],
         )
 
     def test_pure_kernel_forcing_gives_zero(self, default_dirac):
@@ -188,6 +236,19 @@ class TestAssemble:
     def test_small_domain_rejected(self, default_dirac, default_profile):
         with pytest.raises(ValueError, match="decay floor"):
             assemble_udelta(default_dirac, default_profile, False, 0.1, 100.0, 1 / 64)
+
+    def test_support_checked_at_the_last_grid_point(
+        self, free_dirac, free_profile, monkeypatch
+    ):
+        """delta (n - 1/2) h against y_max, before the grid is allocated."""
+        h, delta = 1 / 64, 0.5
+        L = free_profile.y_max / delta  # last point L - h/2 or closer: inside
+        assemble_udelta(free_dirac, free_profile, False, delta, L, h)
+        grids = []
+        monkeypatch.setattr(ansatz, "staggered_grid", lambda *a: grids.append(a))
+        with pytest.raises(ValueError, match="shrink L"):
+            assemble_udelta(free_dirac, free_profile, False, delta, L + h, h)
+        assert grids == []
 
     def test_norm_is_order_one_in_delta(self, free_dirac, free_profile):
         h = 1 / 64

@@ -119,6 +119,16 @@ class TestExitCodes:
         assert "frequency window" in capsys.readouterr().err
         assert not (out / "soliton_scaling.json").exists()
 
+    def test_overlong_domain_exits_2_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        grids = []
+        monkeypatch.setattr(ansatz, "staggered_grid", lambda *a: grids.append(a))
+        p = tmp_path / "long.cfg"
+        p.write_text(FREE_CFG + "L = 2e5\n")
+        rc = main(["soliton", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "shrink L" in capsys.readouterr().err
+        assert grids == []
+
     def test_verify_all_outside_safety_window_writes_nothing(self, tmp_path, capsys):
         p = tmp_path / "edge.cfg"
         p.write_text(FREE_CFG + "mu_sharp = 0.47\n")
@@ -145,6 +155,7 @@ CONFIG_DEFECTS = [
     ("pair = 0", "pair"),
     ("a = 'x'", "a must"),
     ("deltas = [0.2, 0.2]", "repeats a delta"),
+    ("deltas = []", "deltas must be a non-empty list"),
     # only the dataclass fields are keys, not its methods or attributes
     ("validate = 1", "validate"),
     ("potential_V = 0", "potential_V"),
@@ -429,3 +440,82 @@ class TestSharedStages:
         assert names == sorted(p.name for p in single.iterdir())
         for name in names:
             assert (root / "all" / name).read_bytes() == (single / name).read_bytes(), name
+
+
+REFERENCE = Path(__file__).parent / "reference"
+# the unjittered base config of the solbench soliton-lattice workload
+LATTICE_CFG = """\
+V = [[2, 20.0]]
+W = [[1, 1.0]]
+M = 32
+mu_sharp = 0.0
+deltas = [0.4, 0.2]
+h = 0.015625
+L = 900.0
+y_max = 370.0
+"""
+REFERENCE_RUNS = {
+    "free_cfg": (FREE_CFG, ["--delta", "0.2,0.1"]),
+    "soliton_lattice": (LATTICE_CFG, []),
+}
+REFERENCE_RTOL = 1e-9
+
+
+def _match_reference(ref, new, where, newton_tol):
+    """Assert new reproduces ref, one JSON value at a time.
+
+    Strings, integers, booleans and null must match exactly, and so must
+    config_sha256; other numbers, floats or the decimal strings the
+    artifacts hold, agree within REFERENCE_RTOL relative.  final_residual,
+    Newton's last residual, moves by percents with the BLAS thread count:
+    it only has to stay at or below newton_tol.
+    """
+    assert type(new) is type(ref), where
+    if isinstance(ref, dict):
+        assert sorted(new) == sorted(ref), where
+        for key in ref:
+            _match_reference(ref[key], new[key], f"{where}.{key}", newton_tol)
+    elif isinstance(ref, list):
+        assert len(new) == len(ref), where
+        for i, (a, b) in enumerate(zip(ref, new)):
+            _match_reference(a, b, f"{where}[{i}]", newton_tol)
+    elif where.endswith(".final_residual"):
+        assert float(new) <= newton_tol, where
+    elif isinstance(ref, float) or (
+        isinstance(ref, str) and not where.endswith(".config_sha256") and _is_number(ref)
+    ):
+        a, b = float(ref), float(new)
+        assert abs(a - b) <= REFERENCE_RTOL * max(abs(a), abs(b)), (where, ref, new)
+    else:
+        assert new == ref, where
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+class TestReferenceArtifacts:
+    """verify-all against the JSON artifacts committed under tests/reference.
+
+    They were written with one BLAS thread by
+    `diracsoliton verify-all --config <cfg> --out tests/reference/<name>`
+    (plus the run's extra arguments) on the configs of REFERENCE_RUNS.
+    """
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
+    def test_verify_all_matches_reference(self, tmp_path, name):
+        text, extra = REFERENCE_RUNS[name]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["verify-all", "--config", str(cfg), "--out", str(out), *extra]) == 0
+        refs = sorted((REFERENCE / name).glob("*.json"))
+        assert [p.name for p in refs] == sorted(p.name for p in out.glob("*.json"))
+        for path in refs:
+            ref = json.loads(path.read_text())
+            new = json.loads((out / path.name).read_text())
+            _match_reference(ref, new, path.name, ref["config"]["newton_tol"])
