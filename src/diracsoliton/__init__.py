@@ -1,7 +1,7 @@
 """Floquet-Bloch band structures, Dirac points and Dirac solitons in 1D.
 
 The pipeline: diagonalize the periodic operator (bloch), certify a band
-crossing and its effective coefficients (dirac), integrate the envelope
+crossing and its effective coefficients (dirac), evaluate the envelope
 soliton of the reduced spinor system (homoclinic), assemble the
 two-scale candidate field (ansatz), and correct it to a true solution
 by Newton iteration (newton).  The cli module drives everything.
@@ -34,13 +34,9 @@ from .dirac import (
 from .homoclinic import (
     NLDParams,
     SpinorProfile,
-    angle_monotone,
-    equilibria,
     hamiltonian,
-    initial_condition,
     integrate_homoclinic,
     kernel_check_on_Y,
-    polar_angle,
 )
 from .ansatz import (
     SeparableForcing,

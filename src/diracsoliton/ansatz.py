@@ -229,8 +229,8 @@ def solvability_check(
     ip = forcing.x_profiles @ forcing.kernel.T  # the carriers are real
     env = forcing.profile
     y_grid = np.asarray(y_grid, dtype=float)
-    # dy Psi from fourth-order differences of the dense output: taken from
-    # the vector field instead, any (u, v) would project to zero
+    # dy Psi from fourth-order differences of evaluate: taken from the
+    # vector field instead, any (u, v) would project to zero
     s = 1e-3 / env.params.decay_rate
     stencil = np.add.outer(s * np.arange(-2.0, 3.0), y_grid)
     u, v = (w.reshape(stencil.shape) for w in env.evaluate(stencil.ravel()))

@@ -8,9 +8,14 @@ NLD system into the planar Hamiltonian flow
               + (mu#/2)(u^2 + v^2) + (theta#/2)(v^2 - u^2),
 
 with a = 3(beta1 - beta2)/4 and b = (3 beta1 + beta2)/4.  The homoclinic
-orbit lives on the zero-energy level and leaves from the u-axis
-(theta# > 0) or the v-axis (theta# < 0); one half is integrated and the
-proved parity supplies the other half exactly.
+orbit lives on the zero-energy level and crosses the u-axis
+(theta# > 0) or the v-axis (theta# < 0) at y = 0.  There H is a
+quartic plus a quadratic form, so Euler's identity turns the flow in
+polar coordinates into c# phi' = mu# - theta# cos 2 phi, free of the
+radius: the orbit is elementary.  It is the explicit gap soliton of the
+coupled-mode equations (Christodoulides & Joseph, Phys. Rev. Lett. 62,
+1746, 1989; Aceves & Wabnitz, Phys. Lett. A 141, 37, 1989), evaluated
+in closed form on y >= 0; the proved parity supplies y < 0 exactly.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigvals_banded
 
-# DOP853 runs at rtol 1e-13; zero-energy drift above this is a step-size failure
+# the closed form lies on H = 0 to rounding (about 1e-16); drift above this
+# means the samples left the zero level
 _DRIFT_TOL = 1e-8
 
 
@@ -68,10 +73,11 @@ class NLDParams:
 class SpinorProfile:
     """Sampled homoclinic solution with its diagnostics.
 
-    evaluate uses the integrator's dense output on y >= 0 and the parity
-    relations on y < 0, so off-grid values carry integrator accuracy
-    rather than interpolation error; derivatives are taken from the
-    vector field (_rhs) at those values.
+    evaluate computes the closed-form orbit (_half_orbit) elementwise at
+    |y|, clipped to [0, y_max], and applies the parity relations on
+    y < 0, so off-grid values carry rounding error only, not
+    interpolation error; derivatives are taken from the vector field
+    (_rhs) at those values.
     """
 
     params: NLDParams
@@ -81,7 +87,6 @@ class SpinorProfile:
     hamiltonian_trace: np.ndarray
     decay_rate_fit: float
     h_drift_max: float
-    _dense: object = None
 
     @property
     def psi_minus(self) -> np.ndarray:
@@ -97,9 +102,7 @@ class SpinorProfile:
 
     def evaluate(self, y) -> tuple[np.ndarray, np.ndarray]:
         y = np.asarray(y, dtype=float)
-        ya = np.abs(y)
-        uv = self._dense(np.clip(ya, 0.0, self.y_max))
-        u, v = uv[0], uv[1]
+        u, v = _half_orbit(self.params, np.clip(np.abs(y), 0.0, self.y_max))
         neg = y < 0
         if self.params.theta_sharp > 0:
             v = np.where(neg, -v, v)
@@ -127,57 +130,27 @@ def _rhs(params: NLDParams, u, v):
     return du, dv
 
 
-def initial_condition(params: NLDParams) -> tuple[float, float]:
-    """Zero-energy axis crossing the homoclinic passes through at y = 0."""
-    th, mu, b = params.theta_sharp, params.mu_sharp, params.b
-    if th > 0:
-        return (float(np.sqrt(2.0 * (th - mu) / b)), 0.0)
-    return (0.0, float(np.sqrt(2.0 * (-th - mu) / b)))
+def _half_orbit(params: NLDParams, y) -> tuple[np.ndarray, np.ndarray]:
+    """The homoclinic (u, v) at y >= 0 in closed form.
 
-
-def equilibria(params: NLDParams) -> list[tuple[float, float]]:
-    th, mu, b = params.theta_sharp, params.mu_sharp, params.b
-    if th > 0:
-        r = np.sqrt((th - mu) / b)
-        pts = [(0.0, 0.0), (r, 0.0), (-r, 0.0)]
-    else:
-        r = np.sqrt((-th - mu) / b)
-        pts = [(0.0, 0.0), (0.0, r), (0.0, -r)]
-    for u, v in pts:
-        du, dv = _rhs(params, u, v)
-        if max(abs(du), abs(dv)) > 1e-12:
-            raise RuntimeError(f"equilibrium candidate ({u}, {v}) does not zero the field")
-    return pts
-
-
-class _RecenteredDense:
-    """Dense output of the backward tail solve, re-centered at the apex."""
-
-    def __init__(self, raw_dense, y_apex: float):
-        self._raw = raw_dense
-        self._y_apex = y_apex
-
-    def __call__(self, y):
-        y = np.clip(np.asarray(y, dtype=float), 0.0, -self._y_apex)
-        return self._raw(self._y_apex + y)
-
-
-def _stable_tail_point(params: NLDParams, eps: float) -> tuple[float, float]:
-    """Point on the stable-manifold branch the homoclinic tail follows.
-
-    The linearization at the origin has eigenvalue -r along
-    xi = (1, -r c / (theta + mu)); nonlinear corrections to the manifold
-    are O(eps^2) relative, negligible for the eps used here.
+    With r the decay rate, kappa = sqrt((|theta#| - mu#)/(|theta#| + mu#))
+    and t = -sgn(c#) kappa tanh(r y), the orbit is (A, tA) for theta# > 0
+    and (-tA, A) for theta# < 0, with
+    A = sqrt(2(|theta#| - mu#) / (b(1 + t^4) + 2a t^2)) sech(r y).
+    The factor (|theta#| - mu#) sech^2 is kept whole: written as
+    |theta#|(1 - t^2) - mu#(1 + t^2) it cancels in the tail.
     """
-    th, mu, c = params.theta_sharp, params.mu_sharp, params.c_sharp
+    y = np.asarray(y, dtype=float)
+    th, mu = abs(params.theta_sharp), params.mu_sharp
     r = params.decay_rate
-    xi = np.array([1.0, -r * c / (th + mu)])
-    if params.theta_sharp <= 0:
-        # pick the branch on the v > 0 side of the loop
-        if xi[1] < 0:
-            xi = -xi
-    xi /= np.linalg.norm(xi)
-    return eps * xi[0], eps * xi[1]
+    e = np.exp(-r * y)
+    sech = 2.0 * e / (1.0 + e * e)
+    t = -np.sign(params.c_sharp) * np.sqrt((th - mu) / (th + mu)) * np.tanh(r * y)
+    t2 = t * t
+    amp = sech * np.sqrt(2.0 * (th - mu) / (params.b * (1.0 + t2 * t2) + 2.0 * params.a * t2))
+    if params.theta_sharp > 0:
+        return amp, t * amp
+    return -t * amp, amp
 
 
 def integrate_homoclinic(
@@ -185,13 +158,11 @@ def integrate_homoclinic(
     y_max: float | None = None,
     n_samples: int = 6001,
 ) -> SpinorProfile:
-    """Construct one half of the homoclinic orbit and mirror it.
+    """Sample the closed-form homoclinic orbit on [-y_max, y_max].
 
-    y_max defaults to 18 decay lengths.  Forward integration from the axis crossing is unstable: noise grows
-    like exp(+r y) along the unstable direction and swamps the tail.
-    Instead the orbit is integrated backward from a point far down the
-    stable manifold, which damps the unstable direction, and re-centered
-    at the axis crossing it reaches.
+    y_max defaults to 18 decay lengths.  One half is sampled from
+    _half_orbit and the proved parity mirrors it.  The samples must have
+    decayed at y_max and lie on the zero level of H.
     """
     ell = 1.0 / params.decay_rate
     if y_max is None:
@@ -200,55 +171,10 @@ def integrate_homoclinic(
         raise ValueError(
             f"y_max={y_max:.3g} shorter than 10 decay lengths ({10.0 * ell:.3g})"
         )
-    u0, v0 = initial_condition(params)
-    scale = np.hypot(u0, v0)
-    eps = scale * np.exp(-params.decay_rate * y_max - 4.0)
-
-    def f(_, w):
-        du, dv = _rhs(params, w[0], w[1])
-        return (du, dv)
-
-    if params.theta_sharp > 0:
-        def apex(_, w):
-            return w[1]
-    else:
-        def apex(_, w):
-            return w[0]
-    apex.terminal = True
-
-    horizon = -(y_max + 16.0 / params.decay_rate)
-    sol = solve_ivp(
-        f,
-        (0.0, horizon),
-        _stable_tail_point(params, eps),
-        method="DOP853",
-        rtol=1e-13,
-        atol=1e-16,
-        dense_output=True,
-        events=apex,
-    )
-    if not sol.success:
-        raise RuntimeError(f"homoclinic integration failed: {sol.message}")
-    if len(sol.t_events[0]) == 0:
-        raise RuntimeError(
-            "backward integration never reached the symmetry axis; "
-            "parameters may be outside the homoclinic regime"
-        )
-    y_apex = sol.t_events[0][0]
-    if -y_apex < y_max:
-        raise RuntimeError(
-            f"tail span {-y_apex:.3g} shorter than requested y_max={y_max:.3g}"
-        )
-    apex_uv = sol.sol(y_apex)
-    if abs(np.hypot(*apex_uv) - scale) > 1e-6 * scale:
-        raise RuntimeError(
-            f"axis crossing at |(u,v)|={np.hypot(*apex_uv):.12g} does not match "
-            f"the zero-energy crossing {scale:.12g}"
-        )
-
-    dense = _RecenteredDense(sol.sol, y_apex)
+    th, mu, b = abs(params.theta_sharp), params.mu_sharp, params.b
+    scale = np.sqrt(2.0 * (th - mu) / b)  # |(u, v)| at the axis crossing y = 0
     y_half = np.linspace(0.0, y_max, (n_samples + 1) // 2)
-    uv = dense(y_half)
+    uv = _half_orbit(params, y_half)
     amp = np.hypot(uv[0], uv[1])
     if amp[-1] > 1e-6 * scale:
         raise RuntimeError(
@@ -256,11 +182,12 @@ def integrate_homoclinic(
             f"vs floor {1e-6 * scale:.3e}; increase y_max"
         )
     H_half = hamiltonian(params, uv[0], uv[1])
-    h_scale = abs(hamiltonian(params, *_nontrivial_equilibrium(params)))
+    h_scale = (th - mu) ** 2 / (4.0 * b)  # |H| at the nontrivial equilibrium
     drift = float(np.max(np.abs(H_half)))
     if drift > _DRIFT_TOL * (1.0 + h_scale):
         raise RuntimeError(
-            f"Hamiltonian drift {drift:.3e} exceeds {_DRIFT_TOL:.0e}: step-size failure"
+            f"Hamiltonian drift {drift:.3e} exceeds {_DRIFT_TOL:.0e}: "
+            "the samples left the zero level"
         )
 
     # mirror onto the symmetric grid via the proved parity
@@ -282,15 +209,7 @@ def integrate_homoclinic(
         hamiltonian_trace=H,
         decay_rate_fit=fit,
         h_drift_max=drift,
-        _dense=dense,
     )
-
-
-def _nontrivial_equilibrium(params: NLDParams) -> tuple[float, float]:
-    th, mu, b = params.theta_sharp, params.mu_sharp, params.b
-    if th > 0:
-        return (float(np.sqrt((th - mu) / b)), 0.0)
-    return (0.0, float(np.sqrt((-th - mu) / b)))
 
 
 def _decay_fit(y_half: np.ndarray, amp: np.ndarray, y_max: float) -> float:
@@ -298,27 +217,6 @@ def _decay_fit(y_half: np.ndarray, amp: np.ndarray, y_max: float) -> float:
     mask = (y_half >= 0.5 * y_max) & (y_half <= 0.9 * y_max) & (amp > 0)
     coef = np.polyfit(y_half[mask], np.log(amp[mask]), 1)
     return float(-coef[0])
-
-
-def polar_angle(profile: SpinorProfile) -> np.ndarray:
-    """Unwrapped phase-plane angle along the trajectory."""
-    return np.unwrap(np.arctan2(profile.v, profile.u))
-
-
-def angle_monotone(profile: SpinorProfile, floor_rel: float = 1e-6) -> bool:
-    """Whether the polar angle is one-signed monotone along the orbit.
-
-    Samples with amplitude below floor_rel times the peak are excluded:
-    there the angle increments sit at rounding level (the angle itself
-    tends to a constant eigendirection) and carry no information.
-    """
-    theta = polar_angle(profile)
-    amp = np.hypot(profile.u, profile.v)
-    keep = amp > floor_rel * np.max(amp)
-    d = np.diff(theta)[keep[:-1] & keep[1:]]
-    if len(d) == 0:
-        raise ValueError("no samples above the amplitude floor")
-    return bool(np.all(d < 0.0) or np.all(d > 0.0))
 
 
 @dataclass

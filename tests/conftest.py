@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from diracsoliton import (
     FourierCutoff,
@@ -127,3 +128,66 @@ def _sector_residual(profile, n_points, translation=True):
 @pytest.fixture(scope="session")
 def sector_residual():
     return _sector_residual
+
+
+def initial_condition(params):
+    """Zero-energy axis crossing the homoclinic passes through at y = 0."""
+    th, mu, b = params.theta_sharp, params.mu_sharp, params.b
+    if th > 0:
+        return (float(np.sqrt(2.0 * (th - mu) / b)), 0.0)
+    return (0.0, float(np.sqrt(2.0 * (-th - mu) / b)))
+
+
+def equilibria(params):
+    """The origin and the two nontrivial equilibria on the launch axis."""
+    th, mu, b = params.theta_sharp, params.mu_sharp, params.b
+    r = np.sqrt((abs(th) - mu) / b)
+    if th > 0:
+        pts = [(0.0, 0.0), (r, 0.0), (-r, 0.0)]
+    else:
+        pts = [(0.0, 0.0), (0.0, r), (0.0, -r)]
+    for u, v in pts:
+        du, dv = _rhs(params, u, v)
+        assert max(abs(du), abs(dv)) <= 1e-12, (u, v)
+    return pts
+
+
+def shoot_homoclinic(params, y_max):
+    """Half-orbit (u, v) on [0, y_max] by DOP853 backward shooting.
+
+    The independent oracle for the closed form.  Forward integration
+    from the axis crossing is unstable: noise grows like exp(+r y) along
+    the unstable direction.  So the orbit is integrated backward from a
+    point eps far down the stable manifold, along the eigenvector
+    (1, -r c / (theta + mu)) of the linearisation at the origin (its
+    nonlinear corrections are O(eps^2) relative), until it reaches the
+    symmetry axis, and re-centred there.  Returns the dense output as a
+    function of y.
+    """
+    th, mu, c = params.theta_sharp, params.mu_sharp, params.c_sharp
+    r = params.decay_rate
+    scale = np.hypot(*initial_condition(params))
+    xi = np.array([1.0, -r * c / (th + mu)])
+    if th < 0 and xi[1] < 0:
+        xi = -xi  # the branch on the v > 0 side of the loop
+    start = scale * np.exp(-r * y_max - 4.0) * xi / np.linalg.norm(xi)
+
+    def apex(_, w):
+        return w[1] if th > 0 else w[0]
+
+    apex.terminal = True
+    sol = solve_ivp(
+        lambda _, w: _rhs(params, w[0], w[1]),
+        (0.0, -(y_max + 16.0 / r)),
+        start,
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-16,
+        dense_output=True,
+        events=apex,
+    )
+    assert sol.success, sol.message
+    (y_apex,) = sol.t_events[0]
+    assert -y_apex >= y_max
+    assert abs(np.hypot(*sol.sol(y_apex)) - scale) <= 1e-6 * scale
+    return lambda y: sol.sol(y_apex + np.asarray(y, dtype=float))

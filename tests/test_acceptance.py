@@ -171,16 +171,19 @@ def test_residual_scaling_order(pot_v, pot_w, default_dirac, default_profile):
     ell = 1.0 / default_profile.params.decay_rate
     h = 1.0 / 256.0
     parity = parity_from_theta(default_dirac.theta_sharp)
-    norms = []
+    norms, u0_norms = [], []
     for delta in DELTAS:
-        fld = assemble_udelta(
-            default_dirac, default_profile, True, delta, 10.5 * ell / delta, h,
-            corrector,
-        )
+        L = 10.5 * ell / delta
+        fld = assemble_udelta(default_dirac, default_profile, True, delta, L, h, corrector)
         op = discretize_operator(pot_v, pot_w, delta, fld.mu_delta, fld.x_grid, parity)
         norms.append(residual_norm(fld, op))
+        u0 = assemble_udelta(default_dirac, default_profile, False, delta, L, h)
+        u0_norms.append(residual_norm(u0, op))
+    # measured: order 1.98 with the corrector U1, 1.00 with U0 alone
     order = fit_order(DELTAS, norms)
-    assert order >= 0.8, (norms, order)
+    assert order >= 1.5, (norms, order)
+    u0_order = fit_order(DELTAS, u0_norms)
+    assert u0_order <= 1.2, (u0_norms, u0_order)
     assert time.perf_counter() - t0 < 300.0
 
 

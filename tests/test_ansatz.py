@@ -172,10 +172,12 @@ class TestSolvability:
 
     def test_offset_envelope_raises(self, default_dirac, default_profile):
         """u + 1e-3 breaks the spinor system; dy Psi must not hide it."""
-        dense = default_profile._dense
-        offset = dataclasses.replace(
-            default_profile, _dense=lambda y: dense(y) + np.array([[1e-3], [0.0]])
-        )
+        def shifted(y):
+            u, v = default_profile.evaluate(y)
+            return u + 1e-3, v
+
+        offset = copy.copy(default_profile)
+        offset.evaluate = shifted
         forcing = build_G1(default_dirac, offset)
         with pytest.raises(RuntimeError, match="kernel projection"):
             solvability_check(

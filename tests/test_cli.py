@@ -33,6 +33,34 @@ def free_cfg_path(tmp_path):
     return str(p)
 
 
+class TestImportCost:
+    def test_no_integrate_special_or_optimize(self, free_cfg_path, tmp_path):
+        """Each of these costs import time the pipeline never uses.
+
+        Checked after importing the CLI and again after a verify-all run,
+        so the import is not merely deferred to run time.
+        """
+        src = str(Path(cli.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        code = (
+            "import sys\n"
+            "import diracsoliton.cli\n"
+            "heavy = ('scipy.integrate', 'scipy.special', 'scipy.optimize')\n"
+            "print(*(m for m in heavy if m in sys.modules))\n"
+            "assert diracsoliton.cli.main(sys.argv[1:]) == 0\n"
+            "print(*(m for m in heavy if m in sys.modules))\n"
+        )
+        args = ["verify-all", "--config", free_cfg_path, "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env={**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout.splitlines() == ["", ""], proc.stdout
+
+
 class TestLoadConfig:
     def test_defaults(self):
         cfg = load_config(None)

@@ -1,15 +1,31 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 
+from conftest import equilibria, initial_condition, shoot_homoclinic
 from diracsoliton import (
     NLDParams,
-    angle_monotone,
-    equilibria,
     hamiltonian,
-    initial_condition,
     integrate_homoclinic,
     kernel_check_on_Y,
 )
+
+
+def angle_monotone(profile, floor_rel=1e-6):
+    """Whether the unwrapped phase-plane angle is one-signed monotone.
+
+    Samples with amplitude below floor_rel times the peak are excluded:
+    there the angle increments sit at rounding level (the angle itself
+    tends to a constant eigendirection) and carry no information.
+    """
+    theta = np.unwrap(np.arctan2(profile.v, profile.u))
+    amp = np.hypot(profile.u, profile.v)
+    keep = amp > floor_rel * np.max(amp)
+    d = np.diff(theta)[keep[:-1] & keep[1:]]
+    assert len(d) > 0, "no samples above the amplitude floor"
+    return bool(np.all(d < 0.0) or np.all(d > 0.0))
 
 
 class TestNLDParams:
@@ -129,6 +145,52 @@ class TestIntegration:
         assert default_profile.decay_rate_fit == pytest.approx(
             default_params.decay_rate, rel=0.02
         )
+
+
+# theta#, c#, mu#, (beta1, beta2): both signs of theta# and c#, detuning
+# either way, a = b and a > b
+CLOSED_FORM_CASES = list(
+    itertools.product((0.37, -0.5), (-5.9, 18.5), (0.0, 0.15, -0.2), ((1.0, 0.0), (2.0, -1.0)))
+)
+
+
+class TestClosedForm:
+    """The closed-form orbit against independent evaluations of it."""
+
+    @pytest.mark.parametrize("theta,c,mu,betas", CLOSED_FORM_CASES)
+    def test_matches_backward_shooting(self, theta, c, mu, betas):
+        params = NLDParams(c, theta, mu, *betas)
+        prof = integrate_homoclinic(params)
+        y = np.linspace(0.0, prof.y_max, 4001)
+        shot = shoot_homoclinic(params, prof.y_max)(y)
+        assert np.max(np.abs(np.stack(prof.evaluate(y)) - shot)) <= 1e-11
+        assert np.max(np.abs(prof.hamiltonian_trace)) <= 1e-14
+
+    @pytest.mark.parametrize("theta,c,mu,betas", CLOSED_FORM_CASES)
+    def test_tail_to_relative_precision(self, theta, c, mu, betas):
+        """Deep in the tail, against the same formula at 50 digits.
+
+        (|theta#| - mu#) sech^2 written as |theta#|(1 - t^2) - mu#(1 + t^2)
+        cancels there and misses this by orders of magnitude.
+        """
+        params = NLDParams(c, theta, mu, *betas)
+        prof = integrate_homoclinic(params)
+        y = np.linspace(0.8, 1.0, 21) * prof.y_max
+        got = np.stack(prof.evaluate(y))
+        with mpmath.workdps(50):
+            th, mu_, c_ = (mpmath.mpf(x) for x in (abs(theta), mu, c))
+            a, b = (mpmath.mpf(x) for x in (params.a, params.b))
+            r = mpmath.sqrt(th**2 - mu_**2) / abs(c_)
+            kappa = mpmath.sqrt((th - mu_) / (th + mu_))
+            for col, yy in enumerate(y):
+                ry = r * mpmath.mpf(yy)
+                t = -mpmath.sign(c_) * kappa * mpmath.tanh(ry)
+                amp = mpmath.sqrt(2 * (th - mu_) / (b * (1 + t**4) + 2 * a * t**2))
+                amp *= mpmath.sech(ry)
+                ref = (amp, t * amp) if theta > 0 else (-t * amp, amp)
+                for row in range(2):
+                    rel = abs((got[row, col] - ref[row]) / ref[row])
+                    assert rel <= 1e-12, (row, yy, float(rel))
 
 
 class TestLinearization:
