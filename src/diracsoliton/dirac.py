@@ -322,7 +322,8 @@ def verify_gap_opening(
 
 
 # A tail row's diagonal exceeds every shift by twice its Gershgorin radius
-# R.  Then every pivot of the tail elimination stays above R, so the tails
+# R plus the flag margin.  Then every pivot of the tail elimination stays
+# above R and the margin, so the tails
 # are positive definite and well conditioned, and |A_mt A_tt^-1| < 1 bounds
 # the Schur complement's eigenvalue nearest 0 by about twice the distance
 # from the shift to the spectrum (it is never below that distance).
@@ -355,7 +356,10 @@ def _inertia_counts(coeffs: dict[int, float], M: int, k_grid, sigmas):
     d = (2.0 * np.pi * np.arange(-M, M + 1)[None, :] + k[:, None]) ** 2
     radius = sum(abs(amp) for amp in bands.values())
     clear = d.min(axis=0) - sigmas.max()
-    core = np.flatnonzero(clear <= _TAIL_DOMINANCE * radius)
+    # a tail row must also clear the shifts by more than the flag margin:
+    # at radius 0 a row within it would hide its eigenvalue from S
+    slack = _FLAG_RTOL * (1.0 + np.abs(sigmas).max())
+    core = np.flatnonzero(clear <= _TAIL_DOMINANCE * (radius + slack))
     lo, hi = (core[0], core[-1]) if core.size else (np.argmin(clear),) * 2
     n = 2 * M + 1
     while hi - lo < u:  # at least u + 1 middle rows: the tails do not couple
