@@ -57,23 +57,13 @@ class SeparableForcing:
     x_profiles: np.ndarray
     y_factors: list
     cutoff_ext: FourierCutoff
-    kernel: np.ndarray | None = None
-    profile: SpinorProfile | None = None
+    kernel: np.ndarray
+    profile: SpinorProfile
 
 
 def extended_cutoff(cut: FourierCutoff) -> FourierCutoff:
     """Cutoff holding triple products of base-cutoff pseudo-periodic factors."""
     return FourierCutoff(3 * cut.M + 2)
-
-
-def _require_coeffs(dirac: DiracPointData):
-    missing = [
-        name
-        for name in ("c_sharp", "theta_sharp", "beta1", "beta2", "pot_V", "pot_W")
-        if getattr(dirac, name) is None
-    ]
-    if missing:
-        raise ValueError(f"Dirac-point data incomplete, missing {missing}")
 
 
 def _spinor(params, u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +143,6 @@ def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
     real and Phi+ is g1 index-flipped, so conj(Phi-) = Phi+ and
     conj(Phi+) = Phi-: every cubic term is one of P^2 Q, P Q^2, P^3, Q^3.
     """
-    _require_coeffs(dirac)
     mu_sharp = profile.params.mu_sharp
     cut_ext = extended_cutoff(dirac.cutoff)
     M, M_ext = dirac.cutoff.M, cut_ext.M
@@ -212,10 +201,7 @@ def _pad_modes(c: np.ndarray, M_from: int, M_to: int) -> np.ndarray:
 
 
 def solvability_check(
-    forcing: SeparableForcing,
-    dirac: DiracPointData,
-    y_grid,
-    fail_tol: float | None = None,
+    forcing: SeparableForcing, y_grid, fail_tol: float | None = None
 ) -> float:
     """Largest kernel projection of the forcing, relative to its size.
 
@@ -259,7 +245,6 @@ class CorrectorSolution:
 
     x_solutions: np.ndarray
     forcing: SeparableForcing
-    solve_residual_max: float
 
 
 def solve_U1(
@@ -271,7 +256,6 @@ def solve_U1(
     cutoff; the degenerate crossing eigenspace is dropped and each
     separable x-profile is solved in the remaining eigenbasis.
     """
-    _require_coeffs(dirac)
     M_ext = forcing.cutoff_ext.M
     A = assemble_coefficient_matrix(dirac.pot_V.coeffs, np.pi, M_ext)
     evals, evecs = np.linalg.eigh(A)
@@ -306,39 +290,30 @@ def solve_U1(
     res_max = float(np.max(np.linalg.norm(resid, axis=1) / (1.0 + fnorm)))
     if res_max > 1e-10:
         raise RuntimeError(f"corrector solve residual {res_max:.3e} above 1e-10")
-    return CorrectorSolution(
-        x_solutions=sols,
-        forcing=forcing,
-        solve_residual_max=res_max,
-    )
+    return CorrectorSolution(x_solutions=sols, forcing=forcing)
 
 
 def evaluate_udelta(
     dirac: DiracPointData,
     profile: SpinorProfile,
-    with_U1: bool,
+    corrector: CorrectorSolution,
     delta: float,
     x_grid,
-    corrector: CorrectorSolution | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Samples of sqrt(delta)(U0 + delta U1) on an arbitrary grid.
 
-    Returns (scaled field, U0 samples, U1 samples or None).  A corrector
-    solution may be passed in for reuse across delta values.  The
-    envelope is evaluated once and the carriers once per distinct cell
-    offset of the grid; U0 and every U1 term are built from those.
+    Returns (scaled field, U0 samples, U1 samples).  One corrector
+    solution serves every delta.  The envelope is evaluated once and the
+    carriers once per distinct cell offset of the grid; U0 and every U1
+    term are built from those.
     """
-    _require_coeffs(dirac)
     if not 0.0 < delta < 1.0:
         raise ValueError(
             f"delta must lie in (0, 1), got {delta}; the two-scale field "
             "degenerates at delta = 0 and no solve path exists there"
         )
-    if with_U1 and corrector is None:
-        corrector = solve_U1(build_G1(dirac, profile), dirac)
-    u0, u1 = _synthesise(dirac, profile, delta, x_grid, corrector if with_U1 else None)
-    samples = u0 if u1 is None else u0 + delta * u1
-    return np.sqrt(delta) * samples, u0, u1
+    u0, u1 = _synthesise(dirac, profile, delta, x_grid, corrector)
+    return np.sqrt(delta) * (u0 + delta * u1), u0, u1
 
 
 def staggered_grid(L: float, h: float) -> np.ndarray:
@@ -352,11 +327,10 @@ def staggered_grid(L: float, h: float) -> np.ndarray:
 def assemble_udelta(
     dirac: DiracPointData,
     profile: SpinorProfile,
-    with_U1: bool,
+    corrector: CorrectorSolution,
     delta: float,
     L: float,
     h: float,
-    corrector: CorrectorSolution | None = None,
 ) -> TwoScaleField:
     """Candidate soliton sqrt(delta) (U0 + delta U1) on staggered_grid(L, h).
 
@@ -376,9 +350,7 @@ def assemble_udelta(
         # its last point (n - 1/2) h, checked before the grid is allocated
         _check_support(profile, delta * (round(L / h) - 0.5) * h)
     x_grid = staggered_grid(L, h)
-    samples, u0, _ = evaluate_udelta(
-        dirac, profile, with_U1, delta, x_grid, corrector
-    )
+    samples, u0, _ = evaluate_udelta(dirac, profile, corrector, delta, x_grid=x_grid)
     return TwoScaleField(
         delta=float(delta),
         mu_delta=float(dirac.mu_star + delta * params.mu_sharp),

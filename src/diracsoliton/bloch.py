@@ -63,9 +63,6 @@ class PeriodicPotential:
             out += amp * np.cos(2.0 * np.pi * m * x)
         return out
 
-    def sup_norm_bound(self) -> float:
-        return sum(abs(a) for a in self.coeffs.values())
-
 
 @dataclass(frozen=True)
 class FourierCutoff:
@@ -96,7 +93,6 @@ class BlochSolution:
     k: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    cutoff: FourierCutoff
 
 
 @dataclass
@@ -165,7 +161,7 @@ def solve_bands_at_k(pot: PeriodicPotential, k: float, cut: FourierCutoff) -> Bl
             f"eigen-residual {resid[n]:.3e} too large for eigenvalue {evals[n]:.6g} "
             f"at k={k}; cond(A)={np.linalg.cond(A):.3e}"
         )
-    return BlochSolution(k=float(k), eigenvalues=evals, eigenvectors=evecs, cutoff=cut)
+    return BlochSolution(k=float(k), eigenvalues=evals, eigenvectors=evecs)
 
 
 def band_sweep(pot: PeriodicPotential, k_grid, cut: FourierCutoff) -> BandSweep:
@@ -174,13 +170,6 @@ def band_sweep(pot: PeriodicPotential, k_grid, cut: FourierCutoff) -> BandSweep:
         raise ValueError("k_grid must lie in [0, 2*pi]")
     sols = [solve_bands_at_k(pot, k, cut) for k in k_grid]
     return BandSweep(k_grid=k_grid, solutions=sols)
-
-
-def bloch_wave_eval(sol: BlochSolution, band: int, x_grid) -> np.ndarray:
-    """Samples of Phi_n(x, k) = e^{ikx} sum_m p_{n,m} e^{2 pi i m x}."""
-    if not 0 <= band < sol.cutoff.size:
-        raise ValueError(f"band index {band} outside cutoff range")
-    return fourier_eval(sol.eigenvectors[:, band], sol.k, x_grid)
 
 
 def cell_offsets(x_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -220,14 +209,3 @@ def fourier_eval(coeff_vec: np.ndarray, k: float, x_grid) -> np.ndarray:
         cells[..., lo:lo + step] = (np.exp(1j * np.outer(r[lo:lo + step], freqs)) @ c.T).T
     out = cells[..., where] * np.exp(1j * k * n)
     return out.reshape(c.shape[:-1] + np.shape(x_grid))
-
-
-def cell_inner_product(f_coeffs: np.ndarray, g_coeffs: np.ndarray) -> complex:
-    """L2([0,1]) inner product of two periodic parts, exact in coefficients."""
-    f_coeffs = np.asarray(f_coeffs)
-    g_coeffs = np.asarray(g_coeffs)
-    if f_coeffs.shape != g_coeffs.shape:
-        raise ValueError(
-            f"cutoff mismatch: {f_coeffs.shape} vs {g_coeffs.shape}"
-        )
-    return complex(np.vdot(g_coeffs, f_coeffs))

@@ -84,6 +84,11 @@ class RunConfig:
             val = getattr(self, key)
             if not integer(val) or val < 1:
                 raise ValueError(f"{key} must be a positive integer, got {val!r}")
+        if self.n_bands > 2 * self.M + 1:
+            raise ValueError(
+                f"n_bands = {self.n_bands} exceeds the 2M + 1 = {2 * self.M + 1} "
+                f"bands of the cutoff M = {self.M}"
+            )
         if not isinstance(self.deltas, (list, tuple)) or not self.deltas or not all(
             real(d) for d in self.deltas
         ):
@@ -218,9 +223,7 @@ class Pipeline:
     def corrector(self):
         forcing = az.build_G1(self.dirac, self.profile)
         y = self.profile.y_grid
-        az.solvability_check(
-            forcing, self.dirac, y[:: max(1, len(y) // 400)], fail_tol=1e-6
-        )
+        az.solvability_check(forcing, y[:: max(1, len(y) // 400)], fail_tol=1e-6)
         return az.solve_U1(forcing, self.dirac)
 
 
@@ -229,13 +232,12 @@ def cmd_bands(run: Pipeline, out: Path):
     pot = cfg.potential_V()
     k_grid = np.linspace(0.0, 2.0 * np.pi, cfg.n_k)
     sweep = band_sweep(pot, k_grid, cfg.cutoff())
-    n_bands = min(cfg.n_bands, cfg.cutoff().size)
     _write_csv(
         out / "bands.csv",
         {
-            "k": np.repeat(sweep.k_grid, n_bands),
-            "band_index": np.tile(np.arange(1, n_bands + 1), len(sweep.k_grid)),
-            "mu": np.concatenate([sol.eigenvalues[:n_bands] for sol in sweep.solutions]),
+            "k": np.repeat(sweep.k_grid, cfg.n_bands),
+            "band_index": np.tile(np.arange(1, cfg.n_bands + 1), len(sweep.k_grid)),
+            "mu": np.concatenate([sol.eigenvalues[:cfg.n_bands] for sol in sweep.solutions]),
         },
     )
     summary = {
@@ -243,7 +245,7 @@ def cmd_bands(run: Pipeline, out: Path):
         "n_bands": cfg.n_bands,
         "band_ranges": [
             [_fmt(np.min(sweep.band(n))), _fmt(np.max(sweep.band(n)))]
-            for n in range(n_bands)
+            for n in range(cfg.n_bands)
         ],
         **_config_block(cfg),
     }
@@ -266,7 +268,7 @@ def cmd_dirac(run: Pipeline, out: Path):
     _write_json(out / "dirac_point.json", payload)
     gaps = []
     for delta in cfg.deltas:
-        rep = verify_gap_opening(data.pot_V, data.pot_W, data, float(delta), cfg.a)
+        rep = verify_gap_opening(data, float(delta), cfg.a)
         gaps.append(
             {
                 "delta": _fmt(rep.delta),
@@ -322,7 +324,7 @@ def cmd_soliton(run: Pipeline, out: Path):
         L = cfg.L if cfg.L is not None else min(
             18.5 * ell, 0.995 * profile.y_max
         ) / delta
-        fld = az.assemble_udelta(data, profile, True, delta, L, cfg.h, corrector)
+        fld = az.assemble_udelta(data, profile, corrector, delta, L, cfg.h)
         mu_delta = fld.mu_delta
         op = nt.discretize_operator(V, W, delta, mu_delta, fld.x_grid, parity)
         resid_norms.append(az.residual_norm(fld, op))

@@ -11,7 +11,7 @@ c#, theta#, beta1, beta2 are coefficient-space forms of the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +23,14 @@ from .bloch import (
     assemble_fb_matrix,
     coupling_matrix,
     fourier_eval,
-    solve_bands_at_k,
 )
 
 DEGENERACY_RTOL = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiracPointData:
-    """One certified band crossing at k = pi.
+    """One certified band crossing at k = pi, made by certify_dirac_point.
 
     band_pair is 1-based (n*, n*+1).  g1 and g2 are real coefficient
     vectors of the periodic parts of Phi-(., pi) and Phi+(., pi),
@@ -43,12 +42,12 @@ class DiracPointData:
     g1: np.ndarray
     g2: np.ndarray
     cutoff: FourierCutoff
-    c_sharp: float | None = None
-    theta_sharp: float | None = None
-    beta1: float | None = None
-    beta2: float | None = None
-    pot_V: PeriodicPotential | None = None
-    pot_W: PeriodicPotential | None = None
+    c_sharp: float
+    theta_sharp: float
+    beta1: float
+    beta2: float
+    pot_V: PeriodicPotential
+    pot_W: PeriodicPotential
 
 
 @dataclass
@@ -56,8 +55,8 @@ class GapReport:
     delta: float
     a: float
     interval: tuple[float, float]
-    violations: list[tuple[float, int, float]] = field(default_factory=list)
-    half_gap_at_pi: float | None = None
+    violations: list[tuple[float, int, float]]
+    half_gap_at_pi: float
 
     @property
     def gap_open(self) -> bool:
@@ -101,12 +100,13 @@ def _index_flip(p: np.ndarray) -> np.ndarray:
 
 def find_dirac_point(
     pot_V: PeriodicPotential, cut: FourierCutoff, pair_selector: int = 1
-) -> DiracPointData:
+) -> tuple[tuple[int, int], float, np.ndarray, np.ndarray]:
     """Locate the pair_selector-th (1-based) band crossing at k = pi.
 
-    g1 is taken from the even-index block only, so the splitting and
-    inversion structure hold exactly by construction; g2 is the
-    index-flipped copy.  Both are re-verified against the full matrix.
+    Returns (band_pair, mu*, g1, g2).  g1 is taken from the even-index
+    block only, so the splitting and inversion structure hold exactly by
+    construction; g2 is the index-flipped copy.  Both are re-verified
+    against the full matrix.
     """
     if pot_V.parity_class is not ParityClass.EVEN_INDEX:
         raise ValueError("Dirac-point search requires an even-index potential V")
@@ -147,26 +147,18 @@ def find_dirac_point(
             )
 
     n_star = 2 * pair_selector - 1
-    return DiracPointData(
-        band_pair=(n_star, n_star + 1),
-        mu_star=float(mu_star),
-        g1=g1,
-        g2=g2,
-        cutoff=cut,
-        pot_V=pot_V,
-    )
+    return (n_star, n_star + 1), float(mu_star), g1, g2
 
 
-def compute_c_sharp(data: DiracPointData) -> float:
+def compute_c_sharp(g1: np.ndarray, g2: np.ndarray, cut: FourierCutoff) -> float:
     """Crossing slope c# = -2 sum_m (2 pi m + pi) |p_m|^2 from g1.
 
     Also evaluates the g2-based expression (opposite sign convention)
     and checks consistency.
     """
-    m = data.cutoff.indices()
-    freqs = 2.0 * np.pi * m + np.pi
-    c1 = -2.0 * float(freqs @ (data.g1 ** 2))
-    c2 = 2.0 * float(freqs @ (data.g2 ** 2))
+    freqs = 2.0 * np.pi * cut.indices() + np.pi
+    c1 = -2.0 * float(freqs @ (g1 ** 2))
+    c2 = 2.0 * float(freqs @ (g2 ** 2))
     if abs(c1 - c2) > 1e-12 * (1.0 + abs(c1)):
         raise RuntimeError(f"c# consistency failure: {c1!r} vs {c2!r}")
     if abs(c1) < 1e-8:
@@ -177,28 +169,14 @@ def compute_c_sharp(data: DiracPointData) -> float:
     return c1
 
 
-def band_slope_oracle(
-    pot_V: PeriodicPotential, data: DiracPointData, h: float = 1e-4
-) -> tuple[float, float]:
-    """Centered-difference slopes of the two smooth branches across k = pi.
-
-    The smooth branches swap raw band indices at pi: one follows band
-    n*+1 for k < pi and band n* for k > pi, the other the reverse.
-    """
-    lo = solve_bands_at_k(pot_V, np.pi - h, data.cutoff).eigenvalues
-    hi = solve_bands_at_k(pot_V, np.pi + h, data.cutoff).eigenvalues
-    i_lo, i_hi = data.band_pair[0] - 1, data.band_pair[1] - 1
-    slope_minus = (hi[i_lo] - lo[i_hi]) / (2.0 * h)
-    slope_plus = (hi[i_hi] - lo[i_lo]) / (2.0 * h)
-    return float(slope_minus), float(slope_plus)
-
-
-def compute_theta_sharp(data: DiracPointData, pot_W: PeriodicPotential) -> float:
+def compute_theta_sharp(
+    g1: np.ndarray, g2: np.ndarray, cut: FourierCutoff, pot_W: PeriodicPotential
+) -> float:
     """Gap-opening coefficient theta# = <W Phi+(., pi), Phi-(., pi)>."""
     if pot_W.parity_class is not ParityClass.ODD_INDEX:
         raise ValueError("theta# requires an odd-index potential W")
-    C = coupling_matrix(pot_W.coeffs, data.cutoff.size)
-    val = complex(np.vdot(data.g1, C @ data.g2))
+    C = coupling_matrix(pot_W.coeffs, cut.size)
+    val = complex(np.vdot(g1, C @ g2))
     if abs(val.imag) > 1e-12 * (1.0 + abs(val)):
         raise RuntimeError(f"theta# has spurious imaginary part {val.imag:.3e}")
     theta = float(val.real)
@@ -209,19 +187,20 @@ def compute_theta_sharp(data: DiracPointData, pot_W: PeriodicPotential) -> float
     return theta
 
 
-def compute_betas(data: DiracPointData, n_quad: int | None = None) -> tuple[float, float]:
+def compute_betas(
+    g1: np.ndarray, g2: np.ndarray, cut: FourierCutoff, n_quad: int | None = None
+) -> tuple[float, float]:
     """Quartic cell integrals beta1 = int |Phi+|^2 |Phi-|^2, beta2 = int conj(Phi+)^2 Phi-^2.
 
     Evaluated by uniform sampling of the periodic parts; the integrand
     is band-limited so the grid average is exact once the grid exceeds
     the total bandwidth (>= 8M + 8 points).
     """
-    M = data.cutoff.M
     if n_quad is None:
-        n_quad = max(2048, 8 * M + 8)
+        n_quad = max(2048, 8 * cut.M + 8)
     x = np.arange(n_quad) / n_quad
-    P1 = fourier_eval(data.g1, 0.0, x)
-    P2 = fourier_eval(data.g2, 0.0, x)
+    P1 = fourier_eval(g1, 0.0, x)
+    P2 = fourier_eval(g2, 0.0, x)
     beta1 = float(np.mean(np.abs(P1) ** 2 * np.abs(P2) ** 2).real)
     b2 = complex(np.mean(np.conj(P2) ** 2 * P1 ** 2))
     if abs(b2.imag) > 1e-10 * (1.0 + abs(b2)):
@@ -238,35 +217,30 @@ def certify_dirac_point(
     cut: FourierCutoff,
     pair_selector: int = 1,
 ) -> DiracPointData:
-    """find_dirac_point plus all effective coefficients, filled in place."""
-    data = find_dirac_point(pot_V, cut, pair_selector)
-    data.pot_W = pot_W
-    data.c_sharp = compute_c_sharp(data)
-    data.theta_sharp = compute_theta_sharp(data, pot_W)
-    data.beta1, data.beta2 = compute_betas(data)
-    return data
+    """find_dirac_point plus all effective coefficients, in one record."""
+    band_pair, mu_star, g1, g2 = find_dirac_point(pot_V, cut, pair_selector)
+    return DiracPointData(
+        band_pair, mu_star, g1, g2, cut,
+        compute_c_sharp(g1, g2, cut),
+        compute_theta_sharp(g1, g2, cut, pot_W),
+        *compute_betas(g1, g2, cut),
+        pot_V, pot_W,
+    )
 
 
-def default_gap_k_grid(n_local: int = 401, n_global: int = 81) -> np.ndarray:
+def default_gap_k_grid() -> np.ndarray:
     """Chebyshev-clustered points near pi plus a coarse global grid."""
-    t = np.linspace(0.0, np.pi, n_local)
+    t = np.linspace(0.0, np.pi, 401)
     local = np.pi + 0.5 * np.cos(t)  # clusters at pi +- 0.5
-    global_grid = np.linspace(0.0, 2.0 * np.pi, n_global)
+    global_grid = np.linspace(0.0, 2.0 * np.pi, 81)
     return np.unique(np.concatenate([local, global_grid]))
 
 
-def verify_gap_opening(
-    pot_V: PeriodicPotential,
-    pot_W: PeriodicPotential,
-    data: DiracPointData,
-    delta: float,
-    a: float,
-    k_grid=None,
-) -> GapReport:
+def verify_gap_opening(data: DiracPointData, delta: float, a: float) -> GapReport:
     """Sweep the bands of H + delta*W and test the predicted gap interval.
 
     Success means no band value inside (mu* - a delta |theta#|,
-    mu* + a delta |theta#|).  W breaks the half-period structure, so
+    mu* + a delta |theta#|) on default_gap_k_grid.  W breaks the half-period structure, so
     the operator is the full mixed-index band matrix.  A screen first
     counts, for every k at once, the eigenvalues below each end of the
     interval (Sylvester's inertia of a small Schur complement, see
@@ -281,16 +255,11 @@ def verify_gap_opening(
         raise ValueError("safety fraction a must lie in (0, 1)")
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    theta = data.theta_sharp
-    if theta is None:
-        theta = compute_theta_sharp(data, pot_W)
-    if k_grid is None:
-        k_grid = default_gap_k_grid()
-    k_grid = np.asarray(k_grid, dtype=float)
-    half = a * delta * abs(theta)
+    k_grid = default_gap_k_grid()
+    half = a * delta * abs(data.theta_sharp)
     lo, hi = data.mu_star - half, data.mu_star + half
-    coeffs = dict(pot_V.coeffs)
-    for j, amp in pot_W.coeffs.items():
+    coeffs = dict(data.pot_V.coeffs)
+    for j, amp in data.pot_W.coeffs.items():
         coeffs[j] = coeffs.get(j, 0.0) + delta * amp
     M = data.cutoff.M
     # degenerate interval {mu*}: mu* itself is in the spectrum, so test a

@@ -153,12 +153,8 @@ def _half_orbit(params: NLDParams, y) -> tuple[np.ndarray, np.ndarray]:
     return -t * amp, amp
 
 
-def integrate_homoclinic(
-    params: NLDParams,
-    y_max: float | None = None,
-    n_samples: int = 6001,
-) -> SpinorProfile:
-    """Sample the closed-form homoclinic orbit on [-y_max, y_max].
+def integrate_homoclinic(params: NLDParams, y_max: float | None = None) -> SpinorProfile:
+    """Sample the closed-form homoclinic orbit at 6001 points of [-y_max, y_max].
 
     y_max defaults to 18 decay lengths.  One half is sampled from
     _half_orbit and the proved parity mirrors it.  The samples must have
@@ -173,7 +169,7 @@ def integrate_homoclinic(
         )
     th, mu, b = abs(params.theta_sharp), params.mu_sharp, params.b
     scale = np.sqrt(2.0 * (th - mu) / b)  # |(u, v)| at the axis crossing y = 0
-    y_half = np.linspace(0.0, y_max, (n_samples + 1) // 2)
+    y_half = np.linspace(0.0, y_max, 3001)
     uv = _half_orbit(params, y_half)
     amp = np.hypot(uv[0], uv[1])
     if amp[-1] > 1e-6 * scale:

@@ -54,13 +54,6 @@ class SolitonField:
     parity: Parity
     newton_history: list[float] = field(default_factory=list)
 
-    def full_line(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mirror to the full line; exact by the parity construction."""
-        sign = 1.0 if self.parity is Parity.EVEN else -1.0
-        x = np.concatenate([-self.x_grid[::-1], self.x_grid])
-        u = np.concatenate([sign * self.samples[::-1], self.samples])
-        return x, u
-
 
 @dataclass
 class DiscreteOperator:
@@ -244,6 +237,4 @@ def frequency_window_check(dirac: DiracPointData, mu_sharp: float, a: float) -> 
     """
     if not 0.0 < a < 1.0:
         raise ValueError("safety fraction a must lie in (0, 1)")
-    if dirac.theta_sharp is None:
-        raise ValueError("Dirac-point data lacks theta_sharp")
     return abs(mu_sharp) < a * abs(dirac.theta_sharp)

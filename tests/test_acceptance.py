@@ -5,37 +5,36 @@ the closed-form free-lattice coefficients through the delta-scaling of
 the Newton soliton and the byte-level determinism of the CLI driver.
 """
 
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
 
-from diracsoliton import (
-    FourierCutoff,
-    NewtonConfig,
-    NLDParams,
-    assemble_fb_matrix,
+from conftest import band_slope_oracle
+from diracsoliton import FourierCutoff, NLDParams, certify_dirac_point, integrate_homoclinic
+from diracsoliton.ansatz import (
     assemble_udelta,
     build_G1,
-    certify_dirac_point,
-    discretize_operator,
-    error_vs_ansatz,
+    build_U0,
     fit_order,
-    integrate_homoclinic,
-    jacobian_min_eig,
-    kernel_check_on_Y,
-    newton_solve,
-    band_slope_oracle,
-    parity_block_split,
-    parity_from_theta,
     residual_norm,
     solvability_check,
     solve_U1,
-    verify_gap_opening,
 )
-from diracsoliton.bloch import fourier_eval
+from diracsoliton.bloch import assemble_fb_matrix, fourier_eval, solve_bands_at_k
 from diracsoliton.cli import main as cli_main
+from diracsoliton.dirac import parity_block_split, verify_gap_opening
+from diracsoliton.homoclinic import kernel_check_on_Y
+from diracsoliton.newton import (
+    NewtonConfig,
+    discretize_operator,
+    error_vs_ansatz,
+    jacobian_min_eig,
+    newton_solve,
+    parity_from_theta,
+)
 
 DELTAS = [0.1, 0.05, 0.025]
 
@@ -59,8 +58,6 @@ def test_free_operator_closed_forms(pot_free, pot_w):
 def test_default_lattice_certification(pot_v, pot_w):
     t0 = time.perf_counter()
     data = certify_dirac_point(pot_v, pot_w, FourierCutoff(64))
-    from diracsoliton import solve_bands_at_k
-
     sol = solve_bands_at_k(pot_v, np.pi, data.cutoff)
     i_lo, i_hi = data.band_pair[0] - 1, data.band_pair[1] - 1
     assert abs(sol.eigenvalues[i_hi] - sol.eigenvalues[i_lo]) <= 1e-8
@@ -79,10 +76,10 @@ def test_default_lattice_certification(pot_v, pot_w):
     assert time.perf_counter() - t0 < 5.0
 
 
-def test_gap_opening_window(pot_v, pot_w, default_dirac):
+def test_gap_opening_window(default_dirac):
     t0 = time.perf_counter()
     for delta in (0.05, 0.1):
-        rep = verify_gap_opening(pot_v, pot_w, default_dirac, delta, 0.9)
+        rep = verify_gap_opening(default_dirac, delta, 0.9)
         assert rep.gap_open, rep.violations
         predicted = delta * abs(default_dirac.theta_sharp)
         assert rep.half_gap_at_pi == pytest.approx(predicted, rel=0.1)
@@ -153,7 +150,7 @@ def test_linearised_nld_margin_matches_lattice_jacobian(tmp_path):
 def test_corrector_solvability(default_dirac, default_profile):
     t0 = time.perf_counter()
     forcing = build_G1(default_dirac, default_profile)
-    rel = solvability_check(forcing, default_dirac, default_profile.y_grid[::10])
+    rel = solvability_check(forcing, default_profile.y_grid[::10])
     assert rel <= 1e-6
     sol = solve_U1(forcing, default_dirac)
     from diracsoliton.ansatz import _pad_modes
@@ -174,11 +171,11 @@ def test_residual_scaling_order(pot_v, pot_w, default_dirac, default_profile):
     norms, u0_norms = [], []
     for delta in DELTAS:
         L = 10.5 * ell / delta
-        fld = assemble_udelta(default_dirac, default_profile, True, delta, L, h, corrector)
+        fld = assemble_udelta(default_dirac, default_profile, corrector, delta, L, h)
         op = discretize_operator(pot_v, pot_w, delta, fld.mu_delta, fld.x_grid, parity)
         norms.append(residual_norm(fld, op))
-        u0 = assemble_udelta(default_dirac, default_profile, False, delta, L, h)
-        u0_norms.append(residual_norm(u0, op))
+        u0 = np.sqrt(delta) * build_U0(default_dirac, default_profile, delta, fld.x_grid)
+        u0_norms.append(residual_norm(dataclasses.replace(fld, samples=u0), op))
     # measured: order 1.98 with the corrector U1, 1.00 with U0 alone
     order = fit_order(DELTAS, norms)
     assert order >= 1.5, (norms, order)
@@ -198,9 +195,7 @@ def test_newton_soliton_error_scaling(pot_v, pot_w, default_dirac, default_profi
     h2_errors = []
     for delta in DELTAS:
         L = min(18.5 * ell, 0.995 * default_profile.y_max) / delta
-        fld = assemble_udelta(
-            default_dirac, default_profile, True, delta, L, h, corrector
-        )
+        fld = assemble_udelta(default_dirac, default_profile, corrector, delta, L, h)
         mu_delta = default_dirac.mu_star + delta * params.mu_sharp
         op = discretize_operator(pot_v, pot_w, delta, mu_delta, fld.x_grid, parity)
         sol = newton_solve(op, delta, mu_delta, fld.samples, cfg)

@@ -7,26 +7,38 @@ import pytest
 from diracsoliton import (
     FourierCutoff,
     NLDParams,
-    Parity,
     ParityClass,
     PeriodicPotential,
+    ansatz,
+    certify_dirac_point,
+    integrate_homoclinic,
+)
+from diracsoliton.ansatz import (
+    TwoScaleField,
+    _spinor,
     assemble_udelta,
     build_G1,
     build_U0,
-    certify_dirac_point,
-    discretize_operator,
     evaluate_udelta,
+    extended_cutoff,
     fit_order,
-    integrate_homoclinic,
-    parity_from_theta,
     residual_norm,
     solvability_check,
     solve_U1,
     staggered_grid,
 )
-from diracsoliton import ansatz
-from diracsoliton.ansatz import SeparableForcing, TwoScaleField, _spinor, extended_cutoff
 from diracsoliton.bloch import assemble_coefficient_matrix, fourier_eval
+from diracsoliton.newton import Parity, discretize_operator, parity_from_theta
+
+
+@pytest.fixture(scope="module")
+def default_corrector(default_dirac, default_profile):
+    return solve_U1(build_G1(default_dirac, default_profile), default_dirac)
+
+
+@pytest.fixture(scope="module")
+def free_corrector(free_dirac, free_profile):
+    return solve_U1(build_G1(free_dirac, free_profile), free_dirac)
 
 
 @pytest.fixture(scope="module")
@@ -150,14 +162,14 @@ class TestSolvability:
         self, default_dirac, default_profile
     ):
         forcing = build_G1(default_dirac, default_profile)
-        rel = solvability_check(forcing, default_dirac, default_profile.y_grid[::10])
+        rel = solvability_check(forcing, default_profile.y_grid[::10])
         assert rel <= 1e-6
 
     def test_perturbed_envelope_detected(
         self, default_dirac, default_profile, detuned_profile
     ):
         forcing = build_G1(default_dirac, detuned_profile)
-        rel = solvability_check(forcing, default_dirac, default_profile.y_grid[::10])
+        rel = solvability_check(forcing, default_profile.y_grid[::10])
         assert 1e-5 < rel < 1e-1
 
     def test_fail_tol_raises_with_location(
@@ -166,7 +178,7 @@ class TestSolvability:
         forcing = build_G1(default_dirac, detuned_profile)
         with pytest.raises(RuntimeError, match="y="):
             solvability_check(
-                forcing, default_dirac, default_profile.y_grid[::10], fail_tol=1e-6
+                forcing, default_profile.y_grid[::10], fail_tol=1e-6
             )
 
 
@@ -181,42 +193,44 @@ class TestSolvability:
         forcing = build_G1(default_dirac, offset)
         with pytest.raises(RuntimeError, match="kernel projection"):
             solvability_check(
-                forcing, default_dirac, default_profile.y_grid[::10], fail_tol=1e-6
+                forcing, default_profile.y_grid[::10], fail_tol=1e-6
             )
 
 
 class TestSolveU1:
-    def _forcing_from_vector(self, dirac, vec):
-        return SeparableForcing(
+    def _forcing_from_vector(self, dirac, profile, vec):
+        """The one-term forcing vec(x) * 1 on the carriers of dirac."""
+        return dataclasses.replace(
+            build_G1(dirac, profile),
             x_profiles=np.stack([vec.astype(complex)]),
             y_factors=[lambda psi, dpsi: np.ones_like(psi)],
-            cutoff_ext=extended_cutoff(dirac.cutoff),
         )
 
-    def test_pure_kernel_forcing_gives_zero(self, default_dirac):
+    def test_pure_kernel_forcing_gives_zero(self, default_dirac, default_profile):
         from diracsoliton.ansatz import _pad_modes
 
         M, Me = default_dirac.cutoff.M, extended_cutoff(default_dirac.cutoff).M
         vec = _pad_modes(default_dirac.g1.astype(complex), M, Me)
-        sol = solve_U1(self._forcing_from_vector(default_dirac, vec), default_dirac)
+        forcing = self._forcing_from_vector(default_dirac, default_profile, vec)
+        sol = solve_U1(forcing, default_dirac)
         assert np.max(np.abs(sol.x_solutions)) < 1e-12
 
-    def test_eigenvector_identity(self, default_dirac):
+    def test_eigenvector_identity(self, default_dirac, default_profile):
         Me = extended_cutoff(default_dirac.cutoff).M
         A = assemble_coefficient_matrix(default_dirac.pot_V.coeffs, np.pi, Me)
         evals, evecs = np.linalg.eigh(A)
         mu = default_dirac.mu_star
         third = np.where(np.abs(evals - mu) > 1e-6 * (1 + abs(mu)))[0][2]
         vec = (evals[third] - mu) * evecs[:, third]
-        sol = solve_U1(self._forcing_from_vector(default_dirac, vec), default_dirac)
+        forcing = self._forcing_from_vector(default_dirac, default_profile, vec)
+        sol = solve_U1(forcing, default_dirac)
         assert np.max(np.abs(sol.x_solutions[0] - evecs[:, third])) < 1e-9
 
     def test_kernel_orthogonality(self, default_dirac, default_profile):
         from diracsoliton.ansatz import _pad_modes
 
         forcing = build_G1(default_dirac, default_profile)
-        sol = solve_U1(forcing, default_dirac)
-        assert sol.solve_residual_max <= 1e-10
+        sol = solve_U1(forcing, default_dirac)  # raises on a residual above 1e-10
         M, Me = default_dirac.cutoff.M, forcing.cutoff_ext.M
         for g in (default_dirac.g1, default_dirac.g2):
             gp = _pad_modes(g.astype(complex), M, Me)
@@ -224,32 +238,35 @@ class TestSolveU1:
 
     def test_displaced_crossing_energy_detected(self, default_dirac, default_profile):
         forcing = build_G1(default_dirac, default_profile)
-        shifted = copy.deepcopy(default_dirac)
-        shifted.mu_star += 5e-4
+        shifted = dataclasses.replace(default_dirac, mu_star=default_dirac.mu_star + 5e-4)
         with pytest.raises(RuntimeError, match="double eigenvalue"):
             solve_U1(forcing, shifted)
 
 
 class TestAssemble:
-    def test_delta_zero_rejected(self, default_dirac, default_profile):
+    def test_delta_zero_rejected(self, default_dirac, default_profile, default_corrector):
         with pytest.raises(ValueError, match="delta"):
-            assemble_udelta(default_dirac, default_profile, False, 0.0, 2000.0, 1 / 64)
+            assemble_udelta(
+                default_dirac, default_profile, default_corrector, 0.0, 2000.0, 1 / 64
+            )
 
-    def test_small_domain_rejected(self, default_dirac, default_profile):
+    def test_small_domain_rejected(self, default_dirac, default_profile, default_corrector):
         with pytest.raises(ValueError, match="decay floor"):
-            assemble_udelta(default_dirac, default_profile, False, 0.1, 100.0, 1 / 64)
+            assemble_udelta(
+                default_dirac, default_profile, default_corrector, 0.1, 100.0, 1 / 64
+            )
 
     def test_support_checked_at_the_last_grid_point(
-        self, free_dirac, free_profile, monkeypatch
+        self, free_dirac, free_profile, free_corrector, monkeypatch
     ):
         """delta (n - 1/2) h against y_max, before the grid is allocated."""
         h, delta = 1 / 64, 0.5
         L = free_profile.y_max / delta  # last point L - h/2 or closer: inside
-        assemble_udelta(free_dirac, free_profile, False, delta, L, h)
+        assemble_udelta(free_dirac, free_profile, free_corrector, delta, L, h)
         grids = []
         monkeypatch.setattr(ansatz, "staggered_grid", lambda *a: grids.append(a))
         with pytest.raises(ValueError, match="shrink L"):
-            assemble_udelta(free_dirac, free_profile, False, delta, L + h, h)
+            assemble_udelta(free_dirac, free_profile, free_corrector, delta, L + h, h)
         assert grids == []
 
     def test_norm_is_order_one_in_delta(self, free_dirac, free_profile):
@@ -257,40 +274,39 @@ class TestAssemble:
         norms = []
         for delta in (0.2, 0.1):
             ell = 1.0 / free_profile.params.decay_rate
-            fld = assemble_udelta(
-                free_dirac, free_profile, False, delta, 10.5 * ell / delta, h
-            )
-            norms.append(np.sqrt(h * np.sum(fld.samples**2)))
+            x = staggered_grid(10.5 * ell / delta, h)
+            u0 = np.sqrt(delta) * build_U0(free_dirac, free_profile, delta, x)
+            norms.append(np.sqrt(h * np.sum(u0**2)))
         assert abs(norms[0] - norms[1]) < 0.1 * norms[0]
 
-    def test_corrector_contribution_scales(self, free_dirac, free_profile):
+    def test_corrector_contribution_scales(self, free_dirac, free_profile, free_corrector):
         h = 1 / 64
         ell = 1.0 / free_profile.params.decay_rate
         diffs = []
         for delta in (0.2, 0.1):
             L = 10.5 * ell / delta
-            with_c = assemble_udelta(free_dirac, free_profile, True, delta, L, h)
-            without = assemble_udelta(free_dirac, free_profile, False, delta, L, h)
-            diffs.append(
-                np.sqrt(h * np.sum((with_c.samples - without.samples) ** 2))
-            )
+            with_c = assemble_udelta(free_dirac, free_profile, free_corrector, delta, L, h)
+            without = np.sqrt(delta) * build_U0(free_dirac, free_profile, delta, with_c.x_grid)
+            diffs.append(np.sqrt(h * np.sum((with_c.samples - without) ** 2)))
         # difference is sqrt(delta)*delta*U1 with U1-norm ~ delta^{-1/2}: O(delta)
         assert diffs[1] / diffs[0] == pytest.approx(0.5, rel=0.25)
 
-    def test_field_even(self, free_dirac, free_profile):
+    def test_field_even(self, free_dirac, free_profile, free_corrector):
         ell = 1.0 / free_profile.params.decay_rate
         L, h = 10.5 * ell / 0.1, 1 / 64
-        fld = assemble_udelta(free_dirac, free_profile, True, 0.1, L, h)
-        mirror, _, _ = evaluate_udelta(free_dirac, free_profile, True, 0.1, -fld.x_grid)
+        fld = assemble_udelta(free_dirac, free_profile, free_corrector, 0.1, L, h)
+        mirror, _, _ = evaluate_udelta(
+            free_dirac, free_profile, free_corrector, 0.1, -fld.x_grid
+        )
         assert np.max(np.abs(fld.samples - mirror)) < 1e-11
         # the grid is the Newton solver's staggered half-line
         assert np.array_equal(fld.x_grid, staggered_grid(L, h))
 
-    def test_evaluate_on_custom_grid(self, free_dirac, free_profile):
+    def test_evaluate_on_custom_grid(self, free_dirac, free_profile, free_corrector):
         x = np.linspace(0.25, 30.0, 500)
-        samples, u0, u1 = evaluate_udelta(free_dirac, free_profile, False, 0.1, x)
-        assert u1 is None
-        assert np.allclose(samples, np.sqrt(0.1) * u0)
+        samples, u0, u1 = evaluate_udelta(free_dirac, free_profile, free_corrector, 0.1, x)
+        assert np.array_equal(u0, build_U0(free_dirac, free_profile, 0.1, x))
+        assert np.allclose(samples, np.sqrt(0.1) * (u0 + 0.1 * u1))
 
 
 def _free_operator(fld, pot_V, pot_W, parity=Parity.EVEN):
@@ -337,12 +353,14 @@ class TestResidual:
         with pytest.raises(ValueError, match="coarse"):
             residual_norm(fld, _free_operator(fld, pot_free, pot_w))
 
-    def test_residual_order_free_example(self, free_dirac, free_profile, pot_free, pot_w):
+    def test_residual_order_free_example(
+        self, free_dirac, free_profile, free_corrector, pot_free, pot_w
+    ):
         h = 1 / 128
         ell = 1.0 / free_profile.params.decay_rate
         deltas = [0.2, 0.1]
         fields = [
-            assemble_udelta(free_dirac, free_profile, True, d, 10.5 * ell / d, h)
+            assemble_udelta(free_dirac, free_profile, free_corrector, d, 10.5 * ell / d, h)
             for d in deltas
         ]
         norms = [residual_norm(f, _free_operator(f, pot_free, pot_w)) for f in fields]
@@ -364,7 +382,8 @@ class TestResidual:
         parity = parity_from_theta(dirac.theta_sharp)
         delta, h = 0.1, 1 / 64
         L = 10.5 / (profile.params.decay_rate * delta)
-        fld = assemble_udelta(dirac, profile, True, delta, L, h)
+        corrector = solve_U1(build_G1(dirac, profile), dirac)
+        fld = assemble_udelta(dirac, profile, corrector, delta, L, h)
         got = residual_norm(fld, _free_operator(fld, pot_free, W, parity))
 
         sign = 1.0 if parity is Parity.EVEN else -1.0

@@ -1,19 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from diracsoliton import (
-    FourierCutoff,
-    ParityClass,
-    PeriodicPotential,
-    assemble_fb_matrix,
-    band_sweep,
-    bloch_wave_eval,
-    cell_inner_product,
-    solve_bands_at_k,
-)
-from diracsoliton.bloch import fourier_eval
+from diracsoliton import FourierCutoff, ParityClass, PeriodicPotential
+from diracsoliton.bloch import assemble_fb_matrix, band_sweep, fourier_eval, solve_bands_at_k
 
 
 class TestPeriodicPotential:
@@ -39,15 +28,6 @@ class TestPeriodicPotential:
         odd = PeriodicPotential({1: 1.0, 3: 0.5}, ParityClass.ODD_INDEX)
         assert np.allclose(even(x + 0.5), even(x), atol=1e-12)
         assert np.allclose(odd(x + 0.5), -odd(x), atol=1e-12)
-
-    @given(amp=st.floats(-50.0, 50.0), m=st.integers(1, 6))
-    @settings(max_examples=25, deadline=None)
-    def test_sup_norm_bound(self, amp, m):
-        pot = PeriodicPotential(
-            {2 * m: amp}, ParityClass.EVEN_INDEX
-        )
-        x = np.linspace(0.0, 1.0, 101)
-        assert np.max(np.abs(pot(x))) <= pot.sup_norm_bound() + 1e-12
 
 
 class TestAssembly:
@@ -141,7 +121,7 @@ class TestSweep:
 
     def test_band_growth_brackets(self, pot_v, cut64):
         """High bands sit between free bands shifted by the sup norm."""
-        shift = pot_v.sup_norm_bound()
+        shift = sum(abs(amp) for amp in pot_v.coeffs.values())
         cut = FourierCutoff(8)
         for k in (0.5, np.pi, 5.0):
             ev = solve_bands_at_k(pot_v, k, cut64).eigenvalues
@@ -155,11 +135,13 @@ class TestSweep:
 
 
 class TestBlochWave:
+    """Bloch waves Phi_n(x, k) = e^{ikx} sum_m p_{n,m} e^{2 pi i m x}."""
+
     def test_single_mode_is_plane_wave(self, pot_free):
         sol = solve_bands_at_k(pot_free, np.pi, FourierCutoff(4))
         x = np.linspace(0.0, 1.0, 51)
         # lowest two coefficient vectors span modes m = 0 and m = -1
-        vals = bloch_wave_eval(sol, 0, x)
+        vals = fourier_eval(sol.eigenvectors[:, 0], sol.k, x)
         target0 = np.exp(1j * np.pi * x)
         target1 = np.exp(-1j * np.pi * x)
         err0 = min(
@@ -173,20 +155,15 @@ class TestBlochWave:
     def test_pseudo_periodicity(self, pot_v, cut64):
         sol = solve_bands_at_k(pot_v, 1.7, cut64)
         x = np.linspace(0.0, 1.0, 17)
-        a = bloch_wave_eval(sol, 2, x + 1.0)
-        b = np.exp(1j * sol.k) * bloch_wave_eval(sol, 2, x)
+        a = fourier_eval(sol.eigenvectors[:, 2], sol.k, x + 1.0)
+        b = np.exp(1j * sol.k) * fourier_eval(sol.eigenvectors[:, 2], sol.k, x)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_cell_normalization(self, pot_v, cut64):
         sol = solve_bands_at_k(pot_v, 0.9, cut64)
         x = np.arange(2048) / 2048.0
-        vals = bloch_wave_eval(sol, 1, x)
+        vals = fourier_eval(sol.eigenvectors[:, 1], sol.k, x)
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(1.0, abs=1e-10)
-
-    def test_band_out_of_range(self, pot_free):
-        sol = solve_bands_at_k(pot_free, 0.0, FourierCutoff(2))
-        with pytest.raises(ValueError, match="band"):
-            bloch_wave_eval(sol, 99, [0.0])
 
 
 def _broad_coefficients(M: int = 98, seed: int = 7) -> np.ndarray:
@@ -264,25 +241,3 @@ class TestFourierEval:
         for row, c in zip(vals, stack):
             single = fourier_eval(c, np.pi, x)
             assert np.max(np.abs(row - single)) <= 1e-14 * np.max(np.abs(single))
-
-
-class TestInnerProduct:
-    def test_orthonormal_basis_vectors(self):
-        e0 = np.array([0.0, 1.0, 0.0], dtype=complex)
-        e1 = np.array([0.0, 0.0, 1.0], dtype=complex)
-        assert cell_inner_product(e0, e0) == pytest.approx(1.0)
-        assert cell_inner_product(e0, e1) == pytest.approx(0.0)
-
-    @given(st.lists(st.floats(-5, 5), min_size=6, max_size=6))
-    @settings(max_examples=25, deadline=None)
-    def test_conjugate_symmetry_and_positivity(self, vals):
-        f = np.array(vals[:3]) + 1j * np.array(vals[3:])
-        g = np.array(vals[3:]) - 1j * np.array(vals[:3])
-        assert cell_inner_product(f, g) == pytest.approx(
-            np.conj(cell_inner_product(g, f))
-        )
-        assert cell_inner_product(f, f).real >= 0.0
-
-    def test_cutoff_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cell_inner_product(np.zeros(3), np.zeros(5))

@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -11,8 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diracsoliton
 from diracsoliton import ansatz, cli, newton
 from diracsoliton.cli import RunConfig, load_config, main
+
+ROOT = Path(__file__).parents[1]
 
 FREE_CFG = """\
 # small fast configuration with no even potential
@@ -33,6 +39,17 @@ def free_cfg_path(tmp_path):
     return str(p)
 
 
+def _src_env(**extra) -> dict:
+    """The environment with the package's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {
+        **os.environ,
+        **extra,
+        "PYTHONPATH": src if not path else os.pathsep.join([src, path]),
+    }
+
+
 class TestImportCost:
     def test_no_integrate_special_or_optimize(self, free_cfg_path, tmp_path):
         """Each of these costs import time the pipeline never uses.
@@ -40,8 +57,6 @@ class TestImportCost:
         Checked after importing the CLI and again after a verify-all run,
         so the import is not merely deferred to run time.
         """
-        src = str(Path(cli.__file__).parents[1])
-        path = os.environ.get("PYTHONPATH")
         code = (
             "import sys\n"
             "import diracsoliton.cli\n"
@@ -53,7 +68,7 @@ class TestImportCost:
         args = ["verify-all", "--config", free_cfg_path, "--out", str(tmp_path / "out")]
         proc = subprocess.run(
             [sys.executable, "-c", code, *args],
-            env={**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])},
+            env=_src_env(),
             capture_output=True,
             text=True,
             check=True,
@@ -174,6 +189,8 @@ CONFIG_DEFECTS = [
     ("W = [[1]]", "W must"),
     ("n_k = 0", "n_k"),
     ("n_bands = 0", "n_bands"),
+    # M = 16 holds 2M + 1 = 33 bands
+    ("n_bands = 34", "n_bands"),
     ("L = -5.0", "L must"),
     ("L = 0", "L must"),
     ("y_max = 0.0", "y_max"),
@@ -263,6 +280,16 @@ class TestBandsCommand:
         assert payload["n_k"] == 33
         assert len(payload["config_sha256"]) == 64
 
+    def test_every_band_of_the_cutoff(self, tmp_path):
+        """n_bands = 2M + 1 writes that many bands, each with its range."""
+        p = tmp_path / "all.cfg"
+        p.write_text(FREE_CFG + "n_bands = 33\n")
+        out = tmp_path / "out"
+        assert main(["bands", "--config", str(p), "--out", str(out)]) == 0
+        payload = json.loads((out / "bands.json").read_text())
+        assert payload["n_bands"] == len(payload["band_ranges"]) == 33
+        assert len((out / "bands.csv").read_text().splitlines()) == 1 + 33 * 33
+
 
 class TestDiracCommand:
     def test_free_lattice_values(self, free_cfg_path, tmp_path):
@@ -335,17 +362,10 @@ class TestDeterminismAndGolden:
     def test_artifacts_independent_of_blas_threads(
         self, free_cfg_path, tmp_path, command, files
     ):
-        src = str(Path(cli.__file__).parents[1])
-        path = os.environ.get("PYTHONPATH")
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = {
-                **os.environ,
-                "OPENBLAS_NUM_THREADS": threads,
-                "OMP_NUM_THREADS": threads,
-                "PYTHONPATH": src if not path else os.pathsep.join([src, path]),
-            }
+            env = _src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             subprocess.run(
                 [
                     sys.executable,
@@ -487,28 +507,42 @@ REFERENCE_RUNS = {
     "soliton_lattice": (LATTICE_CFG, []),
 }
 REFERENCE_RTOL = 1e-9
+# the closed-form envelope sits on H = 0 to rounding (about 1e-16)
+H_DRIFT_BOUND = 1e-14
 
 
-def _match_reference(ref, new, where, newton_tol):
+def _match_reference(ref, new, where, newton_tol, operator_norm=None):
     """Assert new reproduces ref, one JSON value at a time.
 
     Strings, integers, booleans and null must match exactly, and so must
     config_sha256; other numbers, floats or the decimal strings the
-    artifacts hold, agree within REFERENCE_RTOL relative.  final_residual,
-    Newton's last residual, moves by percents with the BLAS thread count:
-    it only has to stay at or below newton_tol.
+    artifacts hold, agree within REFERENCE_RTOL relative.  Three values
+    are checked on their own scale instead.  final_residual, Newton's
+    last residual, moves by percents with the BLAS thread count: it only
+    has to stay at or below newton_tol.  h_drift_max, the envelope's
+    rounding-level distance from H = 0, only has to stay at or below
+    H_DRIFT_BOUND.  sigma_min_unrestricted, the translation mode's
+    near-zero eigenvalue, agrees within REFERENCE_RTOL times the
+    operator_norm of its file, absolutely.
     """
     assert type(new) is type(ref), where
     if isinstance(ref, dict):
         assert sorted(new) == sorted(ref), where
         for key in ref:
-            _match_reference(ref[key], new[key], f"{where}.{key}", newton_tol)
+            _match_reference(
+                ref[key], new[key], f"{where}.{key}", newton_tol, operator_norm
+            )
     elif isinstance(ref, list):
         assert len(new) == len(ref), where
         for i, (a, b) in enumerate(zip(ref, new)):
-            _match_reference(a, b, f"{where}[{i}]", newton_tol)
+            _match_reference(a, b, f"{where}[{i}]", newton_tol, operator_norm)
     elif where.endswith(".final_residual"):
         assert float(new) <= newton_tol, where
+    elif where.endswith(".h_drift_max"):
+        assert float(new) <= H_DRIFT_BOUND, (where, new)
+    elif where.endswith(".sigma_min_unrestricted"):
+        a, b = float(ref), float(new)
+        assert abs(a - b) <= REFERENCE_RTOL * float(operator_norm), (where, ref, new)
     elif isinstance(ref, float) or (
         isinstance(ref, str) and not where.endswith(".config_sha256") and _is_number(ref)
     ):
@@ -546,4 +580,59 @@ class TestReferenceArtifacts:
         for path in refs:
             ref = json.loads(path.read_text())
             new = json.loads((out / path.name).read_text())
-            _match_reference(ref, new, path.name, ref["config"]["newton_tol"])
+            _match_reference(
+                ref, new, path.name, ref["config"]["newton_tol"], ref.get("operator_norm")
+            )
+
+
+class TestReadmeIsTheApi:
+    def test_library_example_imports_every_export(self, tmp_path):
+        """The README's library example runs, and imports all the package exports."""
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Library example\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        subprocess.run(
+            [sys.executable, "-c", block], cwd=tmp_path, env=_src_env(), check=True
+        )
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.ImportFrom) and node.module == "diracsoliton"
+            for alias in node.names
+        }
+        exported = {
+            name
+            for name, value in vars(diracsoliton).items()
+            if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert exported == imported
+        assert diracsoliton.__version__
+
+
+class TestTracedBenchmarkChild:
+    def test_verify_all_spans(self, free_cfg_path, tmp_path):
+        """solbench/child.py --trace: the layer wrappers fit the pipeline's signatures."""
+        bench = ROOT / "solbench"
+        proc = subprocess.run(
+            [
+                sys.executable, str(bench / "child.py"), "--stamp", "s",
+                "--trace", "spans.json",
+                "--", "verify-all", "--config", free_cfg_path, "--out", "out",
+            ],
+            cwd=tmp_path,
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        spec = importlib.util.spec_from_file_location("spans", bench / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        metrics = spans.layer_metrics([json.loads((tmp_path / "spans.json").read_text())])
+        assert metrics["dirac.certify_calls"] == 1
+        assert metrics["homoclinic.integrate_calls"] == 1
+        assert metrics["newton.iterations"] >= 1
+        runs = json.loads((tmp_path / "out" / "soliton_scaling.json").read_text())["runs"]
+        (run,) = runs  # FREE_CFG has one delta
+        points = len(ansatz.staggered_grid(float(run["L"]), 0.015625))
+        assert metrics["ansatz.synthesis_points"] == points

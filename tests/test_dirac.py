@@ -3,38 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracsoliton import (
-    FourierCutoff,
-    ParityClass,
-    PeriodicPotential,
-    assemble_fb_matrix,
-    band_slope_oracle,
+from conftest import band_slope_oracle
+from diracsoliton import FourierCutoff, ParityClass, PeriodicPotential, dirac
+from diracsoliton.bloch import assemble_coefficient_matrix, assemble_fb_matrix, solve_bands_at_k
+from diracsoliton.dirac import (
     compute_betas,
     compute_c_sharp,
     compute_theta_sharp,
+    default_gap_k_grid,
     find_dirac_point,
     parity_block_split,
-    solve_bands_at_k,
     verify_gap_opening,
 )
-from diracsoliton import dirac
-from diracsoliton.bloch import assemble_coefficient_matrix
-from diracsoliton.dirac import default_gap_k_grid
 
 
 class TestFindDiracPoint:
     def test_free_first_crossing(self, pot_free):
-        data = find_dirac_point(pot_free, FourierCutoff(8))
-        assert data.mu_star == pytest.approx(np.pi**2, abs=1e-10)
-        assert data.band_pair == (1, 2)
-        M = data.cutoff.M
-        assert abs(data.g1[M]) == pytest.approx(1.0, abs=1e-12)
-        assert abs(data.g2[M - 1]) == pytest.approx(1.0, abs=1e-12)
+        M = 8
+        band_pair, mu_star, g1, g2 = find_dirac_point(pot_free, FourierCutoff(M))
+        assert mu_star == pytest.approx(np.pi**2, abs=1e-10)
+        assert band_pair == (1, 2)
+        assert abs(g1[M]) == pytest.approx(1.0, abs=1e-12)
+        assert abs(g2[M - 1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_free_second_crossing(self, pot_free):
-        data = find_dirac_point(pot_free, FourierCutoff(8), pair_selector=2)
-        assert data.mu_star == pytest.approx(9.0 * np.pi**2, rel=1e-12)
-        assert data.band_pair == (3, 4)
+        band_pair, mu_star, _, _ = find_dirac_point(pot_free, FourierCutoff(8), pair_selector=2)
+        assert mu_star == pytest.approx(9.0 * np.pi**2, rel=1e-12)
+        assert band_pair == (3, 4)
 
     def test_index_flip_identity(self, default_dirac):
         M = default_dirac.cutoff.M
@@ -82,16 +77,12 @@ class TestCSharp:
         assert free_dirac.c_sharp == pytest.approx(-2.0 * np.pi, abs=1e-10)
 
     def test_sign_flip_invariance(self, default_dirac):
-        import copy
-
-        flipped = copy.deepcopy(default_dirac)
-        flipped.g1 = -flipped.g1
-        flipped.g2 = -flipped.g2
-        assert compute_c_sharp(flipped) == pytest.approx(default_dirac.c_sharp)
-        assert compute_theta_sharp(flipped, default_dirac.pot_W) == pytest.approx(
+        g1, g2, cut = -default_dirac.g1, -default_dirac.g2, default_dirac.cutoff
+        assert compute_c_sharp(g1, g2, cut) == pytest.approx(default_dirac.c_sharp)
+        assert compute_theta_sharp(g1, g2, cut, default_dirac.pot_W) == pytest.approx(
             default_dirac.theta_sharp
         )
-        b1, b2 = compute_betas(flipped)
+        b1, b2 = compute_betas(g1, g2, cut)
         assert b1 == pytest.approx(default_dirac.beta1)
         assert b2 == pytest.approx(default_dirac.beta2)
 
@@ -136,12 +127,12 @@ class TestThetaSharp:
     def test_uncoupled_w_rejected(self, free_dirac):
         w3 = PeriodicPotential({3: 1.0}, ParityClass.ODD_INDEX)
         with pytest.raises(ValueError, match="does not open a gap"):
-            compute_theta_sharp(free_dirac, w3)
+            compute_theta_sharp(free_dirac.g1, free_dirac.g2, free_dirac.cutoff, w3)
 
     def test_even_w_rejected(self, free_dirac):
         w_even = PeriodicPotential({2: 1.0}, ParityClass.EVEN_INDEX)
         with pytest.raises(ValueError, match="odd-index"):
-            compute_theta_sharp(free_dirac, w_even)
+            compute_theta_sharp(free_dirac.g1, free_dirac.g2, free_dirac.cutoff, w_even)
 
     def test_default_nonzero(self, default_dirac):
         assert abs(default_dirac.theta_sharp) > 1e-3
@@ -157,27 +148,28 @@ class TestBetas:
         assert abs(default_dirac.beta2) <= default_dirac.beta1
 
     def test_quadrature_grid_insensitive(self, default_dirac):
-        b1a, b2a = compute_betas(default_dirac)
-        b1b, b2b = compute_betas(default_dirac, n_quad=4099)
+        d = default_dirac
+        b1a, b2a = compute_betas(d.g1, d.g2, d.cutoff)
+        b1b, b2b = compute_betas(d.g1, d.g2, d.cutoff, n_quad=4099)
         assert b1a == pytest.approx(b1b, abs=1e-12)
         assert b2a == pytest.approx(b2b, abs=1e-12)
 
 
 class TestGapOpening:
-    def test_delta_zero_has_violations(self, pot_v, pot_w, default_dirac):
-        rep = verify_gap_opening(pot_v, pot_w, default_dirac, 0.0, 0.9)
+    def test_delta_zero_has_violations(self, default_dirac):
+        rep = verify_gap_opening(default_dirac, 0.0, 0.9)
         assert not rep.gap_open
 
-    def test_default_gap_opens(self, pot_v, pot_w, default_dirac):
-        rep = verify_gap_opening(pot_v, pot_w, default_dirac, 0.1, 0.9)
+    def test_default_gap_opens(self, default_dirac):
+        rep = verify_gap_opening(default_dirac, 0.1, 0.9)
         assert rep.gap_open
         predicted = 0.1 * abs(default_dirac.theta_sharp)
         assert rep.half_gap_at_pi == pytest.approx(predicted, rel=0.1)
 
-    def test_violation_count_monotone_in_a(self, pot_v, pot_w, default_dirac):
+    def test_violation_count_monotone_in_a(self, default_dirac):
         delta = 0.4  # large perturbation so the first-order law degrades
         counts = [
-            len(verify_gap_opening(pot_v, pot_w, default_dirac, delta, a).violations)
+            len(verify_gap_opening(default_dirac, delta, a).violations)
             for a in (0.5, 0.9, 0.999)
         ]
         assert counts == sorted(counts)
@@ -187,7 +179,7 @@ class TestGapOpening:
         self, pot_v, pot_w, default_dirac, delta, a
     ):
         """Violations equal those read off the full dense spectrum at each k."""
-        rep = verify_gap_opening(pot_v, pot_w, default_dirac, delta, a)
+        rep = verify_gap_opening(default_dirac, delta, a)
         mu, M = default_dirac.mu_star, default_dirac.cutoff.M
         lo, hi = rep.interval
         coeffs = {**pot_v.coeffs, **{j: delta * w for j, w in pot_w.coeffs.items()}}
@@ -204,11 +196,11 @@ class TestGapOpening:
         # both solvers are backward stable to eps |H(k)|, |H(k)| ~ (2 pi M)^2
         assert np.allclose([v[2] for v in rep.violations], [e[2] for e in expect], atol=1e-9)
 
-    def test_bad_safety_fraction(self, pot_v, pot_w, default_dirac):
+    def test_bad_safety_fraction(self, default_dirac):
         with pytest.raises(ValueError, match="safety fraction"):
-            verify_gap_opening(pot_v, pot_w, default_dirac, 0.1, 1.5)
+            verify_gap_opening(default_dirac, 0.1, 1.5)
 
-    def test_exact_solves_only_where_flagged(self, pot_v, pot_w, default_dirac, monkeypatch):
+    def test_exact_solves_only_where_flagged(self, default_dirac, monkeypatch):
         """Dense solves: the half-gap at pi, plus one per flagged k-point."""
         calls = []
         assemble = dirac.assemble_coefficient_matrix
@@ -218,10 +210,10 @@ class TestGapOpening:
             return assemble(*args, **kwargs)
 
         monkeypatch.setattr(dirac, "assemble_coefficient_matrix", counted)
-        assert verify_gap_opening(pot_v, pot_w, default_dirac, 0.1, 0.9).gap_open
+        assert verify_gap_opening(default_dirac, 0.1, 0.9).gap_open
         assert calls == [np.pi]
         calls.clear()
-        rep = verify_gap_opening(pot_v, pot_w, default_dirac, 0.0, 0.9)
+        rep = verify_gap_opening(default_dirac, 0.0, 0.9)
         flagged = sorted({k for k, _, _ in rep.violations})
         assert len(flagged) == 1
         assert calls == flagged + [np.pi]

@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import equilibria, initial_condition, shoot_homoclinic
-from diracsoliton import (
-    NLDParams,
-    hamiltonian,
-    integrate_homoclinic,
-    kernel_check_on_Y,
-)
+from diracsoliton import NLDParams, integrate_homoclinic
+from diracsoliton.homoclinic import hamiltonian, kernel_check_on_Y
 
 
 def angle_monotone(profile, floor_rel=1e-6):

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from diracsoliton import (
+from diracsoliton import ParityClass, PeriodicPotential
+from diracsoliton.ansatz import TwoScaleField, build_U0, staggered_grid
+from diracsoliton.newton import (
+    DiscreteOperator,
     NewtonConfig,
     Parity,
     SolitonField,
-    TwoScaleField,
-    build_U0,
     discretize_operator,
     error_vs_ansatz,
     frequency_window_check,
     jacobian_min_eig,
     newton_solve,
     parity_from_theta,
-    staggered_grid,
 )
-from diracsoliton.newton import DiscreteOperator
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +49,6 @@ class TestGrid:
 class TestDiscreteOperator:
     def _free_op(self, parity, h=1 / 128, L=4.0):
         x = staggered_grid(L, h)
-        from diracsoliton import ParityClass, PeriodicPotential
-
         empty = PeriodicPotential({}, ParityClass.EVEN_INDEX)
         return discretize_operator(empty, empty, 0.0, 0.0, x, parity)
 
@@ -247,21 +244,6 @@ class TestErrorVsAnsatz:
         assert 0.0 < l2 <= h2
         # leading-order mismatch is O(delta) relative to the O(1) norms
         assert l2 < 1.0
-
-    def test_full_line_mirror(self, free_soliton):
-        _, sol = free_soliton
-        x, u = sol.full_line()
-        assert np.allclose(x, -x[::-1])
-        assert np.allclose(u, u[::-1])
-        odd = SolitonField(
-            delta=sol.delta,
-            mu_delta=sol.mu_delta,
-            x_grid=sol.x_grid,
-            samples=sol.samples,
-            parity=Parity.ODD,
-        )
-        _, uo = odd.full_line()
-        assert np.allclose(uo, -uo[::-1])
 
 
 class TestFrequencyWindow:
