@@ -21,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import ansatz as az
-from . import newton as nt
 from .bloch import FourierCutoff, ParityClass, PeriodicPotential, band_sweep
-from .dirac import certify_dirac_point, verify_gap_opening
+from .dirac import certify_dirac_point, frequency_window_check, verify_gap_opening
 from .homoclinic import NLDParams, integrate_homoclinic, kernel_check_on_Y
 
 
@@ -203,7 +202,7 @@ class Pipeline:
     def deltas(self) -> list[float]:
         """The deltas, once mu_delta is known to lie in every protected gap."""
         cfg, data = self.cfg, self.dirac
-        if not nt.frequency_window_check(data, cfg.mu_sharp, cfg.a):
+        if not frequency_window_check(data, cfg.mu_sharp, cfg.a):
             raise ValueError(
                 f"mu_sharp={cfg.mu_sharp} outside the frequency window "
                 f"|mu#| < a |theta#| = {cfg.a * abs(data.theta_sharp):.6g}"
@@ -312,6 +311,8 @@ def cmd_nld(run: Pipeline, out: Path):
 
 
 def cmd_soliton(run: Pipeline, out: Path):
+    from . import newton as nt  # here, so only the soliton stage loads scipy.sparse
+
     cfg, data, deltas = run.cfg, run.dirac, run.deltas
     params, profile = run.params, run.profile
     V, W = data.pot_V, data.pot_W
@@ -419,7 +420,11 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"configuration error: cannot make --out {args.out!r}: {exc}", file=sys.stderr)
+        return 2
     try:
         COMMANDS[args.command](Pipeline(cfg), out)
     except ValueError as exc:
@@ -427,6 +432,9 @@ def main(argv=None) -> int:
         return 2
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
     if args.seed_regressions:
         _seed_regressions(out)

@@ -290,6 +290,17 @@ def verify_gap_opening(data: DiracPointData, delta: float, a: float) -> GapRepor
     )
 
 
+def frequency_window_check(dirac: DiracPointData, mu_sharp: float, a: float) -> bool:
+    """Whether |mu#| < a |theta#|.
+
+    mu_delta = mu* + delta mu# then lies in the protected gap
+    (mu* - a delta |theta#|, mu* + a delta |theta#|) at every delta.
+    """
+    if not 0.0 < a < 1.0:
+        raise ValueError("safety fraction a must lie in (0, 1)")
+    return abs(mu_sharp) < a * abs(dirac.theta_sharp)
+
+
 # A tail row's diagonal exceeds every shift by twice its Gershgorin radius
 # R plus the flag margin.  Then every pivot of the tail elimination stays
 # above R and the margin, so the tails

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
 # the closed form lies on H = 0 to rounding (about 1e-16); drift above this
 # means the samples left the zero level
@@ -303,6 +302,8 @@ def kernel_check_on_Y(
     mode Psi' gives a near-kernel; on Y the smallest |eigenvalue| stays
     bounded away from zero.
     """
+    from scipy.linalg import eigvals_banded  # here: bands and dirac start without scipy
+
     spectra = {
         sign: np.abs(eigvals_banded(band))
         for sign, band in _sector_bands(params, profile, n_points).items()

@@ -21,7 +21,6 @@ from scipy.sparse.linalg import eigsh
 # here because solbench/spans.py patches newton.build_U0
 from .ansatz import TwoScaleField, build_U0, staggered_grid  # noqa: F401
 from .bloch import PeriodicPotential
-from .dirac import DiracPointData
 
 
 class Parity(enum.Enum):
@@ -192,7 +191,10 @@ def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
     """Smallest-magnitude eigenvalue of the Jacobian A - 3 diag(u^2).
 
     Shift-invert Lanczos at 0 (ARPACK): one sparse LU factorization, then
-    iteration to ARPACK's own tolerance.  The start vector is
+    iteration until the Ritz residual of the inverted operator is below
+    tol = 1e-8; the eigenvalue error is quadratic in that residual, so
+    lambda agrees with a solve to machine precision (tol = 0) to about
+    1e-15 relative, in fewer operator solves.  The start vector is
     deterministic so runs reproduce bit-for-bit; a solve that does not
     converge raises ArpackNoConvergence, a RuntimeError.
     """
@@ -202,7 +204,7 @@ def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
         format="csc",
     )
     v0 = np.cos(0.37 * np.arange(len(u))) + u / (1.0 + np.max(np.abs(u)))
-    lam = eigsh(J, k=1, sigma=0.0, v0=v0, return_eigenvectors=False)
+    lam = eigsh(J, k=1, sigma=0.0, v0=v0, tol=1e-8, return_eigenvectors=False)
     return float(lam[0])
 
 
@@ -227,14 +229,3 @@ def error_vs_ansatz(sol: SolitonField, field: TwoScaleField) -> tuple[float, flo
     l2sq = 2.0 * h * np.sum(w**2)
     h2 = float(np.sqrt(l2sq + 2.0 * h * np.sum(lap**2)))
     return float(np.sqrt(l2sq)), h2
-
-
-def frequency_window_check(dirac: DiracPointData, mu_sharp: float, a: float) -> bool:
-    """Whether |mu#| < a |theta#|.
-
-    mu_delta = mu* + delta mu# then lies in the protected gap
-    (mu* - a delta |theta#|, mu* + a delta |theta#|) at every delta.
-    """
-    if not 0.0 < a < 1.0:
-        raise ValueError("safety fraction a must lie in (0, 1)")
-    return abs(mu_sharp) < a * abs(dirac.theta_sharp)

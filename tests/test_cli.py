@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -51,29 +52,59 @@ def _src_env(**extra) -> dict:
 
 
 class TestImportCost:
+    @staticmethod
+    def _scipy_after(tmp_path, *cli_args) -> list[str]:
+        """scipy modules loaded after `import diracsoliton`, after
+        `import diracsoliton.cli` and, given CLI arguments, after a run.
+
+        One line of space-separated names per step, in a fresh interpreter.
+        """
+        code = (
+            "import sys\n"
+            "def loaded():\n"
+            "    print(*sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "import diracsoliton\n"
+            "loaded()\n"
+            "import diracsoliton.cli\n"
+            "loaded()\n"
+            "if sys.argv[1:]:\n"
+            "    assert diracsoliton.cli.main(sys.argv[1:]) == 0\n"
+            "    loaded()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *cli_args],
+            cwd=tmp_path,
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return proc.stdout.splitlines()
+
     def test_no_integrate_special_or_optimize(self, free_cfg_path, tmp_path):
         """Each of these costs import time the pipeline never uses.
 
         Checked after importing the CLI and again after a verify-all run,
         so the import is not merely deferred to run time.
         """
-        code = (
-            "import sys\n"
-            "import diracsoliton.cli\n"
-            "heavy = ('scipy.integrate', 'scipy.special', 'scipy.optimize')\n"
-            "print(*(m for m in heavy if m in sys.modules))\n"
-            "assert diracsoliton.cli.main(sys.argv[1:]) == 0\n"
-            "print(*(m for m in heavy if m in sys.modules))\n"
-        )
-        args = ["verify-all", "--config", free_cfg_path, "--out", str(tmp_path / "out")]
-        proc = subprocess.run(
-            [sys.executable, "-c", code, *args],
-            env=_src_env(),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert proc.stdout.splitlines() == ["", ""], proc.stdout
+        heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+        lines = self._scipy_after(tmp_path, "verify-all", "--config", free_cfg_path)
+        assert len(lines) == 3
+        for line in lines:
+            assert not [m for m in line.split() if m.startswith(heavy)], line
+
+    def test_package_and_cli_import_no_scipy(self, tmp_path):
+        assert self._scipy_after(tmp_path) == ["", ""]
+
+    @pytest.mark.parametrize("command", ["bands", "dirac"])
+    def test_spectral_commands_never_load_scipy(self, free_cfg_path, tmp_path, command):
+        lines = self._scipy_after(tmp_path, command, "--config", free_cfg_path)
+        assert lines == ["", "", ""]
+
+    def test_nld_loads_no_scipy_sparse(self, free_cfg_path, tmp_path):
+        *_, after_run = self._scipy_after(tmp_path, "nld", "--config", free_cfg_path)
+        assert "scipy.linalg" in after_run.split()
+        assert not [m for m in after_run.split() if m.startswith("scipy.sparse")]
 
 
 class TestLoadConfig:
@@ -180,6 +211,38 @@ class TestExitCodes:
         assert rc == 2
         assert "frequency window" in capsys.readouterr().err
         assert not [f.name for f in out.iterdir() if f.suffix in (".json", ".csv")]
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["a_file", "below_a_file"])
+    def test_out_not_a_directory_exits_2(self, free_cfg_path, tmp_path, capsys, below):
+        # mkdir raises FileExistsError on the file itself, NotADirectoryError below it
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / below if below else blocker
+        rc = main(["dirac", "--config", free_cfg_path, "--out", str(out)])
+        assert rc == 2
+        assert "configuration error: cannot make --out" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_3(self, tmp_path):
+        """M = 10^6 asks dirac for a 29 TiB matrix; under a 2 GiB address
+        space limit that allocation fails at once, so no host tries to
+        hold it."""
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        p = tmp_path / "huge.cfg"
+        p.write_text("M = 1000000\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracsoliton.cli", "dirac", "--config", str(p)],
+            cwd=tmp_path,
+            env=_src_env(OPENBLAS_NUM_THREADS="1"),
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_address_space,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical failure: out of memory:"), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 CONFIG_DEFECTS = [

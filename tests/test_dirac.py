@@ -12,6 +12,7 @@ from diracsoliton.dirac import (
     compute_theta_sharp,
     default_gap_k_grid,
     find_dirac_point,
+    frequency_window_check,
     parity_block_split,
     verify_gap_opening,
 )
@@ -242,3 +243,16 @@ class TestInertiaScreen:
         flagged = nearest <= margin
         assert flagged[0, 0]  # an eigenvalue on the edge always goes to the exact path
         assert np.array_equal(counts[~flagged], expect[~flagged])
+
+
+class TestFrequencyWindow:
+    def test_inside_window(self, default_dirac):
+        assert frequency_window_check(default_dirac, 0.0, 0.9)
+
+    def test_outside_window(self, default_dirac):
+        theta = abs(default_dirac.theta_sharp)
+        assert not frequency_window_check(default_dirac, 0.95 * theta, 0.9)
+
+    def test_bad_fraction_rejected(self, default_dirac):
+        with pytest.raises(ValueError, match="fraction"):
+            frequency_window_check(default_dirac, 0.0, 1.0)

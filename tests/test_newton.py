@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse import diags
+from scipy.sparse.linalg import eigsh
 
 from diracsoliton import ParityClass, PeriodicPotential
-from diracsoliton.ansatz import TwoScaleField, build_U0, staggered_grid
+from diracsoliton.ansatz import TwoScaleField, assemble_udelta, build_U0, staggered_grid
+from diracsoliton.cli import Pipeline, load_config
 from diracsoliton.newton import (
     DiscreteOperator,
     NewtonConfig,
@@ -10,7 +13,6 @@ from diracsoliton.newton import (
     SolitonField,
     discretize_operator,
     error_vs_ansatz,
-    frequency_window_check,
     jacobian_min_eig,
     newton_solve,
     parity_from_theta,
@@ -211,6 +213,32 @@ class TestJacobian:
         )
         assert jacobian_min_eig(op, np.zeros(n)) == pytest.approx(0.01, abs=1e-12)
 
+    def test_tolerance_matches_machine_precision_solve(self):
+        """ARPACK's tol = 1e-8 leaves lambda where tol = 0 puts it.
+
+        The soliton Jacobian of the CLI tests' free lattice (FREE_CFG in
+        test_cli.py) at delta = 0.2, on the grid the soliton command uses.
+        """
+        delta = 0.2
+        free_cfg = {"V": [], "W": [[1, 1.0]], "M": 16, "h": 1 / 64, "deltas": [delta]}
+        run = Pipeline(load_config(None, free_cfg))
+        data, profile = run.dirac, run.profile
+        L = min(18.5 / run.params.decay_rate, 0.995 * profile.y_max) / delta
+        fld = assemble_udelta(data, profile, run.corrector, delta, L, run.cfg.h)
+        op = discretize_operator(
+            data.pot_V, data.pot_W, delta, fld.mu_delta, fld.x_grid,
+            parity_from_theta(data.theta_sharp),
+        )
+        u = newton_solve(op, delta, fld.mu_delta, fld.samples, NewtonConfig()).samples
+        J = diags(
+            [op.off2, op.off1, op.diag - 3.0 * u**2, op.off1, op.off2],
+            [-2, -1, 0, 1, 2],
+            format="csc",
+        )
+        v0 = np.cos(0.37 * np.arange(len(u))) + u / (1.0 + np.max(np.abs(u)))
+        (exact,) = eigsh(J, k=1, sigma=0.0, v0=v0, tol=0, return_eigenvectors=False)
+        assert jacobian_min_eig(op, u) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
 
 def _leading_order(sol, dirac, profile):
     """The two-scale field U0 alone, on the solver grid."""
@@ -244,16 +272,3 @@ class TestErrorVsAnsatz:
         assert 0.0 < l2 <= h2
         # leading-order mismatch is O(delta) relative to the O(1) norms
         assert l2 < 1.0
-
-
-class TestFrequencyWindow:
-    def test_inside_window(self, default_dirac):
-        assert frequency_window_check(default_dirac, 0.0, 0.9)
-
-    def test_outside_window(self, default_dirac):
-        theta = abs(default_dirac.theta_sharp)
-        assert not frequency_window_check(default_dirac, 0.95 * theta, 0.9)
-
-    def test_bad_fraction_rejected(self, default_dirac):
-        with pytest.raises(ValueError, match="fraction"):
-            frequency_window_check(default_dirac, 0.0, 1.0)
