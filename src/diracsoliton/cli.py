@@ -311,7 +311,7 @@ def cmd_nld(run: Pipeline, out: Path):
 
 
 def cmd_soliton(run: Pipeline, out: Path):
-    from . import newton as nt  # here, so only the soliton stage loads scipy.sparse
+    from . import newton as nt  # here: bands and dirac start without scipy
 
     cfg, data, deltas = run.cfg, run.dirac, run.deltas
     params, profile = run.params, run.profile

@@ -13,14 +13,17 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.sparse import diags
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 # staggered_grid is re-exported as the solver grid; build_U0 stays importable
 # here because solbench/spans.py patches newton.build_U0
 from .ansatz import TwoScaleField, build_U0, staggered_grid  # noqa: F401
 from .bloch import PeriodicPotential
+
+
+# Lanczos steps before jacobian_min_eig gives up; a soliton Jacobian needs 20-40
+_LANCZOS_MAX_STEPS = 500
 
 
 class Parity(enum.Enum):
@@ -73,16 +76,27 @@ class DiscreteOperator:
         out[2:] += self.off2 * u[:-2]
         return out
 
+    def factor_shifted(self, shift_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """LU factors of A + diag(shift_diag), LAPACK band storage (dgbtrf).
+
+        The two spare top rows of the 7-row band take the fill-in of
+        partial pivoting.  A zero pivot raises LinAlgError.
+        """
+        ab = np.zeros((7, len(self.diag)))
+        ab[2, 2:] = self.off2
+        ab[3, 1:] = self.off1
+        ab[4] = self.diag + shift_diag
+        ab[5, :-1] = self.off1
+        ab[6, :-2] = self.off2
+        lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix: zero pivot in row {info}")
+        return lu, piv
+
     def solve_shifted(self, shift_diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve (A + diag(shift_diag)) w = rhs by a banded factorization."""
-        n = len(rhs)
-        ab = np.zeros((5, n))
-        ab[0, 2:] = self.off2
-        ab[1, 1:] = self.off1
-        ab[2] = self.diag + shift_diag
-        ab[3, :-1] = self.off1
-        ab[4, :-2] = self.off2
-        return solve_banded((2, 2), ab, rhs)
+        lu, piv = self.factor_shifted(shift_diag)
+        return dgbtrs(lu, 2, 2, rhs, piv)[0]
 
 
 def discretize_operator(
@@ -153,7 +167,7 @@ def newton_solve(
         history.append(rn)
         if rn <= cfg.tol:
             break
-        if len(history) >= 3 and rn > 10.0 * history[0]:
+        if not np.isfinite(rn) or (len(history) >= 3 and rn > 10.0 * history[0]):
             raise RuntimeError(
                 f"Newton divergence, residual history {history}; "
                 "try a smaller delta or a larger domain"
@@ -164,7 +178,7 @@ def newton_solve(
         r = op.apply(u) - u**3
         rn = _resid_norm(op, r)
         history.append(rn)
-    if history[-1] > cfg.tol:
+    if not history[-1] <= cfg.tol:  # a NaN residual fails too
         raise RuntimeError(
             f"Newton did not reach residual {cfg.tol:.1e} in {cfg.max_iters} "
             f"iterations; history {history}"
@@ -190,22 +204,41 @@ def newton_solve(
 def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
     """Smallest-magnitude eigenvalue of the Jacobian A - 3 diag(u^2).
 
-    Shift-invert Lanczos at 0 (ARPACK): one sparse LU factorization, then
-    iteration until the Ritz residual of the inverted operator is below
-    tol = 1e-8; the eigenvalue error is quadratic in that residual, so
-    lambda agrees with a solve to machine precision (tol = 0) to about
-    1e-15 relative, in fewer operator solves.  The start vector is
-    deterministic so runs reproduce bit-for-bit; a solve that does not
-    converge raises ArpackNoConvergence, a RuntimeError.
+    Shift-invert Lanczos at 0: one banded LU of J, then the three-term
+    recurrence on J^{-1} without reorthogonalisation, from a deterministic
+    start vector so runs reproduce bit-for-bit.  The largest-|theta| Ritz
+    pair of the tridiagonal T_j is checked at every step and accepted once
+    its residual |beta_j s_j| is below 1e-8 |theta|.  The eigenvalue error
+    is quadratic in that residual: a tighter stop moves 1/theta by about
+    1e-15 relative, far below the rounding of the factorization itself
+    (another LU, SuperLU, gives lambda 1e-13 relative apart).  A zero pivot
+    or no convergence within _LANCZOS_MAX_STEPS steps raises a RuntimeError.
     """
-    J = diags(
-        [op.off2, op.off1, op.diag - 3.0 * u**2, op.off1, op.off2],
-        [-2, -1, 0, 1, 2],
-        format="csc",
+    n = len(u)
+    try:
+        lu, piv = op.factor_shifted(-3.0 * u**2)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"jacobian_min_eig: N = {n}, 0 steps: {exc}") from None
+    q = np.cos(0.37 * np.arange(n)) + u / (1.0 + np.max(np.abs(u)))
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros(n)
+    alpha, beta = [], []
+    for step in range(1, _LANCZOS_MAX_STEPS + 1):
+        w = dgbtrs(lu, 2, 2, q, piv)[0]
+        alpha.append(float(q @ w))
+        w -= alpha[-1] * q
+        if beta:
+            w -= beta[-1] * q_prev
+        b = float(np.linalg.norm(w))
+        theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
+        i = int(np.argmax(np.abs(theta)))
+        if abs(b * s[-1, i]) <= 1e-8 * abs(theta[i]):
+            return float(1.0 / theta[i])
+        beta.append(b)
+        q_prev, q = q, w / b
+    raise RuntimeError(
+        f"jacobian_min_eig: N = {n}, no converged eigenvalue after {step} Lanczos steps"
     )
-    v0 = np.cos(0.37 * np.arange(len(u))) + u / (1.0 + np.max(np.abs(u)))
-    lam = eigsh(J, k=1, sigma=0.0, v0=v0, tol=1e-8, return_eigenvectors=False)
-    return float(lam[0])
 
 
 def error_vs_ansatz(sol: SolitonField, field: TwoScaleField) -> tuple[float, float]:

@@ -101,6 +101,12 @@ class TestImportCost:
         lines = self._scipy_after(tmp_path, command, "--config", free_cfg_path)
         assert lines == ["", "", ""]
 
+    def test_verify_all_loads_no_scipy_sparse(self, free_cfg_path, tmp_path):
+        """The Jacobian's eigenvalue comes from scipy.linalg alone."""
+        *_, after_run = self._scipy_after(tmp_path, "verify-all", "--config", free_cfg_path)
+        assert "scipy.linalg" in after_run.split()
+        assert not [m for m in after_run.split() if m.startswith("scipy.sparse")]
+
     def test_nld_loads_no_scipy_sparse(self, free_cfg_path, tmp_path):
         *_, after_run = self._scipy_after(tmp_path, "nld", "--config", free_cfg_path)
         assert "scipy.linalg" in after_run.split()
@@ -182,6 +188,25 @@ class TestExitCodes:
         rc = main(["soliton", "--config", str(p), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_singular_jacobian_exits_3(self, free_cfg_path, tmp_path, capsys, monkeypatch):
+        """A zero pivot in jacobian_min_eig's factorization is a numerical failure."""
+        real = newton.jacobian_min_eig
+
+        def with_zero_row(op, u, row=5):
+            diag, off1, off2 = op.diag.copy(), op.off1.copy(), op.off2.copy()
+            u = u.copy()
+            diag[row] = u[row] = 0.0
+            off1[row - 1 : row + 1] = 0.0
+            off2[row - 2] = off2[row] = 0.0
+            return real(dataclasses.replace(op, diag=diag, off1=off1, off2=off2), u)
+
+        monkeypatch.setattr(newton, "jacobian_min_eig", with_zero_row)
+        rc = main(["soliton", "--config", free_cfg_path, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "jacobian_min_eig" in err
+        assert "Traceback" not in err
 
     def test_frequency_outside_safety_window_exits_2(self, tmp_path, capsys):
         # |mu#| = 0.47 < |theta#| = 0.5 but above a |theta#| = 0.45
@@ -447,7 +472,8 @@ class TestDeterminismAndGolden:
         for fname in files:
             a, b = ((out / fname).read_bytes() for out in outs)
             if fname == "soliton_scaling.json":
-                # ARPACK's reductions leave the last digits to the thread count
+                # the Lanczos dot products and norms are BLAS reductions, whose
+                # summation order, and so the last digits, follow the thread count
                 a, b = json.loads(a), json.loads(b)
                 for ra, rb in zip(a["runs"], b["runs"]):
                     lam_a, lam_b = (float(r.pop("jacobian_min_eig")) for r in (ra, rb))

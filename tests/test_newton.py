@@ -3,7 +3,7 @@ import pytest
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
-from diracsoliton import ParityClass, PeriodicPotential
+from diracsoliton import ParityClass, PeriodicPotential, newton
 from diracsoliton.ansatz import TwoScaleField, assemble_udelta, build_U0, staggered_grid
 from diracsoliton.cli import Pipeline, load_config
 from diracsoliton.newton import (
@@ -155,6 +155,13 @@ class TestNewton:
                 op, sol.delta, sol.mu_delta, np.zeros_like(sol.samples), NewtonConfig()
             )
 
+    def test_non_finite_guess_is_divergence(self, free_soliton):
+        op, sol = free_soliton
+        guess = sol.samples.copy()
+        guess[5] = np.nan
+        with pytest.raises(RuntimeError, match="divergence"):
+            newton_solve(op, sol.delta, sol.mu_delta, guess, NewtonConfig())
+
     def test_wrong_grid_length_rejected(self, free_soliton):
         op, sol = free_soliton
         with pytest.raises(ValueError, match="grid"):
@@ -214,10 +221,14 @@ class TestJacobian:
         assert jacobian_min_eig(op, np.zeros(n)) == pytest.approx(0.01, abs=1e-12)
 
     def test_tolerance_matches_machine_precision_solve(self):
-        """ARPACK's tol = 1e-8 leaves lambda where tol = 0 puts it.
+        """The Lanczos stop at Ritz residual 1e-8 |theta| leaves lambda where
+        a machine-precision solve (ARPACK, tol = 0) puts it.
 
-        The soliton Jacobian of the CLI tests' free lattice (FREE_CFG in
-        test_cli.py) at delta = 0.2, on the grid the soliton command uses.
+        The eigenvalue error is quadratic in the Ritz residual, so what is
+        left is the rounding of the two factorizations (banded LU here,
+        SuperLU in the oracle).  The soliton Jacobian of the CLI tests'
+        free lattice (FREE_CFG in test_cli.py) at delta = 0.2, on the grid
+        the soliton command uses.
         """
         delta = 0.2
         free_cfg = {"V": [], "W": [[1, 1.0]], "M": 16, "h": 1 / 64, "deltas": [delta]}
@@ -238,6 +249,59 @@ class TestJacobian:
         v0 = np.cos(0.37 * np.arange(len(u))) + u / (1.0 + np.max(np.abs(u)))
         (exact,) = eigsh(J, k=1, sigma=0.0, v0=v0, tol=0, return_eigenvectors=False)
         assert jacobian_min_eig(op, u) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_dense_spectrum(self, seed):
+        """Small symmetric indefinite pentadiagonal Jacobians against a dense
+        eigensolve; the two eigenvalues nearest 0 differ by 1% in magnitude."""
+        rng = np.random.default_rng(seed)
+        while True:
+            n = int(rng.integers(5, 201))
+            op = DiscreteOperator(
+                x_grid=staggered_grid(n / 64, 1 / 64),
+                h=1 / 64,
+                diag=rng.uniform(-3.0, 3.0, n),
+                off1=rng.uniform(-1.0, 1.0, n - 1),
+                off2=rng.uniform(-1.0, 1.0, n - 2),
+                parity=(Parity.EVEN, Parity.ODD)[seed % 2],
+            )
+            u = rng.uniform(-1.0, 1.0, n)
+            J = np.diag(op.diag - 3.0 * u**2)
+            for k, off in ((1, op.off1), (2, op.off2)):
+                J += np.diag(off, k) + np.diag(off, -k)
+            lam = np.linalg.eigvalsh(J)
+            lam = lam[np.argsort(np.abs(lam))]
+            if abs(lam[1]) >= 1.01 * abs(lam[0]):
+                break
+        assert jacobian_min_eig(op, u) == pytest.approx(lam[0], rel=1e-10, abs=0.0)
+
+    def test_singular_jacobian_raises(self):
+        """Row and column 17 of the Jacobian are zero: a zero pivot."""
+        n, row = 60, 17
+        empty = PeriodicPotential({}, ParityClass.EVEN_INDEX)
+        x = staggered_grid(n / 64, 1 / 64)
+        op = discretize_operator(empty, empty, 0.0, -1.0, x, Parity.EVEN)
+        op.diag[row] = 0.0
+        op.off1[row - 1 : row + 1] = 0.0
+        op.off2[row - 2] = op.off2[row] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            op.solve_shifted(np.zeros(n), np.ones(n))
+        with pytest.raises(RuntimeError, match=r"jacobian_min_eig: N = 60, 0 steps"):
+            jacobian_min_eig(op, np.zeros(n))
+
+    def test_step_cap_raises(self, monkeypatch):
+        n = 400
+        op = DiscreteOperator(
+            x_grid=staggered_grid(n / 128, 1 / 128),
+            h=1 / 128,
+            diag=np.linspace(0.01, 5.0, n),
+            off1=np.zeros(n - 1),
+            off2=np.zeros(n - 2),
+            parity=Parity.EVEN,
+        )
+        monkeypatch.setattr(newton, "_LANCZOS_MAX_STEPS", 2)
+        with pytest.raises(RuntimeError, match=r"jacobian_min_eig: N = 400, .* 2 Lanczos"):
+            jacobian_min_eig(op, np.zeros(n))
 
 
 def _leading_order(sol, dirac, profile):
