@@ -12,9 +12,10 @@ import ast
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 
@@ -117,6 +118,8 @@ class RunConfig:
                 )
         if not 0.0 < self.h <= 1.0 / 64.0:
             raise ValueError("h must lie in (0, 1/64]")
+        if self.L is not None and not math.isfinite(self.L / self.h):
+            raise ValueError(f"L / h = {self.L!r} / {self.h!r} has no finite grid size")
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -164,20 +167,24 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+# rows formatted per `%` operation: the float lists and the text of one
+# block, not of the whole table, are held at once
+_CSV_BLOCK_ROWS = 65536
+
+
 def _write_csv(path: Path, columns: dict):
     """Write equal-length columns under a header of their names.
 
-    The whole table is one `%` operation: integer columns as %d, the
+    Each block of rows is one `%` operation: integer columns as %d, the
     others as %.17g, the digits `_fmt` writes.
     """
     cols = [np.asarray(c) for c in columns.values()]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols)
-    body = (row + "\n") * len(cols[0]) % tuple(
-        chain.from_iterable(zip(*(c.tolist() for c in cols)))
-    )
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
     with path.open("w") as f:
         f.write(",".join(columns) + "\n")
-        f.write(body)
+        for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
+            block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in cols]
+            f.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 @dataclass
@@ -310,43 +317,97 @@ def cmd_nld(run: Pipeline, out: Path):
     _write_json(out / "nld_diagnostics.json", diag)
 
 
-def cmd_soliton(run: Pipeline, out: Path):
-    from . import newton as nt  # here: bands and dirac start without scipy
+def _soliton_delta(run: Pipeline, delta: float, L: float, out: Path):
+    """One delta's soliton on [-L, L], its CSV written to `out`.
 
-    cfg, data, deltas = run.cfg, run.dirac, run.deltas
-    params, profile = run.params, run.profile
-    V, W = data.pot_V, data.pot_W
-    corrector = run.corrector
+    Synthesis, Newton, the Jacobian's eigenvalue nearest 0 and the
+    error norms; returns the ansatz residual norm, the H2 error and the
+    delta's entry of soliton_scaling.json's runs.
+    """
+    from . import newton as nt
+
+    cfg, data = run.cfg, run.dirac
+    fld = az.assemble_udelta(data, run.profile, run.corrector, delta, L, cfg.h)
+    mu_delta = fld.mu_delta
     parity = nt.parity_from_theta(data.theta_sharp)
+    op = nt.discretize_operator(data.pot_V, data.pot_W, delta, mu_delta, fld.x_grid, parity)
+    resid_norm = az.residual_norm(fld, op)
     ncfg = nt.NewtonConfig(max_iters=cfg.newton_max_iters, tol=cfg.newton_tol)
-    ell = 1.0 / params.decay_rate
-    resid_norms, h2_errors, per_delta = [], [], []
-    for delta in deltas:
-        L = cfg.L if cfg.L is not None else min(
-            18.5 * ell, 0.995 * profile.y_max
-        ) / delta
-        fld = az.assemble_udelta(data, profile, corrector, delta, L, cfg.h)
-        mu_delta = fld.mu_delta
-        op = nt.discretize_operator(V, W, delta, mu_delta, fld.x_grid, parity)
-        resid_norms.append(az.residual_norm(fld, op))
-        sol = nt.newton_solve(op, delta, mu_delta, fld.samples, ncfg)
-        min_eig = nt.jacobian_min_eig(op, sol.samples)
-        l2_error, h2_error = nt.error_vs_ansatz(sol, fld)
-        tag = repr(delta).replace(".", "p")
-        _write_csv(out / f"soliton_delta_{tag}.csv", {"x": sol.x_grid, "u": sol.samples})
-        h2_errors.append(h2_error)
-        per_delta.append(
-            {
-                "delta": _fmt(delta),
-                "mu_delta": _fmt(mu_delta),
-                "L": _fmt(L),
-                "iters": len(sol.newton_history),
-                "final_residual": _fmt(sol.newton_history[-1]),
-                "l2_error": _fmt(l2_error),
-                "h2_error": _fmt(h2_error),
-                "jacobian_min_eig": _fmt(min_eig),
+    sol = nt.newton_solve(op, delta, mu_delta, fld.samples, ncfg)
+    min_eig = nt.jacobian_min_eig(op, sol.samples)
+    l2_error, h2_error = nt.error_vs_ansatz(sol, fld)
+    tag = repr(delta).replace(".", "p")
+    _write_csv(out / f"soliton_delta_{tag}.csv", {"x": sol.x_grid, "u": sol.samples})
+    return resid_norm, h2_error, {
+        "delta": _fmt(delta),
+        "mu_delta": _fmt(mu_delta),
+        "L": _fmt(L),
+        "iters": len(sol.newton_history),
+        "final_residual": _fmt(sol.newton_history[-1]),
+        "l2_error": _fmt(l2_error),
+        "h2_error": _fmt(h2_error),
+        "jacobian_min_eig": _fmt(min_eig),
+    }
+
+
+# A forked worker's pipeline, inherited from the CLI process: it cannot
+# be pickled, because the corrector's forcing holds lambdas.
+_worker_run: Pipeline | None = None
+
+
+def _adopt(run: Pipeline):
+    global _worker_run
+    _worker_run = run
+
+
+def _soliton_delta_in_worker(delta: float, L: float, out: Path):
+    return _soliton_delta(_worker_run, delta, L, out)
+
+
+def _named(call, delta: float, n: int):
+    """call(), a failure re-raised as its own type, naming the delta and grid."""
+    try:
+        return call()
+    except Exception as exc:
+        raise type(exc)(f"soliton delta={delta}, N={n}: {exc}") from exc
+
+
+def cmd_soliton(run: Pipeline, out: Path):
+    # here, not at module top: bands and dirac start without scipy, and
+    # bands, dirac and nld without multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from . import newton  # noqa: F401  imported once, before the workers fork
+
+    cfg, deltas = run.cfg, run.deltas
+    run.corrector  # every shared stage, computed once and inherited by the workers
+    ell = 1.0 / run.params.decay_rate
+    domains = {
+        d: cfg.L if cfg.L is not None else min(18.5 * ell, 0.995 * run.profile.y_max) / d
+        for d in deltas
+    }
+    grids = {d: round(L / cfg.h) for d, L in domains.items()}
+    workers = min(len(deltas), len(os.sched_getaffinity(0)))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # forked, not spawned: initargs are inherited, never pickled
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt,
+            initargs=(run,),
+        ) as pool:
+            futures = {
+                d: pool.submit(_soliton_delta_in_worker, d, domains[d], out)
+                for d in sorted(deltas, key=grids.get, reverse=True)
             }
-        )
+            results = [_named(futures[d].result, d, grids[d]) for d in deltas]
+    else:
+        results = [
+            _named(partial(_soliton_delta, run, d, domains[d], out), d, grids[d])
+            for d in deltas
+        ]
+    resid_norms, h2_errors, per_delta = zip(*results)
     report = {
         "deltas": [_fmt(d) for d in deltas],
         "residual_norms": [_fmt(r) for r in resid_norms],

@@ -3,11 +3,13 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import multiprocessing
 import os
 import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,16 +55,17 @@ def _src_env(**extra) -> dict:
 
 class TestImportCost:
     @staticmethod
-    def _scipy_after(tmp_path, *cli_args) -> list[str]:
-        """scipy modules loaded after `import diracsoliton`, after
-        `import diracsoliton.cli` and, given CLI arguments, after a run.
+    def _scipy_after(tmp_path, *cli_args, prefixes=("scipy",)) -> list[str]:
+        """Modules under `prefixes` (scipy by default) loaded after `import
+        diracsoliton`, after `import diracsoliton.cli` and, given CLI
+        arguments, after a run.
 
         One line of space-separated names per step, in a fresh interpreter.
         """
         code = (
             "import sys\n"
             "def loaded():\n"
-            "    print(*sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            f"    print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n"
             "import diracsoliton\n"
             "loaded()\n"
             "import diracsoliton.cli\n"
@@ -106,6 +109,16 @@ class TestImportCost:
         *_, after_run = self._scipy_after(tmp_path, "verify-all", "--config", free_cfg_path)
         assert "scipy.linalg" in after_run.split()
         assert not [m for m in after_run.split() if m.startswith("scipy.sparse")]
+
+    @pytest.mark.parametrize("command", ["bands", "dirac", "nld"])
+    def test_non_soliton_commands_never_load_a_process_pool(
+        self, free_cfg_path, tmp_path, command
+    ):
+        pool = ("multiprocessing", "concurrent.futures.process")
+        lines = self._scipy_after(
+            tmp_path, command, "--config", free_cfg_path, prefixes=pool
+        )
+        assert lines == ["", "", ""]
 
     def test_nld_loads_no_scipy_sparse(self, free_cfg_path, tmp_path):
         *_, after_run = self._scipy_after(tmp_path, "nld", "--config", free_cfg_path)
@@ -289,6 +302,8 @@ CONFIG_DEFECTS = [
     ("a = 'x'", "a must"),
     ("deltas = [0.2, 0.2]", "repeats a delta"),
     ("deltas = []", "deltas must be a non-empty list"),
+    # L / h beyond float range: the grid size round(L / h) does not exist
+    ("L = 1e308", "finite grid size"),
     # only the dataclass fields are keys, not its methods or attributes
     ("validate = 1", "validate"),
     ("potential_V = 0", "potential_V"),
@@ -417,6 +432,112 @@ class TestSolitonCommand:
         assert float(run["jacobian_min_eig"]) > 0.0
 
 
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestParallelDeltas:
+    """soliton solves FREE_CFG at deltas 0.2 and 0.1 in two forked workers.
+
+    main runs in this process, so monkeypatches reach the workers.
+    """
+
+    ARGS = ["--delta", "0.2,0.1"]
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Output directories of a run with two usable CPUs and one with one,
+        and the processes left running after each."""
+        root = tmp_path_factory.mktemp("parallel")
+        cfg = root / "free.cfg"
+        cfg.write_text(FREE_CFG)
+        real = cli._soliton_delta
+
+        def recording_pid(run, delta, L, out):
+            (out.parent / f"{out.name}-{delta}.pid").write_text(str(os.getpid()))
+            return real(run, delta, L, out)
+
+        left = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_soliton_delta", recording_pid)
+            for cpus in (2, 1):
+                _usable_cpus(mp, cpus)
+                out = root / f"cpus{cpus}"
+                assert main(["soliton", "--config", str(cfg), "--out", str(out), *self.ARGS]) == 0
+                left[cpus] = multiprocessing.active_children()
+        return root, left
+
+    @staticmethod
+    def grids(root) -> dict[int, float]:
+        """delta by grid size round(L / h)."""
+        runs = json.loads((root / "cpus1" / "soliton_scaling.json").read_text())["runs"]
+        return {round(float(r["L"]) / 0.015625): float(r["delta"]) for r in runs}
+
+    def test_same_bytes_as_one_worker(self, runs):
+        root, _ = runs
+        names = sorted(p.name for p in (root / "cpus2").iterdir())
+        assert names == ["soliton_delta_0p1.csv", "soliton_delta_0p2.csv", "soliton_scaling.json"]
+        assert names == sorted(p.name for p in (root / "cpus1").iterdir())
+        for name in names:
+            assert (root / "cpus2" / name).read_bytes() == (root / "cpus1" / name).read_bytes(), name
+
+    def test_workers_only_with_two_cpus(self, runs):
+        root, _ = runs
+        pids = {cpus: {int((root / f"cpus{cpus}-{d}.pid").read_text()) for d in (0.2, 0.1)}
+                for cpus in (2, 1)}
+        assert pids[1] == {os.getpid()}
+        assert os.getpid() not in pids[2]
+
+    def test_no_worker_outlives_main(self, runs):
+        _, left = runs
+        assert left == {2: [], 1: []}
+
+    @pytest.mark.parametrize(
+        "failing,named", [((0.1,), 0.1), ((0.2, 0.1), 0.2)], ids=["second", "both"]
+    )
+    def test_failure_names_first_failing_delta(
+        self, runs, free_cfg_path, tmp_path, capsys, monkeypatch, failing, named
+    ):
+        grids = self.grids(runs[0])
+        real = newton.jacobian_min_eig
+
+        def failing_for(op, u):
+            if grids[len(u)] in failing:
+                raise RuntimeError(f"jacobian_min_eig: N = {len(u)}, injected")
+            return real(op, u)
+
+        monkeypatch.setattr(newton, "jacobian_min_eig", failing_for)
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        rc = main(["soliton", "--config", free_cfg_path, "--out", str(out), *self.ARGS])
+        assert rc == 3
+        n = {d: g for g, d in grids.items()}[named]
+        err = capsys.readouterr().err
+        assert f"numerical failure: soliton delta={named}, N={n}: jacobian_min_eig" in err
+        assert "Traceback" not in err
+        assert not (out / "soliton_scaling.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_3(self, free_cfg_path, tmp_path, capsys, monkeypatch):
+        parent, real = os.getpid(), newton.jacobian_min_eig
+
+        def dying_in_a_worker(op, u):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real(op, u)
+
+        monkeypatch.setattr(newton, "jacobian_min_eig", dying_in_a_worker)
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        rc = main(["soliton", "--config", free_cfg_path, "--out", str(out), *self.ARGS])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: soliton delta=0.2, N=" in err
+        assert "terminated abruptly" in err and "Traceback" not in err
+        assert not (out / "soliton_scaling.json").exists()
+        assert multiprocessing.active_children() == []
+
+
 class TestWriteCsv:
     def test_matches_per_element_format(self, tmp_path):
         x = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3.0, 1e300, -1.0 / 3.0, 0.1])
@@ -426,6 +547,33 @@ class TestWriteCsv:
             f"{float(a):.17g},{int(b)},{float(c):.17g}" for a, b, c in zip(x, n, x[::-1])
         ]
         assert (tmp_path / "t.csv").read_text() == "\n".join(expect) + "\n"
+
+    def test_blocks_match_per_element_format(self, tmp_path):
+        """A table of two blocks and three rows: the joins between the
+        blocks' `%` operations add or drop no byte."""
+        n = 2 * cli._CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        k = np.arange(n) - n // 2
+        cli._write_csv(tmp_path / "t.csv", {"k": k, "x": x})
+        expect = "".join(f"{int(a)},{float(b):.17g}\n" for a, b in zip(k, x))
+        assert (tmp_path / "t.csv").read_text() == "k,x\n" + expect
+
+    def test_memory_bounded_by_one_block(self, tmp_path, monkeypatch):
+        """Python's allocations while writing four blocks stay those of one."""
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 8192)
+
+        def traced_peak(n):
+            x = np.linspace(0.0, 1.0, n)
+            tracemalloc.start()
+            try:
+                cli._write_csv(tmp_path / "t.csv", {"x": x, "u": x})
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block = cli._CSV_BLOCK_ROWS
+        assert traced_peak(4 * block) < 1.25 * traced_peak(block)
 
 
 class TestDeterminismAndGolden:
