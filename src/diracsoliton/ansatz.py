@@ -72,15 +72,6 @@ def _spinor(params, u, v) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (u + 1j * v), 0.5 * (du + 1j * dv)
 
 
-def _check_support(profile: SpinorProfile, y_span: float):
-    """Reject a field whose slow variable delta*|x| reaches y_span > y_max."""
-    if y_span > profile.y_max * (1.0 + 1e-12):
-        raise ValueError(
-            f"envelope support exceeds its grid: delta*|x| reaches {y_span:.3g} "
-            f"but the profile ends at {profile.y_max:.3g}; enlarge y_max or shrink L"
-        )
-
-
 def _synthesise(
     dirac: DiracPointData,
     profile: SpinorProfile,
@@ -97,7 +88,6 @@ def _synthesise(
     last.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    _check_support(profile, delta * np.max(np.abs(x_grid)))
     u, v = profile.evaluate(delta * x_grid)
     if corrector is None:
         carriers = dirac.g1[None, :]
@@ -346,9 +336,6 @@ def assemble_udelta(
                 f"domain half-length {L:.4g} below the envelope-decay floor "
                 f"{L_min:.4g} for delta={delta}"
             )
-    if h > 0.0:  # staggered_grid rejects h <= 0
-        # its last point (n - 1/2) h, checked before the grid is allocated
-        _check_support(profile, delta * (round(L / h) - 0.5) * h)
     x_grid = staggered_grid(L, h)
     samples, u0, _ = evaluate_udelta(dirac, profile, corrector, delta, x_grid=x_grid)
     return TwoScaleField(
@@ -372,9 +359,7 @@ def residual_norm(field: TwoScaleField, op) -> float:
     reaches past, or lies next to, the Dirichlet cut at L.
     """
     u = field.samples
-    r = (op.apply(u) - u**3)[:-_EDGE_SKIP]
-    # both halves of the line contribute equally
-    return float(np.sqrt(2.0 * op.h * np.sum(r**2)))
+    return op.norm((op.apply(u) - u**3)[:-_EDGE_SKIP])
 
 
 def fit_order(deltas, norms) -> float:

@@ -365,11 +365,18 @@ def _soliton_delta_in_worker(delta: float, L: float, out: Path):
 
 
 def _named(call, delta: float, n: int):
-    """call(), a failure re-raised as its own type, naming the delta and grid."""
+    """call(), a failure re-raised naming the delta and grid, as the class
+    main maps to an exit code: numpy's out-of-memory error takes no
+    message, and LinAlgError, a numerical failure, subclasses ValueError."""
+    where = f"soliton delta={delta}, N={n}"
     try:
         return call()
-    except Exception as exc:
-        raise type(exc)(f"soliton delta={delta}, N={n}: {exc}") from exc
+    except MemoryError as exc:
+        raise MemoryError(f"{where}: {exc}") from exc
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        raise RuntimeError(f"{where}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def cmd_soliton(run: Pipeline, out: Path):
@@ -437,14 +444,6 @@ def cmd_verify_all(run: Pipeline, out: Path):
     _write_json(out / "verify_all.json", {"artifacts": summary, **_config_block(run.cfg)})
 
 
-def _seed_regressions(out: Path):
-    golden = out / "golden"
-    golden.mkdir(parents=True, exist_ok=True)
-    for f in sorted(out.iterdir()):
-        if f.is_file() and f.suffix in (".json", ".csv"):
-            (golden / f.name).write_bytes(f.read_bytes())
-
-
 COMMANDS = {
     "bands": cmd_bands,
     "dirac": cmd_dirac,
@@ -466,11 +465,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--delta", default=None, help="comma-separated delta list override"
     )
-    parser.add_argument(
-        "--seed-regressions",
-        action="store_true",
-        help="copy produced artifacts into <out>/golden",
-    )
     args = parser.parse_args(argv)
     try:
         overrides = {}
@@ -486,19 +480,18 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"configuration error: cannot make --out {args.out!r}: {exc}", file=sys.stderr)
         return 2
+    # the numerical failures first: LinAlgError subclasses ValueError
     try:
         COMMANDS[args.command](Pipeline(cfg), out)
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except MemoryError as exc:
         print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return 3
-    if args.seed_regressions:
-        _seed_regressions(out)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

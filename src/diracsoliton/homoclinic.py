@@ -15,7 +15,10 @@ polar coordinates into c# phi' = mu# - theta# cos 2 phi, free of the
 radius: the orbit is elementary.  It is the explicit gap soliton of the
 coupled-mode equations (Christodoulides & Joseph, Phys. Rev. Lett. 62,
 1746, 1989; Aceves & Wabnitz, Phys. Lett. A 141, 37, 1989), evaluated
-in closed form on y >= 0; the proved parity supplies y < 0 exactly.
+in closed form at every y >= 0; the proved parity supplies y < 0
+exactly.  The envelope has no edge: y_max only bounds its samples on
+[-y_max, y_max], from which the decay fit, the kernel check's grid and
+the corrector's solvability samples are taken.
 """
 
 from __future__ import annotations
@@ -73,10 +76,9 @@ class SpinorProfile:
     """Sampled homoclinic solution with its diagnostics.
 
     evaluate computes the closed-form orbit (_half_orbit) elementwise at
-    |y|, clipped to [0, y_max], and applies the parity relations on
-    y < 0, so off-grid values carry rounding error only, not
-    interpolation error; derivatives are taken from the vector field
-    (_rhs) at those values.
+    |y|, past y_max too, and applies the parity relations on y < 0, so
+    its values carry rounding error only, not interpolation error;
+    derivatives are taken from the vector field (_rhs) at those values.
     """
 
     params: NLDParams
@@ -101,7 +103,7 @@ class SpinorProfile:
 
     def evaluate(self, y) -> tuple[np.ndarray, np.ndarray]:
         y = np.asarray(y, dtype=float)
-        u, v = _half_orbit(self.params, np.clip(np.abs(y), 0.0, self.y_max))
+        u, v = _half_orbit(self.params, np.abs(y))
         neg = y < 0
         if self.params.theta_sharp > 0:
             v = np.where(neg, -v, v)
@@ -195,7 +197,7 @@ def integrate_homoclinic(params: NLDParams, y_max: float | None = None) -> Spino
         v = np.concatenate([uv[1][:0:-1], uv[1]])
     H = hamiltonian(params, u, v)
 
-    fit = _decay_fit(y_half, amp, y_max)
+    fit = _decay_fit(y_half, amp, y_max, ell)
     return SpinorProfile(
         params=params,
         y_grid=y_grid,
@@ -207,9 +209,15 @@ def integrate_homoclinic(params: NLDParams, y_max: float | None = None) -> Spino
     )
 
 
-def _decay_fit(y_half: np.ndarray, amp: np.ndarray, y_max: float) -> float:
+def _decay_fit(y_half: np.ndarray, amp: np.ndarray, y_max: float, ell: float) -> float:
     """Slope of log amplitude on the tail window [0.5, 0.9] * y_max."""
     mask = (y_half >= 0.5 * y_max) & (y_half <= 0.9 * y_max) & (amp > 0)
+    if np.count_nonzero(mask) < 2:
+        raise ValueError(
+            f"y_max={y_max:.3g} is {y_max / ell:.3g} decay lengths of {ell:.3g}: "
+            "the envelope underflows to 0 on the decay-fit window "
+            "[0.5, 0.9] * y_max; shrink y_max"
+        )
     coef = np.polyfit(y_half[mask], np.log(amp[mask]), 1)
     return float(-coef[0])
 

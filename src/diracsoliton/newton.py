@@ -16,9 +16,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-# staggered_grid is re-exported as the solver grid; build_U0 stays importable
-# here because solbench/spans.py patches newton.build_U0
-from .ansatz import TwoScaleField, build_U0, staggered_grid  # noqa: F401
+# build_U0 stays importable here because solbench/spans.py patches newton.build_U0
+from .ansatz import TwoScaleField, build_U0  # noqa: F401
 from .bloch import PeriodicPotential
 
 
@@ -75,6 +74,11 @@ class DiscreteOperator:
         out[:-2] += self.off2 * u[2:]
         out[2:] += self.off2 * u[:-2]
         return out
+
+    def norm(self, v: np.ndarray) -> float:
+        """Full-line discrete L2 norm of a half-line vector: both halves
+        contribute equally."""
+        return float(np.sqrt(2.0 * self.h * np.sum(v**2)))
 
     def factor_shifted(self, shift_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """LU factors of A + diag(shift_diag), LAPACK band storage (dgbtrf).
@@ -138,11 +142,6 @@ def discretize_operator(
     )
 
 
-def _resid_norm(op: DiscreteOperator, r: np.ndarray) -> float:
-    # full-line discrete L2: both halves contribute equally
-    return float(np.sqrt(2.0 * op.h * np.sum(r**2)))
-
-
 def newton_solve(
     op: DiscreteOperator,
     delta: float,
@@ -159,11 +158,11 @@ def newton_solve(
     u = np.asarray(initial, dtype=float).copy()
     if len(u) != len(op.x_grid):
         raise ValueError("initial guess not sampled on the operator grid")
-    scale0 = float(np.sqrt(2.0 * op.h * np.sum(u**2)))
+    scale0 = op.norm(u)
     history = []
     for _ in range(cfg.max_iters):
         r = op.apply(u) - u**3
-        rn = _resid_norm(op, r)
+        rn = op.norm(r)
         history.append(rn)
         if rn <= cfg.tol:
             break
@@ -176,14 +175,14 @@ def newton_solve(
         u = u + du
     else:
         r = op.apply(u) - u**3
-        rn = _resid_norm(op, r)
+        rn = op.norm(r)
         history.append(rn)
     if not history[-1] <= cfg.tol:  # a NaN residual fails too
         raise RuntimeError(
             f"Newton did not reach residual {cfg.tol:.1e} in {cfg.max_iters} "
             f"iterations; history {history}"
         )
-    un = float(np.sqrt(2.0 * op.h * np.sum(u**2)))
+    un = op.norm(u)
     if scale0 > 0.0 and un < 0.5 * scale0:
         raise RuntimeError(
             f"collapse toward the trivial solution: |u| = {un:.3e} vs "

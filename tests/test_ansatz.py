@@ -9,7 +9,6 @@ from diracsoliton import (
     NLDParams,
     ParityClass,
     PeriodicPotential,
-    ansatz,
     certify_dirac_point,
     integrate_homoclinic,
 )
@@ -76,11 +75,6 @@ class TestBuildU0:
             - default_dirac.mu_star * default_dirac.g1
         )
         assert np.max(np.abs(resid)) < 1e-8
-
-    def test_support_overflow_rejected(self, default_dirac, default_profile):
-        x = np.array([10.0 * default_profile.y_max])
-        with pytest.raises(ValueError, match="enlarge"):
-            build_U0(default_dirac, default_profile, 1.0 - 1e-9, x)
 
 
 class TestBuildG1:
@@ -255,19 +249,6 @@ class TestAssemble:
             assemble_udelta(
                 default_dirac, default_profile, default_corrector, 0.1, 100.0, 1 / 64
             )
-
-    def test_support_checked_at_the_last_grid_point(
-        self, free_dirac, free_profile, free_corrector, monkeypatch
-    ):
-        """delta (n - 1/2) h against y_max, before the grid is allocated."""
-        h, delta = 1 / 64, 0.5
-        L = free_profile.y_max / delta  # last point L - h/2 or closer: inside
-        assemble_udelta(free_dirac, free_profile, free_corrector, delta, L, h)
-        grids = []
-        monkeypatch.setattr(ansatz, "staggered_grid", lambda *a: grids.append(a))
-        with pytest.raises(ValueError, match="shrink L"):
-            assemble_udelta(free_dirac, free_profile, free_corrector, delta, L + h, h)
-        assert grids == []
 
     def test_norm_is_order_one_in_delta(self, free_dirac, free_profile):
         h = 1 / 64

@@ -5,6 +5,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -174,6 +175,17 @@ class TestLoadConfig:
             load_config(None, {"a": 1.2})
 
 
+def _with_zero_row(op, u, row=5):
+    """op and u with row and column `row` of the Jacobian A - 3 diag(u^2)
+    zeroed: its banded LU meets a zero pivot."""
+    diag, off1, off2 = op.diag.copy(), op.off1.copy(), op.off2.copy()
+    u = u.copy()
+    diag[row] = u[row] = 0.0
+    off1[row - 1 : row + 1] = 0.0
+    off2[row - 2] = off2[row] = 0.0
+    return dataclasses.replace(op, diag=diag, off1=off1, off2=off2), u
+
+
 class TestExitCodes:
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -205,21 +217,30 @@ class TestExitCodes:
     def test_singular_jacobian_exits_3(self, free_cfg_path, tmp_path, capsys, monkeypatch):
         """A zero pivot in jacobian_min_eig's factorization is a numerical failure."""
         real = newton.jacobian_min_eig
-
-        def with_zero_row(op, u, row=5):
-            diag, off1, off2 = op.diag.copy(), op.off1.copy(), op.off2.copy()
-            u = u.copy()
-            diag[row] = u[row] = 0.0
-            off1[row - 1 : row + 1] = 0.0
-            off2[row - 2] = off2[row] = 0.0
-            return real(dataclasses.replace(op, diag=diag, off1=off1, off2=off2), u)
-
-        monkeypatch.setattr(newton, "jacobian_min_eig", with_zero_row)
+        monkeypatch.setattr(
+            newton, "jacobian_min_eig", lambda op, u: real(*_with_zero_row(op, u))
+        )
         rc = main(["soliton", "--config", free_cfg_path, "--out", str(tmp_path / "out")])
         assert rc == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "jacobian_min_eig" in err
         assert "Traceback" not in err
+
+    def test_singular_newton_step_exits_3(self, free_cfg_path, tmp_path, capsys, monkeypatch):
+        """A zero pivot in a Newton step raises LinAlgError, a ValueError
+        subclass, from the banded LU: a numerical failure all the same."""
+        real = newton.newton_solve
+
+        def with_zero_row(op, delta, mu_delta, initial, cfg):
+            op, initial = _with_zero_row(op, initial)
+            return real(op, delta, mu_delta, initial, cfg)
+
+        monkeypatch.setattr(newton, "newton_solve", with_zero_row)
+        rc = main(["soliton", "--config", free_cfg_path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith("numerical failure: soliton delta=0.1, N=")
+        assert "singular matrix: zero pivot" in err and "Traceback" not in err
 
     def test_frequency_outside_safety_window_exits_2(self, tmp_path, capsys):
         # |mu#| = 0.47 < |theta#| = 0.5 but above a |theta#| = 0.45
@@ -231,15 +252,25 @@ class TestExitCodes:
         assert "frequency window" in capsys.readouterr().err
         assert not (out / "soliton_scaling.json").exists()
 
-    def test_overlong_domain_exits_2_before_the_grid(self, tmp_path, capsys, monkeypatch):
-        grids = []
-        monkeypatch.setattr(ansatz, "staggered_grid", lambda *a: grids.append(a))
-        p = tmp_path / "long.cfg"
-        p.write_text(FREE_CFG + "L = 2e5\n")
-        rc = main(["soliton", "--config", str(p), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert "shrink L" in capsys.readouterr().err
-        assert grids == []
+    @pytest.mark.parametrize("command", ["nld", "soliton", "verify-all"])
+    def test_y_max_past_the_decay_exits_2(self, tmp_path, capsys, command):
+        """FREE_CFG's envelope (decay length about 13) underflows to 0 well
+        before [0.5, 0.9] y_max, where the decay fit is taken."""
+        p = tmp_path / "far.cfg"
+        p.write_text(FREE_CFG + "y_max = 1e5\n")
+        rc = main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("validation error: y_max=1e+05 is ")
+        assert "decay lengths" in err
+
+    def test_seed_regressions_flag_removed(self, free_cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as stop:
+            main(["bands", "--config", free_cfg_path, "--out", str(out), "--seed-regressions"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --seed-regressions" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_all_outside_safety_window_writes_nothing(self, tmp_path, capsys):
         p = tmp_path / "edge.cfg"
@@ -260,18 +291,25 @@ class TestExitCodes:
         assert rc == 2
         assert "configuration error: cannot make --out" in capsys.readouterr().err
 
-    def test_out_of_memory_exits_3(self, tmp_path):
-        """M = 10^6 asks dirac for a 29 TiB matrix; under a 2 GiB address
-        space limit that allocation fails at once, so no host tries to
-        hold it."""
+    @staticmethod
+    def _cli_in_2_gib(tmp_path, config: str, *args) -> str:
+        """stderr of a CLI run in a subprocess under a 2 GiB address space
+        limit, which exited 3 without a traceback.  An allocation past
+        the limit fails at once, so no host tries to hold it.  Two usable
+        CPUs are reported, so two deltas run in two forked workers."""
 
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        p = tmp_path / "huge.cfg"
-        p.write_text("M = 1000000\n")
+        p = tmp_path / "run.cfg"
+        p.write_text(config)
+        code = (  # python -m diracsoliton.cli, with the CPUs reported
+            "import os, runpy\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "runpy.run_module('diracsoliton.cli', run_name='__main__', alter_sys=True)\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-m", "diracsoliton.cli", "dirac", "--config", str(p)],
+            [sys.executable, "-c", code, *args, "--config", str(p)],
             cwd=tmp_path,
             env=_src_env(OPENBLAS_NUM_THREADS="1"),
             capture_output=True,
@@ -279,8 +317,23 @@ class TestExitCodes:
             preexec_fn=limit_address_space,
         )
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr.startswith("numerical failure: out of memory:"), proc.stderr
         assert "Traceback" not in proc.stderr
+        return proc.stderr
+
+    def test_out_of_memory_exits_3(self, tmp_path):
+        """M = 10^6 asks dirac for a 29 TiB matrix."""
+        err = self._cli_in_2_gib(tmp_path, "M = 1000000\n", "dirac")
+        assert err.startswith("numerical failure: out of memory:"), err
+
+    @pytest.mark.parametrize(
+        "deltas,named", [("0.1", 0.1), ("0.2,0.1", 0.2)], ids=["in_process", "workers"]
+    )
+    def test_soliton_grid_out_of_memory_exits_3(self, tmp_path, deltas, named):
+        """L = 1e8 asks for a grid of 6.4e9 points, 51 GB per array; a
+        worker's numpy out-of-memory error comes back pickled."""
+        err = self._cli_in_2_gib(tmp_path, FREE_CFG + "L = 1e8\n", "soliton", "--delta", deltas)
+        expect = f"numerical failure: out of memory: soliton delta={named}, N=6400000000: "
+        assert err.startswith(expect), err
 
 
 CONFIG_DEFECTS = [
@@ -434,6 +487,17 @@ class TestSolitonCommand:
 
 def _usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_domain_past_y_max_runs(tmp_path):
+    """The envelope is evaluated in closed form at every y, so an L whose
+    grid reaches past y_max / delta is solved like any other."""
+    p = tmp_path / "long.cfg"
+    p.write_text(FREE_CFG + "y_max = 230.0\nL = 1151.0\n")
+    out = tmp_path / "out"
+    assert main(["soliton", "--config", str(p), "--out", str(out), "--delta", "0.2"]) == 0
+    last = (out / "soliton_delta_0p2.csv").read_text().splitlines()[-1]
+    assert 0.2 * float(last.split(",")[0]) > 230.0
 
 
 class TestParallelDeltas:
@@ -627,22 +691,6 @@ class TestDeterminismAndGolden:
                     lam_a, lam_b = (float(r.pop("jacobian_min_eig")) for r in (ra, rb))
                     assert lam_a == pytest.approx(lam_b, rel=1e-12)
             assert a == b, fname
-
-    def test_seed_regressions_copies(self, free_cfg_path, tmp_path):
-        out = tmp_path / "out"
-        rc = main(
-            [
-                "bands",
-                "--config",
-                free_cfg_path,
-                "--out",
-                str(out),
-                "--seed-regressions",
-            ]
-        )
-        assert rc == 0
-        for f in ("bands.csv", "bands.json"):
-            assert (out / "golden" / f).read_bytes() == (out / f).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -844,6 +892,18 @@ class TestReadmeIsTheApi:
         }
         assert exported == imported
         assert diracsoliton.__version__
+
+    def test_command_line_section_names_every_flag(self, capsys):
+        """The README's "Command line" section and main's parser name the
+        same `--` flags, argparse's own --help aside."""
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        flag = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+        parser_flags = set(flag.findall(capsys.readouterr().out)) - {"--help"}
+        assert parser_flags
+        assert set(flag.findall(section)) == parser_flags
 
 
 class TestTracedBenchmarkChild:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import equilibria, initial_condition, shoot_homoclinic
 from diracsoliton import NLDParams, integrate_homoclinic
-from diracsoliton.homoclinic import hamiltonian, kernel_check_on_Y
+from diracsoliton.homoclinic import _half_orbit, hamiltonian, kernel_check_on_Y
 
 
 def angle_monotone(profile, floor_rel=1e-6):
@@ -128,6 +128,24 @@ class TestIntegration:
         u2, v2 = prof.evaluate(-2.3)
         assert u1 == pytest.approx(-u2, abs=1e-9)
         assert v1 == pytest.approx(v2, abs=1e-9)
+
+    @pytest.mark.parametrize("theta", [1.0, -1.0])
+    def test_evaluate_past_y_max_is_the_closed_form(self, theta):
+        """The envelope has no edge at y_max: evaluate is the mirrored
+        _half_orbit there too, not the value at y_max."""
+        p = NLDParams(1.0, theta, 0.0, 1.0, 0.0)
+        prof = integrate_homoclinic(p, y_max=20.0)
+        y = np.array([1.5, 3.0, 10.0]) * prof.y_max
+        u, v = _half_orbit(p, y)
+        assert np.all(np.diff(np.hypot(u, v)) < 0.0)  # still decaying, not underflowed
+        assert np.array_equal(np.stack(prof.evaluate(y)), np.stack([u, v]))
+        mirrored = [u, -v] if theta > 0 else [-u, v]
+        assert np.array_equal(np.stack(prof.evaluate(-y)), np.stack(mirrored))
+
+    def test_tail_underflowing_on_the_fit_window_rejected(self, canonical_params):
+        """At y_max = 2000 decay lengths the amplitude is 0 on [0.5, 0.9] y_max."""
+        with pytest.raises(ValueError, match=r"y_max=2e\+03 is 2e\+03 decay lengths"):
+            integrate_homoclinic(canonical_params, y_max=2000.0)
 
     def test_detuned_runs_conserve_energy(self):
         for mu in (0.3, 0.6):
