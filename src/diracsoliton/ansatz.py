@@ -30,9 +30,10 @@ from .homoclinic import SpinorProfile, _rhs
 class TwoScaleField:
     """Real candidate soliton sqrt(delta) (U0 + delta U1) on a parity half-line.
 
-    x_grid is the Newton solver's staggered grid x_i = (i + 1/2) h on
-    [0, L]; the field on the full line is its even or odd mirror image.
-    samples holds the scaled field, u0_samples the unscaled U0.
+    x_grid is staggered_grid(L, h), the grid newton.discretize_operator
+    builds for the same L and h; the operator also holds the mirror sign
+    that extends the field to the full line.  samples holds the scaled
+    field, u0_samples the unscaled U0.
     """
 
     delta: float
@@ -350,15 +351,14 @@ def assemble_udelta(
 _EDGE_SKIP = 5
 
 
-def residual_norm(field: TwoScaleField, op) -> float:
+def residual_norm(op, u: np.ndarray) -> float:
     """Full-line discrete L2 norm of (-dx^2 + V + delta W - mu_delta) u - u^3.
 
-    op is that operator discretised on the field's grid
-    (newton.discretize_operator), whose first rows fold in the mirror
-    image at 0.  The last _EDGE_SKIP points are left out: their stencil
-    reaches past, or lies next to, the Dirichlet cut at L.
+    op is that operator (newton.discretize_operator) and u its samples on
+    op's grid; the operator's first rows fold in the mirror image at 0.
+    The last _EDGE_SKIP points are left out: their stencil reaches past,
+    or lies next to, the Dirichlet cut at L.
     """
-    u = field.samples
     return op.norm((op.apply(u) - u**3)[:-_EDGE_SKIP])
 
 

@@ -328,19 +328,18 @@ def _soliton_delta(run: Pipeline, delta: float, L: float, out: Path):
 
     cfg, data = run.cfg, run.dirac
     fld = az.assemble_udelta(data, run.profile, run.corrector, delta, L, cfg.h)
-    mu_delta = fld.mu_delta
-    parity = nt.parity_from_theta(data.theta_sharp)
-    op = nt.discretize_operator(data.pot_V, data.pot_W, delta, mu_delta, fld.x_grid, parity)
-    resid_norm = az.residual_norm(fld, op)
-    ncfg = nt.NewtonConfig(max_iters=cfg.newton_max_iters, tol=cfg.newton_tol)
-    sol = nt.newton_solve(op, delta, mu_delta, fld.samples, ncfg)
+    op = nt.discretize_operator(
+        data.pot_V, data.pot_W, delta, fld.mu_delta, L, cfg.h, data.theta_sharp
+    )
+    resid_norm = az.residual_norm(op, fld.samples)
+    sol = nt.newton_solve(op, fld.samples, cfg.newton_tol, cfg.newton_max_iters)
     min_eig = nt.jacobian_min_eig(op, sol.samples)
-    l2_error, h2_error = nt.error_vs_ansatz(sol, fld)
+    l2_error, h2_error = nt.error_vs_ansatz(op, sol.samples, fld)
     tag = repr(delta).replace(".", "p")
-    _write_csv(out / f"soliton_delta_{tag}.csv", {"x": sol.x_grid, "u": sol.samples})
+    _write_csv(out / f"soliton_delta_{tag}.csv", {"x": op.x_grid, "u": sol.samples})
     return resid_norm, h2_error, {
         "delta": _fmt(delta),
-        "mu_delta": _fmt(mu_delta),
+        "mu_delta": _fmt(fld.mu_delta),
         "L": _fmt(L),
         "iters": len(sol.newton_history),
         "final_residual": _fmt(sol.newton_history[-1]),

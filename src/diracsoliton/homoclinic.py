@@ -75,9 +75,9 @@ class NLDParams:
 class SpinorProfile:
     """Sampled homoclinic solution with its diagnostics.
 
-    evaluate computes the closed-form orbit (_half_orbit) elementwise at
-    |y|, past y_max too, and applies the parity relations on y < 0, so
-    its values carry rounding error only, not interpolation error;
+    evaluate is the closed-form orbit (_orbit): _half_orbit elementwise
+    at |y|, past y_max too, with the parity relations on y < 0, so its
+    values carry rounding error only, not interpolation error;
     derivatives are taken from the vector field (_rhs) at those values.
     """
 
@@ -102,14 +102,7 @@ class SpinorProfile:
         return float(self.y_grid[-1])
 
     def evaluate(self, y) -> tuple[np.ndarray, np.ndarray]:
-        y = np.asarray(y, dtype=float)
-        u, v = _half_orbit(self.params, np.abs(y))
-        neg = y < 0
-        if self.params.theta_sharp > 0:
-            v = np.where(neg, -v, v)
-        else:
-            u = np.where(neg, -u, u)
-        return u, v
+        return _orbit(self.params, y)
 
 
 def hamiltonian(params: NLDParams, u, v):
@@ -154,71 +147,72 @@ def _half_orbit(params: NLDParams, y) -> tuple[np.ndarray, np.ndarray]:
     return -t * amp, amp
 
 
+def _orbit(params: NLDParams, y) -> tuple[np.ndarray, np.ndarray]:
+    """The homoclinic (u, v) at any y: _half_orbit at |y|, and on y < 0 the
+    proved parity, v odd for theta# > 0 and u odd for theta# < 0."""
+    y = np.asarray(y, dtype=float)
+    u, v = _half_orbit(params, np.abs(y))
+    neg = y < 0
+    if params.theta_sharp > 0:
+        v = np.where(neg, -v, v)
+    else:
+        u = np.where(neg, -u, u)
+    return u, v
+
+
 def integrate_homoclinic(params: NLDParams, y_max: float | None = None) -> SpinorProfile:
     """Sample the closed-form homoclinic orbit at 6001 points of [-y_max, y_max].
 
-    y_max defaults to 18 decay lengths.  One half is sampled from
-    _half_orbit and the proved parity mirrors it.  The samples must have
-    decayed at y_max and lie on the zero level of H.
+    y_max defaults to 18 decay lengths and must lie in [10, 40] of them.
+    Below, the envelope has not decayed at the edge.  Above, the kernel
+    check's 601-point grid no longer resolves the soliton: against 4801
+    points its margin on Y is off by 6.5e-5 relative at 40 decay lengths
+    and by 1.5e-3 at 80 (free lattice, W = cos 2 pi x).  The samples
+    must have decayed at y_max and lie on the zero level of H.
     """
     ell = 1.0 / params.decay_rate
     if y_max is None:
         y_max = 18.0 * ell
-    if y_max < 10.0 * ell:
+    if not 10.0 * ell <= y_max <= 40.0 * ell:
         raise ValueError(
-            f"y_max={y_max:.3g} shorter than 10 decay lengths ({10.0 * ell:.3g})"
+            f"y_max={y_max:.3g} is {y_max / ell:.3g} decay lengths of {ell:.3g}: "
+            "it must lie in [10, 40] decay lengths, long enough for the envelope "
+            "to decay and short enough for the kernel check's grid to resolve it"
         )
     th, mu, b = abs(params.theta_sharp), params.mu_sharp, params.b
     scale = np.sqrt(2.0 * (th - mu) / b)  # |(u, v)| at the axis crossing y = 0
     y_half = np.linspace(0.0, y_max, 3001)
-    uv = _half_orbit(params, y_half)
-    amp = np.hypot(uv[0], uv[1])
+    y_grid = np.concatenate([-y_half[:0:-1], y_half])
+    u, v = _orbit(params, y_grid)
+    amp = np.hypot(u, v)
     if amp[-1] > 1e-6 * scale:
         raise RuntimeError(
             f"trajectory has not decayed at y_max: |(u,v)|={amp[-1]:.3e} "
             f"vs floor {1e-6 * scale:.3e}; increase y_max"
         )
-    H_half = hamiltonian(params, uv[0], uv[1])
+    H = hamiltonian(params, u, v)
     h_scale = (th - mu) ** 2 / (4.0 * b)  # |H| at the nontrivial equilibrium
-    drift = float(np.max(np.abs(H_half)))
+    drift = float(np.max(np.abs(H)))
     if drift > _DRIFT_TOL * (1.0 + h_scale):
         raise RuntimeError(
             f"Hamiltonian drift {drift:.3e} exceeds {_DRIFT_TOL:.0e}: "
             "the samples left the zero level"
         )
-
-    # mirror onto the symmetric grid via the proved parity
-    y_grid = np.concatenate([-y_half[:0:-1], y_half])
-    if params.theta_sharp > 0:
-        u = np.concatenate([uv[0][:0:-1], uv[0]])
-        v = np.concatenate([-uv[1][:0:-1], uv[1]])
-    else:
-        u = np.concatenate([-uv[0][:0:-1], uv[0]])
-        v = np.concatenate([uv[1][:0:-1], uv[1]])
-    H = hamiltonian(params, u, v)
-
-    fit = _decay_fit(y_half, amp, y_max, ell)
     return SpinorProfile(
         params=params,
         y_grid=y_grid,
         u=u,
         v=v,
         hamiltonian_trace=H,
-        decay_rate_fit=fit,
+        decay_rate_fit=_decay_fit(y_grid, amp, y_max),
         h_drift_max=drift,
     )
 
 
-def _decay_fit(y_half: np.ndarray, amp: np.ndarray, y_max: float, ell: float) -> float:
+def _decay_fit(y: np.ndarray, amp: np.ndarray, y_max: float) -> float:
     """Slope of log amplitude on the tail window [0.5, 0.9] * y_max."""
-    mask = (y_half >= 0.5 * y_max) & (y_half <= 0.9 * y_max) & (amp > 0)
-    if np.count_nonzero(mask) < 2:
-        raise ValueError(
-            f"y_max={y_max:.3g} is {y_max / ell:.3g} decay lengths of {ell:.3g}: "
-            "the envelope underflows to 0 on the decay-fit window "
-            "[0.5, 0.9] * y_max; shrink y_max"
-        )
-    coef = np.polyfit(y_half[mask], np.log(amp[mask]), 1)
+    mask = (y >= 0.5 * y_max) & (y <= 0.9 * y_max)
+    coef = np.polyfit(y[mask], np.log(amp[mask]), 1)
     return float(-coef[0])
 
 

@@ -5,19 +5,21 @@ reduced to [0, L] on a staggered grid x_i = (i + 1/2) h with a mirror
 condition at 0 (even or odd, fixed by the sign of the gap coefficient)
 and a Dirichlet cutoff at L.  The reduction removes the translation
 zero mode exactly, so the Jacobian stays invertible at the soliton.
+DiscreteOperator is the one record of that discretisation: the grid,
+h, the mirror sign and the stencil; the residual, Newton, the
+Jacobian's eigenvalue and the error norms all read them from it.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 # build_U0 stays importable here because solbench/spans.py patches newton.build_U0
-from .ansatz import TwoScaleField, build_U0  # noqa: F401
+from .ansatz import TwoScaleField, build_U0, staggered_grid  # noqa: F401
 from .bloch import PeriodicPotential
 
 
@@ -25,47 +27,27 @@ from .bloch import PeriodicPotential
 _LANCZOS_MAX_STEPS = 500
 
 
-class Parity(enum.Enum):
-    EVEN = "even"
-    ODD = "odd"
-
-
-def parity_from_theta(theta_sharp: float) -> Parity:
-    return Parity.EVEN if theta_sharp > 0 else Parity.ODD
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    max_iters: int = 25
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-
-
 @dataclass
 class SolitonField:
-    delta: float
-    mu_delta: float
-    x_grid: np.ndarray
     samples: np.ndarray
-    parity: Parity
-    newton_history: list[float] = field(default_factory=list)
+    newton_history: list[float]
 
 
 @dataclass
 class DiscreteOperator:
-    """Symmetric pentadiagonal form of -d^2/dx^2 + V + delta W - mu_delta."""
+    """Symmetric pentadiagonal form of -d^2/dx^2 + V + delta W - mu_delta
+    on the half-line grid x_grid = staggered_grid(L, h).
+
+    sign is the mirror parity at 0: +1 (even) for theta# > 0, -1 (odd)
+    otherwise, as in homoclinic.SpinorProfile.evaluate.
+    """
 
     x_grid: np.ndarray
     h: float
+    sign: float
     diag: np.ndarray
     off1: np.ndarray
     off2: np.ndarray
-    parity: Parity
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         out = self.diag * u
@@ -108,10 +90,12 @@ def discretize_operator(
     pot_W: PeriodicPotential,
     delta: float,
     mu_delta: float,
-    x_grid,
-    parity: Parity,
+    L: float,
+    h: float,
+    theta_sharp: float,
 ) -> DiscreteOperator:
-    """Fourth-order centered differences with the mirror condition at 0.
+    """Fourth-order centered differences on staggered_grid(L, h) with the
+    mirror condition at 0, its parity fixed by the sign of theta#.
 
     The staggered grid reflects exactly about 0: the ghost values at
     -h/2 and -3h/2 equal +-u(h/2) and +-u(3h/2), which folds into the
@@ -119,18 +103,12 @@ def discretize_operator(
     Dirichlet.  Fourth order keeps the operator's band-energy bias far
     below the delta-scaling effects measured downstream.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    h = float(x_grid[1] - x_grid[0])
-    if h > 1.0 / 64.0 + 1e-15:
+    if h > 1.0 / 64.0:
         raise ValueError(f"grid spacing {h} too coarse to resolve the cell")
-    if abs(x_grid[0] - 0.5 * h) > 1e-12 * h:
-        raise ValueError("x_grid must be staggered: first point at h/2")
-    # rounding in (i + 1/2) h grows with |x|, so the tolerance scales with the extent
-    if np.max(np.abs(np.diff(x_grid) - h)) > 1e-12 * (h + x_grid[-1]):
-        raise ValueError("x_grid must be uniform")
+    x_grid = staggered_grid(L, h)
     n = len(x_grid)
     c0, c1, c2 = 2.5 / h**2, -4.0 / (3.0 * h**2), 1.0 / (12.0 * h**2)
-    sign = 1.0 if parity is Parity.EVEN else -1.0
+    sign = 1.0 if theta_sharp > 0 else -1.0
     pot = pot_V(x_grid) + delta * pot_W(x_grid) - mu_delta
     diag = c0 + pot
     diag[0] += sign * c1
@@ -138,16 +116,12 @@ def discretize_operator(
     off1[0] += sign * c2
     off2 = np.full(n - 2, c2)
     return DiscreteOperator(
-        x_grid=x_grid, h=h, diag=diag, off1=off1, off2=off2, parity=parity
+        x_grid=x_grid, h=h, sign=sign, diag=diag, off1=off1, off2=off2
     )
 
 
 def newton_solve(
-    op: DiscreteOperator,
-    delta: float,
-    mu_delta: float,
-    initial: np.ndarray,
-    cfg: NewtonConfig,
+    op: DiscreteOperator, initial: np.ndarray, tol: float, max_iters: int
 ) -> SolitonField:
     """Newton iteration on F(u) = A u - u^3 from the two-scale initial guess.
 
@@ -160,11 +134,11 @@ def newton_solve(
         raise ValueError("initial guess not sampled on the operator grid")
     scale0 = op.norm(u)
     history = []
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         r = op.apply(u) - u**3
         rn = op.norm(r)
         history.append(rn)
-        if rn <= cfg.tol:
+        if rn <= tol:
             break
         if not np.isfinite(rn) or (len(history) >= 3 and rn > 10.0 * history[0]):
             raise RuntimeError(
@@ -177,9 +151,9 @@ def newton_solve(
         r = op.apply(u) - u**3
         rn = op.norm(r)
         history.append(rn)
-    if not history[-1] <= cfg.tol:  # a NaN residual fails too
+    if not history[-1] <= tol:  # a NaN residual fails too
         raise RuntimeError(
-            f"Newton did not reach residual {cfg.tol:.1e} in {cfg.max_iters} "
+            f"Newton did not reach residual {tol:.1e} in {max_iters} "
             f"iterations; history {history}"
         )
     un = op.norm(u)
@@ -190,14 +164,7 @@ def newton_solve(
         )
     if scale0 == 0.0:
         raise RuntimeError("trivial solution: zero initial guess converges to zero")
-    return SolitonField(
-        delta=float(delta),
-        mu_delta=float(mu_delta),
-        x_grid=op.x_grid,
-        samples=u,
-        parity=op.parity,
-        newton_history=history,
-    )
+    return SolitonField(samples=u, newton_history=history)
 
 
 def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
@@ -240,24 +207,22 @@ def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
     )
 
 
-def error_vs_ansatz(sol: SolitonField, field: TwoScaleField) -> tuple[float, float]:
-    """Full-line L2 and discrete-H2 distances to the leading-order field.
+def error_vs_ansatz(
+    op: DiscreteOperator, u: np.ndarray, field: TwoScaleField
+) -> tuple[float, float]:
+    """Full-line L2 and discrete-H2 distances of u to the leading-order field.
 
     The comparison field is sqrt(delta) U0 from the two-scale field the
-    solver started from, sampled on the same grid.  Discrete H2 norm:
-    sqrt(|w|_L2^2 + |D2_h w|_L2^2) with the mirrored three-point second
-    difference (second order; the solver's stencil is the five-point,
-    fourth-order one).
+    solver started from, sampled on op's grid.  Discrete H2 norm:
+    sqrt(|w|_L2^2 + |D2_h w|_L2^2) with the three-point second difference
+    mirrored by op.sign (second order; the solver's stencil is the
+    five-point, fourth-order one).
     """
-    a = np.sqrt(sol.delta) * field.u0_samples
-    w = sol.samples - a
-    h = float(sol.x_grid[1] - sol.x_grid[0])
-    sign = 1.0 if sol.parity is Parity.EVEN else -1.0
-    ghost = sign * w[0]
+    w = u - np.sqrt(field.delta) * field.u0_samples
+    h = op.h
     lap = np.empty_like(w)
     lap[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
-    lap[0] = (ghost - 2.0 * w[0] + w[1]) / h**2
+    lap[0] = (op.sign * w[0] - 2.0 * w[0] + w[1]) / h**2
     lap[-1] = (w[-2] - 2.0 * w[-1]) / h**2
     l2sq = 2.0 * h * np.sum(w**2)
-    h2 = float(np.sqrt(l2sq + 2.0 * h * np.sum(lap**2)))
-    return float(np.sqrt(l2sq)), h2
+    return op.norm(w), float(np.sqrt(l2sq + 2.0 * h * np.sum(lap**2)))

@@ -5,7 +5,6 @@ the closed-form free-lattice coefficients through the delta-scaling of
 the Newton soliton and the byte-level determinism of the CLI driver.
 """
 
-import dataclasses
 import json
 import time
 
@@ -28,12 +27,10 @@ from diracsoliton.cli import main as cli_main
 from diracsoliton.dirac import parity_block_split, verify_gap_opening
 from diracsoliton.homoclinic import kernel_check_on_Y
 from diracsoliton.newton import (
-    NewtonConfig,
     discretize_operator,
     error_vs_ansatz,
     jacobian_min_eig,
     newton_solve,
-    parity_from_theta,
 )
 
 DELTAS = [0.1, 0.05, 0.025]
@@ -167,15 +164,15 @@ def test_residual_scaling_order(pot_v, pot_w, default_dirac, default_profile):
     corrector = solve_U1(build_G1(default_dirac, default_profile), default_dirac)
     ell = 1.0 / default_profile.params.decay_rate
     h = 1.0 / 256.0
-    parity = parity_from_theta(default_dirac.theta_sharp)
+    theta = default_dirac.theta_sharp
     norms, u0_norms = [], []
     for delta in DELTAS:
         L = 10.5 * ell / delta
         fld = assemble_udelta(default_dirac, default_profile, corrector, delta, L, h)
-        op = discretize_operator(pot_v, pot_w, delta, fld.mu_delta, fld.x_grid, parity)
-        norms.append(residual_norm(fld, op))
-        u0 = np.sqrt(delta) * build_U0(default_dirac, default_profile, delta, fld.x_grid)
-        u0_norms.append(residual_norm(dataclasses.replace(fld, samples=u0), op))
+        op = discretize_operator(pot_v, pot_w, delta, fld.mu_delta, L, h, theta)
+        norms.append(residual_norm(op, fld.samples))
+        u0 = np.sqrt(delta) * build_U0(default_dirac, default_profile, delta, op.x_grid)
+        u0_norms.append(residual_norm(op, u0))
     # measured: order 1.98 with the corrector U1, 1.00 with U0 alone
     order = fit_order(DELTAS, norms)
     assert order >= 1.5, (norms, order)
@@ -190,20 +187,20 @@ def test_newton_soliton_error_scaling(pot_v, pot_w, default_dirac, default_profi
     params = default_profile.params
     ell = 1.0 / params.decay_rate
     h = 1.0 / 256.0
-    parity = parity_from_theta(default_dirac.theta_sharp)
-    cfg = NewtonConfig()
     h2_errors = []
     for delta in DELTAS:
         L = min(18.5 * ell, 0.995 * default_profile.y_max) / delta
         fld = assemble_udelta(default_dirac, default_profile, corrector, delta, L, h)
         mu_delta = default_dirac.mu_star + delta * params.mu_sharp
-        op = discretize_operator(pot_v, pot_w, delta, mu_delta, fld.x_grid, parity)
-        sol = newton_solve(op, delta, mu_delta, fld.samples, cfg)
+        op = discretize_operator(
+            pot_v, pot_w, delta, mu_delta, L, h, default_dirac.theta_sharp
+        )
+        sol = newton_solve(op, fld.samples, 1e-10, 25)
         assert len(sol.newton_history) <= 8
         assert sol.newton_history[-1] < 1e-10
         lam = jacobian_min_eig(op, sol.samples)
         assert lam > 0.0, (delta, lam)
-        _, h2 = error_vs_ansatz(sol, fld)
+        _, h2 = error_vs_ansatz(op, sol.samples, fld)
         h2_errors.append(h2)
     order = fit_order(DELTAS, h2_errors)
     assert order >= 0.8, (h2_errors, order)

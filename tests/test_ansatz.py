@@ -13,7 +13,6 @@ from diracsoliton import (
     integrate_homoclinic,
 )
 from diracsoliton.ansatz import (
-    TwoScaleField,
     _spinor,
     assemble_udelta,
     build_G1,
@@ -27,7 +26,7 @@ from diracsoliton.ansatz import (
     staggered_grid,
 )
 from diracsoliton.bloch import assemble_coefficient_matrix, fourier_eval
-from diracsoliton.newton import Parity, discretize_operator, parity_from_theta
+from diracsoliton.newton import discretize_operator
 
 
 @pytest.fixture(scope="module")
@@ -290,49 +289,22 @@ class TestAssemble:
         assert np.allclose(samples, np.sqrt(0.1) * (u0 + 0.1 * u1))
 
 
-def _free_operator(fld, pot_V, pot_W, parity=Parity.EVEN):
-    return discretize_operator(pot_V, pot_W, fld.delta, fld.mu_delta, fld.x_grid, parity)
-
-
 class TestResidual:
     def test_zero_field(self, pot_free, pot_w):
-        x = staggered_grid(1.0, 1 / 64)
-        fld = TwoScaleField(
-            delta=0.1,
-            mu_delta=1.0,
-            x_grid=x,
-            samples=np.zeros_like(x),
-            u0_samples=np.zeros_like(x),
-        )
-        assert residual_norm(fld, _free_operator(fld, pot_free, pot_w)) == 0.0
+        op = discretize_operator(pot_free, pot_w, 0.1, 1.0, 1.0, 1 / 64, 1.0)
+        assert residual_norm(op, np.zeros_like(op.x_grid)) == 0.0
 
     def test_manufactured_linear_mode(self, pot_free, pot_w):
         """A small plane-wave probe leaves only discretization residue."""
-        h = 1 / 128
-        x = staggered_grid(16.0, h)
         q = 3.0
         eps = 1e-4
-        fld = TwoScaleField(
-            delta=0.0,
-            mu_delta=q**2,
-            x_grid=x,
-            samples=eps * np.cos(q * x),
-            u0_samples=eps * np.cos(q * x),
-        )
+        op = discretize_operator(pot_free, pot_w, 0.0, q**2, 16.0, 1 / 128, 1.0)
         # residual = FD error O(h^4 q^6 eps) plus the cubic term O(eps^3)
-        assert residual_norm(fld, _free_operator(fld, pot_free, pot_w)) < 1e-8
+        assert residual_norm(op, eps * np.cos(q * op.x_grid)) < 1e-8
 
     def test_coarse_grid_rejected(self, pot_free, pot_w):
-        x = staggered_grid(1.0, 1 / 32)
-        fld = TwoScaleField(
-            delta=0.1,
-            mu_delta=1.0,
-            x_grid=x,
-            samples=np.zeros_like(x),
-            u0_samples=np.zeros_like(x),
-        )
         with pytest.raises(ValueError, match="coarse"):
-            residual_norm(fld, _free_operator(fld, pot_free, pot_w))
+            discretize_operator(pot_free, pot_w, 0.1, 1.0, 1.0, 1 / 32, 1.0)
 
     def test_residual_order_free_example(
         self, free_dirac, free_profile, free_corrector, pot_free, pot_w
@@ -340,11 +312,12 @@ class TestResidual:
         h = 1 / 128
         ell = 1.0 / free_profile.params.decay_rate
         deltas = [0.2, 0.1]
-        fields = [
-            assemble_udelta(free_dirac, free_profile, free_corrector, d, 10.5 * ell / d, h)
-            for d in deltas
-        ]
-        norms = [residual_norm(f, _free_operator(f, pot_free, pot_w)) for f in fields]
+        norms = []
+        for d in deltas:
+            L = 10.5 * ell / d
+            f = assemble_udelta(free_dirac, free_profile, free_corrector, d, L, h)
+            op = discretize_operator(pot_free, pot_w, d, f.mu_delta, L, h, 1.0)
+            norms.append(residual_norm(op, f.samples))
         assert fit_order(deltas, norms) >= 0.8
 
     @pytest.mark.parametrize("amp", [1.0, -1.0], ids=["even", "odd"])
@@ -360,16 +333,17 @@ class TestResidual:
         profile = integrate_homoclinic(
             NLDParams(dirac.c_sharp, dirac.theta_sharp, 0.0, dirac.beta1, dirac.beta2)
         )
-        parity = parity_from_theta(dirac.theta_sharp)
         delta, h = 0.1, 1 / 64
         L = 10.5 / (profile.params.decay_rate * delta)
         corrector = solve_U1(build_G1(dirac, profile), dirac)
         fld = assemble_udelta(dirac, profile, corrector, delta, L, h)
-        got = residual_norm(fld, _free_operator(fld, pot_free, W, parity))
+        op = discretize_operator(
+            pot_free, W, delta, fld.mu_delta, L, h, dirac.theta_sharp
+        )
+        got = residual_norm(op, fld.samples)
 
-        sign = 1.0 if parity is Parity.EVEN else -1.0
         x = np.concatenate([-fld.x_grid[::-1], fld.x_grid])
-        u = np.concatenate([sign * fld.samples[::-1], fld.samples])
+        u = np.concatenate([op.sign * fld.samples[::-1], fld.samples])
         stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h**2)
         d2 = np.convolve(u, stencil, mode="valid")[3:-3]
         inner = slice(5, len(u) - 5)

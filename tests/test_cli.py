@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import diracsoliton
 from diracsoliton import ansatz, cli, newton
-from diracsoliton.cli import RunConfig, load_config, main
+from diracsoliton.cli import Pipeline, RunConfig, load_config, main
 
 ROOT = Path(__file__).parents[1]
 
@@ -231,9 +231,9 @@ class TestExitCodes:
         subclass, from the banded LU: a numerical failure all the same."""
         real = newton.newton_solve
 
-        def with_zero_row(op, delta, mu_delta, initial, cfg):
+        def with_zero_row(op, initial, tol, max_iters):
             op, initial = _with_zero_row(op, initial)
-            return real(op, delta, mu_delta, initial, cfg)
+            return real(op, initial, tol, max_iters)
 
         monkeypatch.setattr(newton, "newton_solve", with_zero_row)
         rc = main(["soliton", "--config", free_cfg_path, "--out", str(tmp_path / "out")])
@@ -263,6 +263,26 @@ class TestExitCodes:
         assert rc == 2, err
         assert err.startswith("validation error: y_max=1e+05 is ")
         assert "decay lengths" in err
+
+    @pytest.mark.parametrize(
+        "lengths, rc", [(None, 2), (39.9, 0)], ids=["1e4", "39.9-lengths"]
+    )
+    def test_y_max_beyond_the_kernel_check_grid_exits_2(
+        self, free_cfg_path, tmp_path, capsys, lengths, rc
+    ):
+        """y_max = 1e4, about 800 decay lengths: the envelope has not
+        underflowed on the decay-fit window, but the kernel check's
+        601-point grid no longer resolves the soliton.  39.9 decay
+        lengths are accepted."""
+        ell = 1.0 / Pipeline(load_config(free_cfg_path)).params.decay_rate
+        y_max = 1e4 if lengths is None else float(lengths * ell)
+        p = tmp_path / "long.cfg"
+        p.write_text(FREE_CFG + f"y_max = {y_max!r}\n")
+        got = main(["nld", "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert got == rc, err
+        if rc == 2:
+            assert err.startswith("validation error: y_max=1e+04 is ")
 
     def test_seed_regressions_flag_removed(self, free_cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -907,20 +927,25 @@ class TestReadmeIsTheApi:
 
 
 class TestTracedBenchmarkChild:
-    def test_verify_all_spans(self, free_cfg_path, tmp_path):
-        """solbench/child.py --trace: the layer wrappers fit the pipeline's signatures."""
-        bench = ROOT / "solbench"
-        proc = subprocess.run(
+    @staticmethod
+    def _traced_verify_all(free_cfg_path, tmp_path, *extra):
+        """solbench/child.py --trace verify-all, with the layer wrappers installed."""
+        return subprocess.run(
             [
-                sys.executable, str(bench / "child.py"), "--stamp", "s",
+                sys.executable, str(ROOT / "solbench" / "child.py"), "--stamp", "s",
                 "--trace", "spans.json",
-                "--", "verify-all", "--config", free_cfg_path, "--out", "out",
+                "--", "verify-all", "--config", free_cfg_path, "--out", "out", *extra,
             ],
             cwd=tmp_path,
             env=_src_env(),
             capture_output=True,
             text=True,
         )
+
+    def test_verify_all_spans(self, free_cfg_path, tmp_path):
+        """solbench/child.py --trace: the layer wrappers fit the pipeline's signatures."""
+        bench = ROOT / "solbench"
+        proc = self._traced_verify_all(free_cfg_path, tmp_path)
         assert proc.returncode == 0, proc.stderr
         spec = importlib.util.spec_from_file_location("spans", bench / "spans.py")
         spans = importlib.util.module_from_spec(spec)
@@ -933,3 +958,11 @@ class TestTracedBenchmarkChild:
         (run,) = runs  # FREE_CFG has one delta
         points = len(ansatz.staggered_grid(float(run["L"]), 0.015625))
         assert metrics["ansatz.synthesis_points"] == points
+
+    def test_two_deltas_in_workers(self, free_cfg_path, tmp_path):
+        """Two deltas are solved in forked workers, which inherit the layer
+        wrappers: a return type a wrapper cannot read fails the run there."""
+        proc = self._traced_verify_all(free_cfg_path, tmp_path, "--delta", "0.2,0.1")
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads((tmp_path / "out" / "soliton_scaling.json").read_text())["runs"]
+        assert len(runs) == 2

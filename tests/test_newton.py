@@ -8,27 +8,25 @@ from diracsoliton.ansatz import TwoScaleField, assemble_udelta, build_U0, stagge
 from diracsoliton.cli import Pipeline, load_config
 from diracsoliton.newton import (
     DiscreteOperator,
-    NewtonConfig,
-    Parity,
-    SolitonField,
     discretize_operator,
     error_vs_ansatz,
     jacobian_min_eig,
     newton_solve,
-    parity_from_theta,
 )
+
+TOL, MAX_ITERS = 1e-10, 25  # RunConfig's newton_tol and newton_max_iters defaults
 
 
 @pytest.fixture(scope="module")
 def free_soliton(free_dirac, free_profile):
     delta = 0.1
     ell = 1.0 / free_profile.params.decay_rate
-    x = staggered_grid(10.5 * ell / delta, 1 / 128)
     op = discretize_operator(
-        free_dirac.pot_V, free_dirac.pot_W, delta, free_dirac.mu_star, x, Parity.EVEN
+        free_dirac.pot_V, free_dirac.pot_W, delta, free_dirac.mu_star,
+        10.5 * ell / delta, 1 / 128, 1.0,
     )
-    guess = np.sqrt(delta) * build_U0(free_dirac, free_profile, delta, x)
-    sol = newton_solve(op, delta, free_dirac.mu_star, guess, NewtonConfig())
+    guess = np.sqrt(delta) * build_U0(free_dirac, free_profile, delta, op.x_grid)
+    sol = newton_solve(op, guess, TOL, MAX_ITERS)
     return op, sol
 
 
@@ -43,19 +41,24 @@ class TestGrid:
         with pytest.raises(ValueError):
             staggered_grid(0.1, 0.25)
 
-    def test_parity_from_theta(self):
-        assert parity_from_theta(0.4) is Parity.EVEN
-        assert parity_from_theta(-0.4) is Parity.ODD
-
 
 class TestDiscreteOperator:
-    def _free_op(self, parity, h=1 / 128, L=4.0):
-        x = staggered_grid(L, h)
+    def _free_op(self, theta_sharp, h=1 / 128, L=4.0):
         empty = PeriodicPotential({}, ParityClass.EVEN_INDEX)
-        return discretize_operator(empty, empty, 0.0, 0.0, x, parity)
+        return discretize_operator(empty, empty, 0.0, 0.0, L, h, theta_sharp)
+
+    def test_owns_grid_spacing_and_parity(self, pot_free):
+        """The operator builds staggered_grid(L, h) itself, keeps h as given
+        and takes its mirror sign from theta#."""
+        L, h = 900.0, 1 / 96
+        even = discretize_operator(pot_free, pot_free, 0.0, 0.0, L, h, 0.4)
+        odd = discretize_operator(pot_free, pot_free, 0.0, 0.0, L, h, -0.4)
+        assert np.array_equal(even.x_grid, staggered_grid(L, h))
+        assert even.h == h
+        assert (even.sign, odd.sign) == (1.0, -1.0)
 
     def test_fourth_order_on_even_mode(self):
-        op = self._free_op(Parity.EVEN)
+        op = self._free_op(1.0)
         q = 2.0 * np.pi
         u = np.cos(q * op.x_grid)
         out = op.apply(u)
@@ -64,7 +67,7 @@ class TestDiscreteOperator:
         assert np.max(err) < 2.0 * op.h**4 * q**6 / 90.0
 
     def test_fourth_order_on_odd_mode(self):
-        op = self._free_op(Parity.ODD)
+        op = self._free_op(-1.0)
         q = 2.0 * np.pi
         u = np.sin(q * op.x_grid)
         out = op.apply(u)
@@ -73,7 +76,7 @@ class TestDiscreteOperator:
 
     def test_mirror_fold_beats_one_sided_error(self):
         """The folded first rows are as accurate as the interior ones."""
-        op = self._free_op(Parity.EVEN)
+        op = self._free_op(1.0)
         q = np.pi
         u = np.cos(q * op.x_grid)
         out = op.apply(u)
@@ -81,14 +84,14 @@ class TestDiscreteOperator:
         assert abs(out[1] - q**2 * u[1]) < 1e-4
 
     def test_symmetry(self):
-        op = self._free_op(Parity.EVEN, L=2.0)
+        op = self._free_op(1.0, L=2.0)
         rng = np.random.default_rng(3)
         a = rng.normal(size=len(op.x_grid))
         b = rng.normal(size=len(op.x_grid))
         assert a @ op.apply(b) == pytest.approx(b @ op.apply(a), rel=1e-12)
 
     def test_solve_shifted_inverts_apply(self):
-        op = self._free_op(Parity.ODD, L=2.0)
+        op = self._free_op(-1.0, L=2.0)
         rng = np.random.default_rng(5)
         rhs = rng.normal(size=len(op.x_grid))
         shift = np.full(len(op.x_grid), 7.0)
@@ -97,33 +100,18 @@ class TestDiscreteOperator:
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError, match="coarse"):
-            self._free_op(Parity.EVEN, h=1 / 32)
-
-    def test_unstaggered_grid_rejected(self, pot_free):
-        x = np.arange(1, 200) / 128.0
-        with pytest.raises(ValueError, match="staggered"):
-            discretize_operator(pot_free, pot_free, 0.0, 0.0, x, Parity.EVEN)
-
-    def test_nonuniform_grid_rejected(self, pot_free):
-        x = staggered_grid(2.0, 1 / 128)
-        x[50] += 1e-6
-        with pytest.raises(ValueError, match="uniform"):
-            discretize_operator(pot_free, pot_free, 0.0, 0.0, x, Parity.EVEN)
+            self._free_op(1.0, h=1 / 32)
 
     def test_long_grid_with_non_dyadic_spacing_accepted(self, pot_free):
-        """(i + 1/2) h rounds about 1e-13 off h at x = 900; that is uniform."""
-        x = staggered_grid(900.0, 0.01)
-        op = discretize_operator(pot_free, pot_free, 0.0, 0.0, x, Parity.EVEN)
+        """(i + 1/2) h rounds about 1e-13 off h at x = 900; the operator
+        keeps the configured h."""
+        op = discretize_operator(pot_free, pot_free, 0.0, 0.0, 900.0, 0.01, 1.0)
         assert op.h == pytest.approx(0.01, rel=1e-12)
-        x[len(x) // 2 :] += 1e-8
-        with pytest.raises(ValueError, match="uniform"):
-            discretize_operator(pot_free, pot_free, 0.0, 0.0, x, Parity.EVEN)
 
     def test_potential_enters_diagonal(self, pot_v, pot_w):
-        x = staggered_grid(2.0, 1 / 128)
-        op = discretize_operator(pot_v, pot_w, 0.1, 3.0, x, Parity.EVEN)
-        base = discretize_operator(pot_v, pot_w, 0.0, 0.0, x, Parity.EVEN)
-        expect = 0.1 * pot_w(x) - 3.0
+        op = discretize_operator(pot_v, pot_w, 0.1, 3.0, 2.0, 1 / 128, 1.0)
+        base = discretize_operator(pot_v, pot_w, 0.0, 0.0, 2.0, 1 / 128, 1.0)
+        expect = 0.1 * pot_w(op.x_grid) - 3.0
         assert np.allclose(op.diag - base.diag, expect)
 
 
@@ -145,39 +133,30 @@ class TestNewton:
 
     def test_restart_from_solution_is_immediate(self, free_soliton):
         op, sol = free_soliton
-        again = newton_solve(op, sol.delta, sol.mu_delta, sol.samples, NewtonConfig())
+        again = newton_solve(op, sol.samples, TOL, MAX_ITERS)
         assert len(again.newton_history) == 1
 
     def test_zero_guess_rejected(self, free_soliton):
         op, sol = free_soliton
         with pytest.raises(RuntimeError, match="trivial"):
-            newton_solve(
-                op, sol.delta, sol.mu_delta, np.zeros_like(sol.samples), NewtonConfig()
-            )
+            newton_solve(op, np.zeros_like(sol.samples), TOL, MAX_ITERS)
 
     def test_non_finite_guess_is_divergence(self, free_soliton):
         op, sol = free_soliton
         guess = sol.samples.copy()
         guess[5] = np.nan
         with pytest.raises(RuntimeError, match="divergence"):
-            newton_solve(op, sol.delta, sol.mu_delta, guess, NewtonConfig())
+            newton_solve(op, guess, TOL, MAX_ITERS)
 
     def test_wrong_grid_length_rejected(self, free_soliton):
         op, sol = free_soliton
         with pytest.raises(ValueError, match="grid"):
-            newton_solve(op, sol.delta, sol.mu_delta, sol.samples[:-5], NewtonConfig())
+            newton_solve(op, sol.samples[:-5], TOL, MAX_ITERS)
 
     def test_unreachable_tolerance_reported(self, free_soliton):
         op, sol = free_soliton
-        cfg = NewtonConfig(tol=1e-18, max_iters=6)
         with pytest.raises(RuntimeError, match="did not reach"):
-            newton_solve(op, sol.delta, sol.mu_delta, sol.samples, cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iters=0)
+            newton_solve(op, sol.samples, 1e-18, 6)
 
 
 class TestJacobian:
@@ -216,7 +195,7 @@ class TestJacobian:
             diag=diag,
             off1=np.zeros(n - 1),
             off2=np.zeros(n - 2),
-            parity=Parity.EVEN,
+            sign=1.0,
         )
         assert jacobian_min_eig(op, np.zeros(n)) == pytest.approx(0.01, abs=1e-12)
 
@@ -237,10 +216,9 @@ class TestJacobian:
         L = min(18.5 / run.params.decay_rate, 0.995 * profile.y_max) / delta
         fld = assemble_udelta(data, profile, run.corrector, delta, L, run.cfg.h)
         op = discretize_operator(
-            data.pot_V, data.pot_W, delta, fld.mu_delta, fld.x_grid,
-            parity_from_theta(data.theta_sharp),
+            data.pot_V, data.pot_W, delta, fld.mu_delta, L, run.cfg.h, data.theta_sharp
         )
-        u = newton_solve(op, delta, fld.mu_delta, fld.samples, NewtonConfig()).samples
+        u = newton_solve(op, fld.samples, TOL, MAX_ITERS).samples
         J = diags(
             [op.off2, op.off1, op.diag - 3.0 * u**2, op.off1, op.off2],
             [-2, -1, 0, 1, 2],
@@ -263,7 +241,7 @@ class TestJacobian:
                 diag=rng.uniform(-3.0, 3.0, n),
                 off1=rng.uniform(-1.0, 1.0, n - 1),
                 off2=rng.uniform(-1.0, 1.0, n - 2),
-                parity=(Parity.EVEN, Parity.ODD)[seed % 2],
+                sign=(1.0, -1.0)[seed % 2],
             )
             u = rng.uniform(-1.0, 1.0, n)
             J = np.diag(op.diag - 3.0 * u**2)
@@ -279,8 +257,7 @@ class TestJacobian:
         """Row and column 17 of the Jacobian are zero: a zero pivot."""
         n, row = 60, 17
         empty = PeriodicPotential({}, ParityClass.EVEN_INDEX)
-        x = staggered_grid(n / 64, 1 / 64)
-        op = discretize_operator(empty, empty, 0.0, -1.0, x, Parity.EVEN)
+        op = discretize_operator(empty, empty, 0.0, -1.0, n / 64, 1 / 64, 1.0)
         op.diag[row] = 0.0
         op.off1[row - 1 : row + 1] = 0.0
         op.off2[row - 2] = op.off2[row] = 0.0
@@ -297,42 +274,37 @@ class TestJacobian:
             diag=np.linspace(0.01, 5.0, n),
             off1=np.zeros(n - 1),
             off2=np.zeros(n - 2),
-            parity=Parity.EVEN,
+            sign=1.0,
         )
         monkeypatch.setattr(newton, "_LANCZOS_MAX_STEPS", 2)
         with pytest.raises(RuntimeError, match=r"jacobian_min_eig: N = 400, .* 2 Lanczos"):
             jacobian_min_eig(op, np.zeros(n))
 
 
-def _leading_order(sol, dirac, profile):
+def _leading_order(op, delta, dirac, profile):
     """The two-scale field U0 alone, on the solver grid."""
-    u0 = build_U0(dirac, profile, sol.delta, sol.x_grid)
+    u0 = build_U0(dirac, profile, delta, op.x_grid)
     return TwoScaleField(
-        delta=sol.delta,
-        mu_delta=sol.mu_delta,
-        x_grid=sol.x_grid,
-        samples=np.sqrt(sol.delta) * u0,
+        delta=delta,
+        mu_delta=dirac.mu_star,
+        x_grid=op.x_grid,
+        samples=np.sqrt(delta) * u0,
         u0_samples=u0,
     )
 
 
 class TestErrorVsAnsatz:
     def test_zero_for_ansatz_itself(self, free_soliton, free_dirac, free_profile):
-        op, sol = free_soliton
-        a = np.sqrt(sol.delta) * build_U0(free_dirac, free_profile, sol.delta, op.x_grid)
-        fake = SolitonField(
-            delta=sol.delta,
-            mu_delta=sol.mu_delta,
-            x_grid=op.x_grid,
-            samples=a,
-            parity=Parity.EVEN,
-        )
-        l2, h2 = error_vs_ansatz(fake, _leading_order(fake, free_dirac, free_profile))
+        op, _ = free_soliton
+        ansatz = _leading_order(op, 0.1, free_dirac, free_profile)
+        l2, h2 = error_vs_ansatz(op, ansatz.samples, ansatz)
         assert l2 == 0.0 and h2 == 0.0
 
     def test_l2_below_h2(self, free_soliton, free_dirac, free_profile):
-        _, sol = free_soliton
-        l2, h2 = error_vs_ansatz(sol, _leading_order(sol, free_dirac, free_profile))
+        op, sol = free_soliton
+        l2, h2 = error_vs_ansatz(
+            op, sol.samples, _leading_order(op, 0.1, free_dirac, free_profile)
+        )
         assert 0.0 < l2 <= h2
         # leading-order mismatch is O(delta) relative to the O(1) norms
         assert l2 < 1.0
