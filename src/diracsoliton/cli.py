@@ -225,6 +225,15 @@ class Pipeline:
     def profile(self):
         return integrate_homoclinic(self.params, y_max=self.cfg.y_max)
 
+    def domain(self, delta: float) -> float:
+        """Half-line length L at delta: cfg.L, or floor(18.5 ell / delta),
+        ell the decay length: whole cells, whose Dirichlet cut carries no
+        edge state.  y_max does not enter."""
+        if self.cfg.L is not None:
+            return self.cfg.L
+        ell = 1.0 / self.params.decay_rate
+        return float(math.floor(18.5 * ell / delta))
+
     @cached_property
     def corrector(self):
         forcing = az.build_G1(self.dirac, self.profile)
@@ -388,11 +397,7 @@ def cmd_soliton(run: Pipeline, out: Path):
 
     cfg, deltas = run.cfg, run.deltas
     run.corrector  # every shared stage, computed once and inherited by the workers
-    ell = 1.0 / run.params.decay_rate
-    domains = {
-        d: cfg.L if cfg.L is not None else min(18.5 * ell, 0.995 * run.profile.y_max) / d
-        for d in deltas
-    }
+    domains = {d: run.domain(d) for d in deltas}
     grids = {d: round(L / cfg.h) for d, L in domains.items()}
     workers = min(len(deltas), len(os.sched_getaffinity(0)))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():

@@ -5,8 +5,8 @@ reduced to [0, L] on a staggered grid x_i = (i + 1/2) h with a mirror
 condition at 0 (even or odd, fixed by the sign of the gap coefficient)
 and a Dirichlet cutoff at L.  The reduction removes the translation
 zero mode exactly, so the Jacobian stays invertible at the soliton.
-DiscreteOperator is the one record of that discretisation: the grid,
-h, the mirror sign and the stencil; the residual, Newton, the
+DiscreteOperator is the one record of that discretisation: grid, h,
+mirror sign, potential and stencil; the residual, Newton, the
 Jacobian's eigenvalue and the error norms all read them from it.
 """
 
@@ -39,12 +39,14 @@ class DiscreteOperator:
     on the half-line grid x_grid = staggered_grid(L, h).
 
     sign is the mirror parity at 0: +1 (even) for theta# > 0, -1 (odd)
-    otherwise, as in homoclinic.SpinorProfile.evaluate.
+    otherwise, as in homoclinic.SpinorProfile.evaluate.  potential,
+    V + delta W - mu_delta, is diag less the stencil -d^2/dx^2.
     """
 
     x_grid: np.ndarray
     h: float
     sign: float
+    potential: np.ndarray
     diag: np.ndarray
     off1: np.ndarray
     off2: np.ndarray
@@ -116,7 +118,7 @@ def discretize_operator(
     off1[0] += sign * c2
     off2 = np.full(n - 2, c2)
     return DiscreteOperator(
-        x_grid=x_grid, h=h, sign=sign, diag=diag, off1=off1, off2=off2
+        x_grid=x_grid, h=h, sign=sign, potential=pot, diag=diag, off1=off1, off2=off2
     )
 
 
@@ -214,15 +216,10 @@ def error_vs_ansatz(
 
     The comparison field is sqrt(delta) U0 from the two-scale field the
     solver started from, sampled on op's grid.  Discrete H2 norm:
-    sqrt(|w|_L2^2 + |D2_h w|_L2^2) with the three-point second difference
-    mirrored by op.sign (second order; the solver's stencil is the
-    five-point, fourth-order one).
+    sqrt(|w|_L2^2 + |D2_h w|_L2^2), with -D2_h w = op.apply(w) -
+    op.potential * w: the solver's own fourth-order stencil, mirrored at
+    0 and cut at L as in Newton.
     """
     w = u - np.sqrt(field.delta) * field.u0_samples
-    h = op.h
-    lap = np.empty_like(w)
-    lap[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / h**2
-    lap[0] = (op.sign * w[0] - 2.0 * w[0] + w[1]) / h**2
-    lap[-1] = (w[-2] - 2.0 * w[-1]) / h**2
-    l2sq = 2.0 * h * np.sum(w**2)
-    return op.norm(w), float(np.sqrt(l2sq + 2.0 * h * np.sum(lap**2)))
+    l2 = op.norm(w)
+    return l2, float(np.hypot(l2, op.norm(op.apply(w) - op.potential * w)))

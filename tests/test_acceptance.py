@@ -23,6 +23,7 @@ from diracsoliton.ansatz import (
     solve_U1,
 )
 from diracsoliton.bloch import assemble_fb_matrix, fourier_eval, solve_bands_at_k
+from diracsoliton.cli import Pipeline, RunConfig
 from diracsoliton.cli import main as cli_main
 from diracsoliton.dirac import parity_block_split, verify_gap_opening
 from diracsoliton.homoclinic import kernel_check_on_Y
@@ -181,25 +182,29 @@ def test_residual_scaling_order(pot_v, pot_w, default_dirac, default_profile):
     assert time.perf_counter() - t0 < 300.0
 
 
-def test_newton_soliton_error_scaling(pot_v, pot_w, default_dirac, default_profile):
+def test_newton_soliton_error_scaling():
+    """On the default config's grids, the soliton's H2 distance to the
+    ansatz is O(delta), and the Jacobian's eigenvalue nearest 0 is the
+    soliton's: delta times the NLD margin on Y, not an edge state of the
+    Dirichlet cut."""
     t0 = time.perf_counter()
-    corrector = solve_U1(build_G1(default_dirac, default_profile), default_dirac)
-    params = default_profile.params
-    ell = 1.0 / params.decay_rate
+    run = Pipeline(RunConfig())
+    data, profile = run.dirac, run.profile
+    margin = kernel_check_on_Y(run.params, profile).sigma_min_restricted
     h = 1.0 / 256.0
     h2_errors = []
     for delta in DELTAS:
-        L = min(18.5 * ell, 0.995 * default_profile.y_max) / delta
-        fld = assemble_udelta(default_dirac, default_profile, corrector, delta, L, h)
-        mu_delta = default_dirac.mu_star + delta * params.mu_sharp
+        L = run.domain(delta)
+        fld = assemble_udelta(data, profile, run.corrector, delta, L, h)
         op = discretize_operator(
-            pot_v, pot_w, delta, mu_delta, L, h, default_dirac.theta_sharp
+            data.pot_V, data.pot_W, delta, fld.mu_delta, L, h, data.theta_sharp
         )
         sol = newton_solve(op, fld.samples, 1e-10, 25)
         assert len(sol.newton_history) <= 8
         assert sol.newton_history[-1] < 1e-10
         lam = jacobian_min_eig(op, sol.samples)
         assert lam > 0.0, (delta, lam)
+        assert abs(lam / delta - margin) <= 1e-3, (delta, lam / delta, margin)
         _, h2 = error_vs_ansatz(op, sol.samples, fld)
         h2_errors.append(h2)
     order = fit_order(DELTAS, h2_errors)

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -265,7 +266,9 @@ class TestExitCodes:
         assert "decay lengths" in err
 
     @pytest.mark.parametrize(
-        "lengths, rc", [(None, 2), (39.9, 0)], ids=["1e4", "39.9-lengths"]
+        "lengths, rc",
+        [(None, 2), (39.9, 0), (14.0, 2), (15.0, 0)],
+        ids=["1e4", "39.9-lengths", "14-lengths", "15-lengths"],
     )
     def test_y_max_beyond_the_kernel_check_grid_exits_2(
         self, free_cfg_path, tmp_path, capsys, lengths, rc
@@ -273,7 +276,9 @@ class TestExitCodes:
         """y_max = 1e4, about 800 decay lengths: the envelope has not
         underflowed on the decay-fit window, but the kernel check's
         601-point grid no longer resolves the soliton.  39.9 decay
-        lengths are accepted."""
+        lengths are accepted.  At the other end 14 decay lengths are a
+        configuration error, not a numerical failure, and 15 are
+        accepted."""
         ell = 1.0 / Pipeline(load_config(free_cfg_path)).params.decay_rate
         y_max = 1e4 if lengths is None else float(lengths * ell)
         p = tmp_path / "long.cfg"
@@ -282,7 +287,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert got == rc, err
         if rc == 2:
-            assert err.startswith("validation error: y_max=1e+04 is ")
+            assert err.startswith(f"validation error: y_max={y_max:.3g} is ")
 
     def test_seed_regressions_flag_removed(self, free_cfg_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -518,6 +523,22 @@ def test_domain_past_y_max_runs(tmp_path):
     assert main(["soliton", "--config", str(p), "--out", str(out), "--delta", "0.2"]) == 0
     last = (out / "soliton_delta_0p2.csv").read_text().splitlines()[-1]
     assert 0.2 * float(last.split(",")[0]) > 230.0
+
+
+def test_default_domain_is_whole_cells_without_y_max(free_cfg_path, tmp_path):
+    """The default L is a whole number of cells, floor(18.5 ell / delta),
+    whatever y_max samples the envelope: the default y_max (18 decay
+    lengths) and 25 decay lengths give the same L."""
+    ell = 1.0 / Pipeline(load_config(free_cfg_path)).params.decay_rate
+    p = tmp_path / "long.cfg"
+    p.write_text(FREE_CFG + f"y_max = {float(25.0 * ell)!r}\n")
+    domains = []
+    for name, cfg in (("default", free_cfg_path), ("long", str(p))):
+        out = tmp_path / name
+        assert main(["verify-all", "--config", cfg, "--out", str(out)]) == 0
+        (run,) = json.loads((out / "soliton_scaling.json").read_text())["runs"]
+        domains.append(float(run["L"]))
+    assert domains[0] == domains[1] == math.floor(18.5 * ell / 0.1)
 
 
 class TestParallelDeltas:
