@@ -11,7 +11,7 @@ matrix whose eigenpairs approximate the dispersion bands.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,12 +97,16 @@ class BlochSolution:
 
 @dataclass
 class BandSweep:
+    """Eigenpairs of the truncated H(k) at every k of k_grid: row i of
+    eigenvalues and eigenvectors[i] as in the BlochSolution at k_grid[i]."""
+
     k_grid: np.ndarray
-    solutions: list[BlochSolution] = field(default_factory=list)
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     def band(self, n: int) -> np.ndarray:
         """Values of the n-th band (0-based) over the sweep grid."""
-        return np.array([sol.eigenvalues[n] for sol in self.solutions])
+        return self.eigenvalues[:, n]
 
 
 def _check_cutoff(pot: PeriodicPotential, cut: FourierCutoff):
@@ -143,33 +147,49 @@ def assemble_fb_matrix(pot: PeriodicPotential, k: float, cut: FourierCutoff) -> 
     return assemble_coefficient_matrix(pot.coeffs, k, cut.M)
 
 
-def solve_bands_at_k(pot: PeriodicPotential, k: float, cut: FourierCutoff) -> BlochSolution:
-    """Full ascending spectrum of the truncated H(k) with orthonormal eigenvectors."""
-    A = assemble_fb_matrix(pot, k, cut)
+def _eigh_checked(A: np.ndarray, k_grid: np.ndarray):
+    """Ascending eigenpairs of the stack A[i] of H(k_grid[i]), in one eigh.
+
+    A failure, of the solve or of the eigen-residual check, names its
+    first k and the condition number of its matrix.
+    """
     try:
         evals, evecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            f"eigensolver failed at k={k}: {exc}; cond(A)={np.linalg.cond(A):.3e}"
-        ) from exc
+        # the stacked solve does not say which matrix failed
+        for k, a in zip(k_grid, A):
+            try:
+                np.linalg.eigh(a)
+            except np.linalg.LinAlgError:
+                raise RuntimeError(
+                    f"eigensolver failed at k={k}: {exc}; cond(A)={np.linalg.cond(a):.3e}"
+                ) from exc
+        raise
     # backward-stable eigh leaves residuals of order eps*|A|, whatever |lambda|
-    resid = np.max(np.abs(A @ evecs - evecs * evals), axis=0)
-    bad = resid > 1e-10 * (1.0 + np.max(np.abs(evals)))
+    resid = np.max(np.abs(A @ evecs - evecs * evals[:, None, :]), axis=1)
+    bad = resid > 1e-10 * (1.0 + np.max(np.abs(evals), axis=1, keepdims=True))
     if np.any(bad):
-        n = int(np.argmax(bad))
+        i, n = np.argwhere(bad)[0]
         raise RuntimeError(
-            f"eigen-residual {resid[n]:.3e} too large for eigenvalue {evals[n]:.6g} "
-            f"at k={k}; cond(A)={np.linalg.cond(A):.3e}"
+            f"eigen-residual {resid[i, n]:.3e} too large for eigenvalue {evals[i, n]:.6g} "
+            f"at k={k_grid[i]}; cond(A)={np.linalg.cond(A[i]):.3e}"
         )
-    return BlochSolution(k=float(k), eigenvalues=evals, eigenvectors=evecs)
+    return evals, evecs
+
+
+def solve_bands_at_k(pot: PeriodicPotential, k: float, cut: FourierCutoff) -> BlochSolution:
+    """Full ascending spectrum of the truncated H(k) with orthonormal eigenvectors."""
+    A = assemble_fb_matrix(pot, k, cut)
+    evals, evecs = _eigh_checked(A[None], np.array([k]))
+    return BlochSolution(k=float(k), eigenvalues=evals[0], eigenvectors=evecs[0])
 
 
 def band_sweep(pot: PeriodicPotential, k_grid, cut: FourierCutoff) -> BandSweep:
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid < -1e-12) or np.any(k_grid > 2.0 * np.pi + 1e-12):
         raise ValueError("k_grid must lie in [0, 2*pi]")
-    sols = [solve_bands_at_k(pot, k, cut) for k in k_grid]
-    return BandSweep(k_grid=k_grid, solutions=sols)
+    A = np.stack([assemble_fb_matrix(pot, k, cut) for k in k_grid])
+    return BandSweep(k_grid, *_eigh_checked(A, k_grid))
 
 
 def cell_offsets(x_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

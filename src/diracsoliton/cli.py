@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
 from itertools import chain
@@ -163,8 +164,20 @@ def _config_block(cfg: RunConfig) -> dict:
     }
 
 
+@contextmanager
+def _artifact(path: Path):
+    """path opened for writing; an OSError, say a directory in its place,
+    re-raised as the invalid-configuration ValueError naming the path."""
+    try:
+        with path.open("w") as f:
+            yield f
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with _artifact(path) as f:
+        f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # rows formatted per `%` operation: the float lists and the text of one
@@ -180,7 +193,7 @@ def _write_csv(path: Path, columns: dict):
     """
     cols = [np.asarray(c) for c in columns.values()]
     row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
-    with path.open("w") as f:
+    with _artifact(path) as f:
         f.write(",".join(columns) + "\n")
         for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
             block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in cols]
@@ -252,7 +265,7 @@ def cmd_bands(run: Pipeline, out: Path):
         {
             "k": np.repeat(sweep.k_grid, cfg.n_bands),
             "band_index": np.tile(np.arange(1, cfg.n_bands + 1), len(sweep.k_grid)),
-            "mu": np.concatenate([sol.eigenvalues[:cfg.n_bands] for sol in sweep.solutions]),
+            "mu": sweep.eigenvalues[:, :cfg.n_bands].ravel(),
         },
     )
     summary = {
@@ -368,15 +381,24 @@ def _adopt(run: Pipeline):
     _worker_run = run
 
 
-def _soliton_delta_in_worker(delta: float, L: float, out: Path):
-    return _soliton_delta(_worker_run, delta, L, out)
+def _task(run: Pipeline, name: str, *args):
+    """One task of soliton or verify-all: "delta" is one delta's soliton
+    chain, any other name the command COMMANDS[name].  Commands go by
+    name, looked up where the task runs, so that a replaced entry is the
+    one called: a replacement function need not pickle."""
+    if name == "delta":
+        return _soliton_delta(run, *args)
+    return COMMANDS[name](run, *args)
 
 
-def _named(call, delta: float, n: int):
-    """call(), a failure re-raised naming the delta and grid, as the class
+def _task_in_worker(name: str, *args):
+    return _task(_worker_run, name, *args)
+
+
+def _named(call, where: str):
+    """call(), a failure re-raised naming where it happened, as the class
     main maps to an exit code: numpy's out-of-memory error takes no
     message, and LinAlgError, a numerical failure, subclasses ValueError."""
-    where = f"soliton delta={delta}, N={n}"
     try:
         return call()
     except MemoryError as exc:
@@ -387,18 +409,34 @@ def _named(call, delta: float, n: int):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def cmd_soliton(run: Pipeline, out: Path):
+def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
+    """The shared stages, then the commands named and each delta's
+    soliton chain as tasks; soliton_scaling.json from the deltas'.
+
+    With more than one delta and usable CPU, the tasks run in workers
+    forked once the shared stages are computed: the deltas queued
+    largest grid first, the commands after them, so the worker done
+    first with its delta takes them.  Otherwise they run here, in
+    order.  Either way the failure raised is the first in the order
+    commands, then deltas in config order, each named as it ran:
+    the command, or `soliton delta=<d>, N=<grid points>`.
+    """
     # here, not at module top: bands and dirac start without scipy, and
     # bands, dirac and nld without multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    cfg, deltas = run.cfg, run.deltas  # the window check before the first artifact
+    run.corrector  # every shared stage, computed once and inherited by the workers
     from . import newton  # noqa: F401  imported once, before the workers fork
 
-    cfg, deltas = run.cfg, run.deltas
-    run.corrector  # every shared stage, computed once and inherited by the workers
     domains = {d: run.domain(d) for d in deltas}
     grids = {d: round(L / cfg.h) for d, L in domains.items()}
+    # (where a failure is named, grid points, task), in the order failures are reported
+    tasks = [(name, 0, (name, out)) for name in commands] + [
+        (f"soliton delta={d}, N={grids[d]}", grids[d], ("delta", d, domains[d], out))
+        for d in deltas
+    ]
     workers = min(len(deltas), len(os.sched_getaffinity(0)))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # forked, not spawned: initargs are inherited, never pickled
@@ -408,17 +446,15 @@ def cmd_soliton(run: Pipeline, out: Path):
             initializer=_adopt,
             initargs=(run,),
         ) as pool:
+            # the largest grids first; the commands, of no grid, last
             futures = {
-                d: pool.submit(_soliton_delta_in_worker, d, domains[d], out)
-                for d in sorted(deltas, key=grids.get, reverse=True)
+                where: pool.submit(_task_in_worker, *task)
+                for where, _, task in sorted(tasks, key=lambda t: -t[1])
             }
-            results = [_named(futures[d].result, d, grids[d]) for d in deltas]
+            results = [_named(futures[where].result, where) for where, _, _ in tasks]
     else:
-        results = [
-            _named(partial(_soliton_delta, run, d, domains[d], out), d, grids[d])
-            for d in deltas
-        ]
-    resid_norms, h2_errors, per_delta = zip(*results)
+        results = [_named(partial(_task, run, *task), where) for where, _, task in tasks]
+    resid_norms, h2_errors, per_delta = zip(*results[len(commands):])
     report = {
         "deltas": [_fmt(d) for d in deltas],
         "residual_norms": [_fmt(r) for r in resid_norms],
@@ -435,10 +471,12 @@ def cmd_soliton(run: Pipeline, out: Path):
     _write_json(out / "soliton_scaling.json", report)
 
 
+def cmd_soliton(run: Pipeline, out: Path):
+    _solve(run, out, ())
+
+
 def cmd_verify_all(run: Pipeline, out: Path):
-    run.deltas  # reject a detuning outside the window before the first artifact
-    for cmd in (cmd_bands, cmd_dirac, cmd_nld, cmd_soliton):
-        cmd(run, out)
+    _solve(run, out, ("bands", "dirac", "nld"))
     summary = {
         "bands": "bands.json",
         "dirac": "dirac_point.json",

@@ -233,7 +233,9 @@ def default_gap_k_grid() -> np.ndarray:
     t = np.linspace(0.0, np.pi, 401)
     local = np.pi + 0.5 * np.cos(t)  # clusters at pi +- 0.5
     global_grid = np.linspace(0.0, 2.0 * np.pi, 81)
-    return np.unique(np.concatenate([local, global_grid]))
+    # sorted, equal neighbours dropped: np.unique's first call imports numpy.ma
+    grid = np.sort(np.concatenate([local, global_grid]))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def verify_gap_opening(data: DiracPointData, delta: float, a: float) -> GapReport:

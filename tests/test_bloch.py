@@ -102,9 +102,9 @@ class TestSweep:
         cut = FourierCutoff(8)
         sweep = band_sweep(pot_free, k_grid, cut)
         m = cut.indices()
-        for sol in sweep.solutions:
-            expect = np.sort((2.0 * np.pi * m + sol.k) ** 2)
-            assert np.allclose(sol.eigenvalues, expect, atol=1e-9)
+        for k, evals in zip(sweep.k_grid, sweep.eigenvalues):
+            expect = np.sort((2.0 * np.pi * m + k) ** 2)
+            assert np.allclose(evals, expect, atol=1e-9)
 
     def test_large_cutoff_sweep_passes_residual_check(self, pot_v):
         """eigh residuals scale with |A| ~ (2 pi M)^2, not with |lambda|."""
@@ -132,6 +132,52 @@ class TestSweep:
     def test_k_grid_outside_zone_rejected(self, pot_free):
         with pytest.raises(ValueError, match="k_grid"):
             band_sweep(pot_free, [-0.5, 1.0], FourierCutoff(4))
+
+    def test_one_solve_equals_per_k_solves(self, pot_v, cut64, monkeypatch):
+        """One batched eigh, bit for bit the eigenpairs of each k alone."""
+        k_grid = np.linspace(0.0, 2.0 * np.pi, 17)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        sweep = band_sweep(pot_v, k_grid, cut64)
+        assert calls == [(17, 129, 129)]
+        monkeypatch.undo()
+        for i, k in enumerate(k_grid):
+            sol = solve_bands_at_k(pot_v, k, cut64)
+            assert sweep.eigenvalues[i].tobytes() == sol.eigenvalues.tobytes()
+            assert sweep.eigenvectors[i].tobytes() == sol.eigenvectors.tobytes()
+
+    def test_residual_failure_names_first_bad_k(self, pot_v, monkeypatch):
+        k_grid = np.linspace(0.0, 2.0 * np.pi, 9)
+        eigh = np.linalg.eigh
+
+        def spoiled(a):
+            evals, evecs = eigh(a)
+            evecs[[3, 6], 0, 2] += 1e-6  # the third eigenvector at k_grid[3] and [6]
+            return evals, evecs
+
+        monkeypatch.setattr(np.linalg, "eigh", spoiled)
+        with pytest.raises(RuntimeError, match=r"^eigen-residual .* at k=(\S+); cond\(A\)=") as err:
+            band_sweep(pot_v, k_grid, FourierCutoff(8))
+        assert f"at k={k_grid[3]};" in str(err.value)
+
+    def test_solver_failure_names_first_bad_k(self, pot_v, monkeypatch):
+        """The stacked solve fails as a whole; the first k that fails alone is named."""
+        k_grid = np.linspace(0.0, 2.0 * np.pi, 9)
+        bad = {2, 5}
+        eigh = np.linalg.eigh
+
+        def failing(a):
+            # H(k) has (2 pi m + k)^2 on its diagonal, so a[0, 0] identifies k
+            if a.ndim == 3 or any(a[0, 0] == (-16.0 * np.pi + k_grid[i]) ** 2 for i in bad):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(RuntimeError) as err:
+            band_sweep(pot_v, k_grid, FourierCutoff(8))
+        assert str(err.value).startswith(
+            f"eigensolver failed at k={k_grid[2]}: Eigenvalues did not converge; cond(A)="
+        )
 
 
 class TestBlochWave:

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -119,6 +120,15 @@ class TestImportCost:
         pool = ("multiprocessing", "concurrent.futures.process")
         lines = self._scipy_after(
             tmp_path, command, "--config", free_cfg_path, prefixes=pool
+        )
+        assert lines == ["", "", ""]
+
+    def test_dirac_loads_no_numpy_ma(self, free_cfg_path, tmp_path):
+        """numpy.ma, which np.unique imports on its first call, costs dirac
+        about 18 ms and is never used.  Its package loads numpy.ma.core;
+        the bare prefix "numpy.ma" would also match numpy.matrixlib."""
+        lines = self._scipy_after(
+            tmp_path, "dirac", "--config", free_cfg_path, prefixes=("numpy.ma.",)
         )
         assert lines == ["", "", ""]
 
@@ -315,6 +325,31 @@ class TestExitCodes:
         rc = main(["dirac", "--config", free_cfg_path, "--out", str(out)])
         assert rc == 2
         assert "configuration error: cannot make --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,deltas,blocked,named",
+        [
+            ("bands", "0.1", "bands.csv", ""),
+            ("nld", "0.1", "nld_profile.csv", ""),
+            ("soliton", "0.1", "soliton_delta_0p1.csv", "soliton delta=0.1, N="),
+            ("soliton", "0.2,0.1", "soliton_delta_0p1.csv", "soliton delta=0.1, N="),
+            ("verify-all", "0.2,0.1", "bands.csv", "bands: "),
+        ],
+        ids=["bands", "nld", "soliton", "soliton_workers", "verify_all_workers"],
+    )
+    def test_unwritable_artifact_exits_2(
+        self, free_cfg_path, tmp_path, capsys, monkeypatch, command, deltas, blocked, named
+    ):
+        """A directory where an artifact goes, in this process or in a worker."""
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        rc = main([command, "--config", free_cfg_path, "--out", str(out), "--delta", deltas])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"validation error: {named}"), err
+        assert err.endswith(f"cannot write {out / blocked}: Is a directory\n"), err
+        assert multiprocessing.active_children() == []
 
     @staticmethod
     def _cli_in_2_gib(tmp_path, config: str, *args) -> str:
@@ -640,6 +675,140 @@ class TestParallelDeltas:
         assert "numerical failure: soliton delta=0.2, N=" in err
         assert "terminated abruptly" in err and "Traceback" not in err
         assert not (out / "soliton_scaling.json").exists()
+        assert multiprocessing.active_children() == []
+
+
+class TestVerifyAllTasks:
+    """verify-all on FREE_CFG at deltas 0.2 and 0.1: bands, dirac and nld
+    are tasks after the deltas, in the forked workers with two usable CPUs.
+
+    main runs in this process, so monkeypatches reach the workers.
+    """
+
+    ARGS = ["--delta", "0.2,0.1"]
+    COMMANDS = ("bands", "dirac", "nld")
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Output directories of a run with two usable CPUs and one with one,
+        and the processes left running after each."""
+        root = tmp_path_factory.mktemp("tasks")
+        cfg = root / "free.cfg"
+        cfg.write_text(FREE_CFG)
+
+        def recording_pid(name, command):
+            def recording(run, out):
+                (out.parent / f"{out.name}-{name}.pid").write_text(str(os.getpid()))
+                return command(run, out)
+
+            return recording
+
+        left = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for name in self.COMMANDS:
+                mp.setitem(cli.COMMANDS, name, recording_pid(name, cli.COMMANDS[name]))
+            for cpus in (2, 1):
+                _usable_cpus(mp, cpus)
+                out = root / f"cpus{cpus}"
+                assert main(["verify-all", "--config", str(cfg), "--out", str(out), *self.ARGS]) == 0
+                left[cpus] = multiprocessing.active_children()
+        return root, left
+
+    def test_same_bytes_as_one_worker(self, runs):
+        root, _ = runs
+        names = sorted(p.name for p in (root / "cpus2").iterdir())
+        assert names == sorted(
+            ["bands.csv", "bands.json", "dirac_point.json", "gap_report.json",
+             "nld_profile.csv", "nld_diagnostics.json", "soliton_delta_0p1.csv",
+             "soliton_delta_0p2.csv", "soliton_scaling.json", "verify_all.json"]
+        )
+        assert names == sorted(p.name for p in (root / "cpus1").iterdir())
+        for name in names:
+            assert (root / "cpus2" / name).read_bytes() == (root / "cpus1" / name).read_bytes(), name
+
+    def test_commands_in_workers_only_with_two_cpus(self, runs):
+        root, _ = runs
+        for name in self.COMMANDS:
+            assert int((root / f"cpus1-{name}.pid").read_text()) == os.getpid(), name
+            assert int((root / f"cpus2-{name}.pid").read_text()) != os.getpid(), name
+
+    def test_no_worker_outlives_main(self, runs):
+        _, left = runs
+        assert left == {2: [], 1: []}
+
+    @staticmethod
+    def _in_a_worker(fn):
+        """fn, which must be called in a forked worker: in the CLI process
+        it fails the test."""
+        parent = os.getpid()
+
+        def guarded(*args):
+            assert os.getpid() != parent, "called in the CLI process"
+            return fn(*args)
+
+        return guarded
+
+    @pytest.mark.parametrize(
+        "stage,exc,rc,label",
+        [
+            ("band_sweep", RuntimeError, 3, "numerical failure: bands"),
+            ("kernel_check_on_Y", ValueError, 2, "validation error: nld"),
+        ],
+    )
+    def test_stage_failure_in_a_worker(
+        self, free_cfg_path, tmp_path, capsys, monkeypatch, stage, exc, rc, label
+    ):
+        def failing(*args):
+            raise exc(f"{stage}: injected")
+
+        monkeypatch.setattr(cli, stage, self._in_a_worker(failing))
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == rc
+        assert capsys.readouterr().err == f"{label}: {stage}: injected\n"
+        assert not (out / "soliton_scaling.json").exists()
+        assert not (out / "verify_all.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_nld_failure_reported_before_a_delta(
+        self, free_cfg_path, tmp_path, capsys, monkeypatch
+    ):
+        """Both fail; the order is that of a serial run: nld, then the deltas."""
+
+        def failing(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "kernel_check_on_Y", self._in_a_worker(failing))
+        monkeypatch.setattr(newton, "jacobian_min_eig", failing)
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == 3
+        assert capsys.readouterr().err == "numerical failure: nld: injected\n"
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_names_the_command(self, free_cfg_path, tmp_path, capsys, monkeypatch):
+        """A worker dies in nld's kernel check.  It waits for bands' and
+        dirac's last artifacts first, so that their tasks, reported before
+        nld's, have finished and only nld's and the deltas' are broken."""
+        out = tmp_path / "out"
+
+        def dying(*args):
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline and not all(
+                (out / name).exists() for name in ("bands.json", "gap_report.json")
+            ):
+                time.sleep(0.01)
+            time.sleep(0.5)
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "kernel_check_on_Y", self._in_a_worker(dying))
+        _usable_cpus(monkeypatch, 2)
+        assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: nld: A process in the process pool"), err
+        assert "terminated abruptly" in err and "Traceback" not in err
+        assert not (out / "soliton_scaling.json").exists()
+        assert not (out / "verify_all.json").exists()
         assert multiprocessing.active_children() == []
 
 

@@ -197,6 +197,12 @@ class TestGapOpening:
         # both solvers are backward stable to eps |H(k)|, |H(k)| ~ (2 pi M)^2
         assert np.allclose([v[2] for v in rep.violations], [e[2] for e in expect], atol=1e-9)
 
+    def test_k_grid_is_the_sorted_union(self):
+        """The grid np.unique made of the two grids, bit for bit."""
+        local = np.pi + 0.5 * np.cos(np.linspace(0.0, np.pi, 401))
+        union = np.unique(np.concatenate([local, np.linspace(0.0, 2.0 * np.pi, 81)]))
+        assert default_gap_k_grid().tobytes() == union.tobytes()
+
     def test_bad_safety_fraction(self, default_dirac):
         with pytest.raises(ValueError, match="safety fraction"):
             verify_gap_opening(default_dirac, 0.1, 1.5)
