@@ -30,14 +30,13 @@ from .homoclinic import SpinorProfile, _rhs
 class TwoScaleField:
     """Real candidate soliton sqrt(delta) (U0 + delta U1) on a parity half-line.
 
-    x_grid is staggered_grid(L, h), the grid newton.discretize_operator
-    builds for the same L and h; the operator also holds the mirror sign
-    that extends the field to the full line.  samples holds the scaled
-    field, u0_samples the unscaled U0.
+    x_grid is the array of Newton's operator it was synthesised on, not
+    a copy; the operator also holds the mirror sign that extends the
+    field to the full line.  samples holds the scaled field, u0_samples
+    the unscaled U0.
     """
 
     delta: float
-    mu_delta: float
     x_grid: np.ndarray
     samples: np.ndarray
     u0_samples: np.ndarray
@@ -307,45 +306,21 @@ def evaluate_udelta(
     return np.sqrt(delta) * (u0 + delta * u1), u0, u1
 
 
-def staggered_grid(L: float, h: float) -> np.ndarray:
-    """Half-line grid x_i = (i + 1/2) h covering [0, L]."""
-    if h <= 0 or L <= h:
-        raise ValueError("need 0 < h < L")
-    n = int(round(L / h))
-    return (np.arange(n) + 0.5) * h
-
-
 def assemble_udelta(
     dirac: DiracPointData,
     profile: SpinorProfile,
     corrector: CorrectorSolution,
     delta: float,
-    L: float,
-    h: float,
+    x_grid: np.ndarray,
 ) -> TwoScaleField:
-    """Candidate soliton sqrt(delta) (U0 + delta U1) on staggered_grid(L, h).
+    """Candidate soliton sqrt(delta) (U0 + delta U1) on the half-line x_grid.
 
-    The grid is the Newton solver's half-line; the parity fixed by the
-    sign of theta# mirrors the field to the full line [-L, L].
+    x_grid is Newton's operator's own grid (newton.discretize_operator),
+    kept as the field's; the parity fixed by the sign of theta#, the
+    operator's mirror sign, extends the field to the full line.
     """
-    params = profile.params
-    ell = 1.0 / params.decay_rate
-    if delta > 0.0:
-        L_min = 10.0 * ell / delta
-        if L < L_min:
-            raise ValueError(
-                f"domain half-length {L:.4g} below the envelope-decay floor "
-                f"{L_min:.4g} for delta={delta}"
-            )
-    x_grid = staggered_grid(L, h)
     samples, u0, _ = evaluate_udelta(dirac, profile, corrector, delta, x_grid=x_grid)
-    return TwoScaleField(
-        delta=float(delta),
-        mu_delta=float(dirac.mu_star + delta * params.mu_sharp),
-        x_grid=x_grid,
-        samples=samples,
-        u0_samples=u0,
-    )
+    return TwoScaleField(delta=float(delta), x_grid=x_grid, samples=samples, u0_samples=u0)
 
 
 _EDGE_SKIP = 5

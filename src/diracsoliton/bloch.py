@@ -83,22 +83,10 @@ class FourierCutoff:
 
 
 @dataclass
-class BlochSolution:
-    """Eigenpairs of the truncated H(k) at one quasi-momentum.
-
-    eigenvectors[:, n] holds the Fourier coefficients (p_{n,m})_{|m|<=M}
-    of the n-th periodic eigenfunction, unit-normalized in l2.
-    """
-
-    k: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass
 class BandSweep:
-    """Eigenpairs of the truncated H(k) at every k of k_grid: row i of
-    eigenvalues and eigenvectors[i] as in the BlochSolution at k_grid[i]."""
+    """Eigenpairs of the truncated H(k) at each k_grid[i]: ascending
+    eigenvalues[i], and in eigenvectors[i][:, n] the l2-unit Fourier
+    coefficients (p_{n,m})_{|m|<=M} of the n-th periodic eigenfunction."""
 
     k_grid: np.ndarray
     eigenvalues: np.ndarray
@@ -147,12 +135,16 @@ def assemble_fb_matrix(pot: PeriodicPotential, k: float, cut: FourierCutoff) -> 
     return assemble_coefficient_matrix(pot.coeffs, k, cut.M)
 
 
-def _eigh_checked(A: np.ndarray, k_grid: np.ndarray):
-    """Ascending eigenpairs of the stack A[i] of H(k_grid[i]), in one eigh.
+def band_sweep(pot: PeriodicPotential, k_grid, cut: FourierCutoff) -> BandSweep:
+    """Ascending eigenpairs of H(k) at every k of k_grid, in one stacked eigh.
 
     A failure, of the solve or of the eigen-residual check, names its
     first k and the condition number of its matrix.
     """
+    k_grid = np.asarray(k_grid, dtype=float)
+    if np.any(k_grid < -1e-12) or np.any(k_grid > 2.0 * np.pi + 1e-12):
+        raise ValueError("k_grid must lie in [0, 2*pi]")
+    A = np.stack([assemble_fb_matrix(pot, k, cut) for k in k_grid])
     try:
         evals, evecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
@@ -174,22 +166,7 @@ def _eigh_checked(A: np.ndarray, k_grid: np.ndarray):
             f"eigen-residual {resid[i, n]:.3e} too large for eigenvalue {evals[i, n]:.6g} "
             f"at k={k_grid[i]}; cond(A)={np.linalg.cond(A[i]):.3e}"
         )
-    return evals, evecs
-
-
-def solve_bands_at_k(pot: PeriodicPotential, k: float, cut: FourierCutoff) -> BlochSolution:
-    """Full ascending spectrum of the truncated H(k) with orthonormal eigenvectors."""
-    A = assemble_fb_matrix(pot, k, cut)
-    evals, evecs = _eigh_checked(A[None], np.array([k]))
-    return BlochSolution(k=float(k), eigenvalues=evals[0], eigenvectors=evecs[0])
-
-
-def band_sweep(pot: PeriodicPotential, k_grid, cut: FourierCutoff) -> BandSweep:
-    k_grid = np.asarray(k_grid, dtype=float)
-    if np.any(k_grid < -1e-12) or np.any(k_grid > 2.0 * np.pi + 1e-12):
-        raise ValueError("k_grid must lie in [0, 2*pi]")
-    A = np.stack([assemble_fb_matrix(pot, k, cut) for k in k_grid])
-    return BandSweep(k_grid, *_eigh_checked(A, k_grid))
+    return BandSweep(k_grid, evals, evecs)
 
 
 def cell_offsets(x_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -241,11 +241,24 @@ class Pipeline:
     def domain(self, delta: float) -> float:
         """Half-line length L at delta: cfg.L, or floor(18.5 ell / delta),
         ell the decay length: whole cells, whose Dirichlet cut carries no
-        edge state.  y_max does not enter."""
-        if self.cfg.L is not None:
-            return self.cfg.L
+        edge state.  y_max does not enter.  Either must reach the
+        envelope-decay floor 10 ell / delta."""
         ell = 1.0 / self.params.decay_rate
-        return float(math.floor(18.5 * ell / delta))
+        L, rule = self.cfg.L, "L"
+        if L is None:  # np.floor keeps an infinite L for the grid's size rule
+            L = float(np.floor(18.5 * ell / delta))
+            rule = "the default L = floor(18.5 ell / delta)"
+        L_min = 10.0 * ell / delta
+        if L < L_min:
+            raise ValueError(
+                f"{rule} = {L:.4g} below the envelope-decay floor "
+                f"10 ell / delta = {L_min:.4g}"
+            )
+        return L
+
+    def mu_delta(self, delta: float) -> float:
+        """The soliton's frequency mu* + delta mu#."""
+        return float(self.dirac.mu_star + delta * self.params.mu_sharp)
 
     @cached_property
     def corrector(self):
@@ -348,11 +361,11 @@ def _soliton_delta(run: Pipeline, delta: float, L: float, out: Path):
     """
     from . import newton as nt
 
-    cfg, data = run.cfg, run.dirac
-    fld = az.assemble_udelta(data, run.profile, run.corrector, delta, L, cfg.h)
+    cfg, data, mu_delta = run.cfg, run.dirac, run.mu_delta(delta)
     op = nt.discretize_operator(
-        data.pot_V, data.pot_W, delta, fld.mu_delta, L, cfg.h, data.theta_sharp
+        data.pot_V, data.pot_W, delta, mu_delta, L, cfg.h, data.theta_sharp
     )
+    fld = az.assemble_udelta(data, run.profile, run.corrector, delta, op.x_grid)
     resid_norm = az.residual_norm(op, fld.samples)
     sol = nt.newton_solve(op, fld.samples, cfg.newton_tol, cfg.newton_max_iters)
     min_eig = nt.jacobian_min_eig(op, sol.samples)
@@ -361,7 +374,7 @@ def _soliton_delta(run: Pipeline, delta: float, L: float, out: Path):
     _write_csv(out / f"soliton_delta_{tag}.csv", {"x": op.x_grid, "u": sol.samples})
     return resid_norm, h2_error, {
         "delta": _fmt(delta),
-        "mu_delta": _fmt(fld.mu_delta),
+        "mu_delta": _fmt(mu_delta),
         "L": _fmt(L),
         "iters": len(sol.newton_history),
         "final_residual": _fmt(sol.newton_history[-1]),
@@ -410,7 +423,8 @@ def _named(call, where: str):
 
 
 def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
-    """The shared stages, then the commands named and each delta's
+    """The shared stages and each delta's L and grid size (a failure
+    named `soliton delta=<d>`), then the commands named and each delta's
     soliton chain as tasks; soliton_scaling.json from the deltas'.
 
     With more than one delta and usable CPU, the tasks run in workers
@@ -428,15 +442,15 @@ def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
 
     cfg, deltas = run.cfg, run.deltas  # the window check before the first artifact
     run.corrector  # every shared stage, computed once and inherited by the workers
-    from . import newton  # noqa: F401  imported once, before the workers fork
+    from . import newton  # imported once, before the workers fork
 
-    domains = {d: run.domain(d) for d in deltas}
-    grids = {d: round(L / cfg.h) for d, L in domains.items()}
     # (where a failure is named, grid points, task), in the order failures are reported
-    tasks = [(name, 0, (name, out)) for name in commands] + [
-        (f"soliton delta={d}, N={grids[d]}", grids[d], ("delta", d, domains[d], out))
-        for d in deltas
-    ]
+    tasks = [(name, 0, (name, out)) for name in commands]
+    for d in deltas:  # each delta's L and grid size, checked before any artifact
+        where = f"soliton delta={d}"
+        L = _named(partial(run.domain, d), where)
+        n = _named(partial(newton.grid_points, L, cfg.h), where)
+        tasks.append((f"{where}, N={n}", n, ("delta", d, L, out)))
     workers = min(len(deltas), len(os.sched_getaffinity(0)))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # forked, not spawned: initargs are inherited, never pickled

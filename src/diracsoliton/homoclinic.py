@@ -56,6 +56,15 @@ class NLDParams:
                 f"need beta1 >= |beta2| > 0 compatible coefficients, got "
                 f"beta1={self.beta1}, beta2={self.beta2}"
             )
+        try:
+            rate = self.decay_rate
+        except OverflowError:  # theta#^2 beyond float range
+            rate = np.inf
+        if not 0.0 < rate < np.inf:
+            raise ValueError(
+                f"envelope decay rate sqrt(theta#^2 - mu#^2) / |c#| = {rate:.3g} is not a "
+                f"positive finite number: theta#={self.theta_sharp:.3g}, c#={self.c_sharp:.3g}"
+            )
 
     @property
     def a(self) -> float:

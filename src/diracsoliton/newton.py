@@ -5,9 +5,10 @@ reduced to [0, L] on a staggered grid x_i = (i + 1/2) h with a mirror
 condition at 0 (even or odd, fixed by the sign of the gap coefficient)
 and a Dirichlet cutoff at L.  The reduction removes the translation
 zero mode exactly, so the Jacobian stays invertible at the soliton.
-DiscreteOperator is the one record of that discretisation: grid, h,
-mirror sign, potential and stencil; the residual, Newton, the
-Jacobian's eigenvalue and the error norms all read them from it.
+DiscreteOperator is the one record of that discretisation, built once
+per delta: grid, h, mirror sign, potential and stencil; the two-scale
+field, the residual, Newton, the Jacobian's eigenvalue and the error
+norms all read them from it.
 """
 
 from __future__ import annotations
@@ -18,13 +19,30 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-# build_U0 stays importable here because solbench/spans.py patches newton.build_U0
-from .ansatz import TwoScaleField, build_U0, staggered_grid  # noqa: F401
+# build_U0 is re-exported, not called: solbench/spans.py patches
+# newton.build_U0 until a run record of the package's own replaces the spans
+from .ansatz import TwoScaleField, build_U0  # noqa: F401
 from .bloch import PeriodicPotential
 
 
 # Lanczos steps before jacobian_min_eig gives up; a soliton Jacobian needs 20-40
 _LANCZOS_MAX_STEPS = 500
+
+
+def grid_points(L: float, h: float) -> int:
+    """round(L / h), the size of staggered_grid(L, h); a size numpy cannot
+    address, an infinite one too, raises MemoryError as memory too small does."""
+    if not 0 < h < L:
+        raise ValueError("need 0 < h < L")
+    points = L / h
+    if not points * 8.0 <= np.iinfo(np.intp).max:
+        raise MemoryError(f"a grid of {points:.3g} points exceeds any array")
+    return round(points)
+
+
+def staggered_grid(L: float, h: float) -> np.ndarray:
+    """Half-line grid x_i = (i + 1/2) h covering [0, L]."""
+    return (np.arange(grid_points(L, h)) + 0.5) * h
 
 
 @dataclass
@@ -70,7 +88,7 @@ class DiscreteOperator:
         The two spare top rows of the 7-row band take the fill-in of
         partial pivoting.  A zero pivot raises LinAlgError.
         """
-        ab = np.zeros((7, len(self.diag)))
+        ab = np.zeros((7, len(self.diag)), order="F")  # dgbtrf factors it in place
         ab[2, 2:] = self.off2
         ab[3, 1:] = self.off1
         ab[4] = self.diag + shift_diag

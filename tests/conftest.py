@@ -10,7 +10,7 @@ from diracsoliton import (
     certify_dirac_point,
     integrate_homoclinic,
 )
-from diracsoliton.bloch import solve_bands_at_k
+from diracsoliton.bloch import band_sweep
 from diracsoliton.homoclinic import _rhs, _sector_bands
 
 DEFAULT_V = {2: 20.0}
@@ -96,8 +96,8 @@ def band_slope_oracle(pot_V, data, h=1e-4):
     The smooth branches swap raw band indices at pi: one follows band
     n*+1 for k < pi and band n* for k > pi, the other the reverse.
     """
-    lo = solve_bands_at_k(pot_V, np.pi - h, data.cutoff).eigenvalues
-    hi = solve_bands_at_k(pot_V, np.pi + h, data.cutoff).eigenvalues
+    lo = band_sweep(pot_V, [np.pi - h], data.cutoff).eigenvalues[0]
+    hi = band_sweep(pot_V, [np.pi + h], data.cutoff).eigenvalues[0]
     i_lo, i_hi = data.band_pair[0] - 1, data.band_pair[1] - 1
     slope_minus = (hi[i_lo] - lo[i_hi]) / (2.0 * h)
     slope_plus = (hi[i_hi] - lo[i_lo]) / (2.0 * h)

@@ -22,7 +22,7 @@ from diracsoliton.ansatz import (
     solvability_check,
     solve_U1,
 )
-from diracsoliton.bloch import assemble_fb_matrix, fourier_eval, solve_bands_at_k
+from diracsoliton.bloch import assemble_fb_matrix, band_sweep, fourier_eval
 from diracsoliton.cli import Pipeline, RunConfig
 from diracsoliton.cli import main as cli_main
 from diracsoliton.dirac import parity_block_split, verify_gap_opening
@@ -56,9 +56,9 @@ def test_free_operator_closed_forms(pot_free, pot_w):
 def test_default_lattice_certification(pot_v, pot_w):
     t0 = time.perf_counter()
     data = certify_dirac_point(pot_v, pot_w, FourierCutoff(64))
-    sol = solve_bands_at_k(pot_v, np.pi, data.cutoff)
+    ev = band_sweep(pot_v, [np.pi], data.cutoff).eigenvalues[0]
     i_lo, i_hi = data.band_pair[0] - 1, data.band_pair[1] - 1
-    assert abs(sol.eigenvalues[i_hi] - sol.eigenvalues[i_lo]) <= 1e-8
+    assert abs(ev[i_hi] - ev[i_lo]) <= 1e-8
     A = assemble_fb_matrix(pot_v, np.pi, data.cutoff)
     _, _, even_pos, odd_pos = parity_block_split(A)
     assert np.max(np.abs(A[np.ix_(even_pos, odd_pos)])) == 0.0
@@ -169,8 +169,9 @@ def test_residual_scaling_order(pot_v, pot_w, default_dirac, default_profile):
     norms, u0_norms = [], []
     for delta in DELTAS:
         L = 10.5 * ell / delta
-        fld = assemble_udelta(default_dirac, default_profile, corrector, delta, L, h)
-        op = discretize_operator(pot_v, pot_w, delta, fld.mu_delta, L, h, theta)
+        # mu# = 0: mu_delta is mu*
+        op = discretize_operator(pot_v, pot_w, delta, default_dirac.mu_star, L, h, theta)
+        fld = assemble_udelta(default_dirac, default_profile, corrector, delta, op.x_grid)
         norms.append(residual_norm(op, fld.samples))
         u0 = np.sqrt(delta) * build_U0(default_dirac, default_profile, delta, op.x_grid)
         u0_norms.append(residual_norm(op, u0))
@@ -194,11 +195,11 @@ def test_newton_soliton_error_scaling():
     h = 1.0 / 256.0
     h2_errors = []
     for delta in DELTAS:
-        L = run.domain(delta)
-        fld = assemble_udelta(data, profile, run.corrector, delta, L, h)
         op = discretize_operator(
-            data.pot_V, data.pot_W, delta, fld.mu_delta, L, h, data.theta_sharp
+            data.pot_V, data.pot_W, delta, run.mu_delta(delta), run.domain(delta), h,
+            data.theta_sharp,
         )
+        fld = assemble_udelta(data, profile, run.corrector, delta, op.x_grid)
         sol = newton_solve(op, fld.samples, 1e-10, 25)
         assert len(sol.newton_history) <= 8
         assert sol.newton_history[-1] < 1e-10

@@ -23,10 +23,9 @@ from diracsoliton.ansatz import (
     residual_norm,
     solvability_check,
     solve_U1,
-    staggered_grid,
 )
 from diracsoliton.bloch import assemble_coefficient_matrix, fourier_eval
-from diracsoliton.newton import discretize_operator
+from diracsoliton.newton import discretize_operator, staggered_grid
 
 
 @pytest.fixture(scope="module")
@@ -240,13 +239,8 @@ class TestAssemble:
     def test_delta_zero_rejected(self, default_dirac, default_profile, default_corrector):
         with pytest.raises(ValueError, match="delta"):
             assemble_udelta(
-                default_dirac, default_profile, default_corrector, 0.0, 2000.0, 1 / 64
-            )
-
-    def test_small_domain_rejected(self, default_dirac, default_profile, default_corrector):
-        with pytest.raises(ValueError, match="decay floor"):
-            assemble_udelta(
-                default_dirac, default_profile, default_corrector, 0.1, 100.0, 1 / 64
+                default_dirac, default_profile, default_corrector, 0.0,
+                staggered_grid(2000.0, 1 / 64),
             )
 
     def test_norm_is_order_one_in_delta(self, free_dirac, free_profile):
@@ -264,8 +258,8 @@ class TestAssemble:
         ell = 1.0 / free_profile.params.decay_rate
         diffs = []
         for delta in (0.2, 0.1):
-            L = 10.5 * ell / delta
-            with_c = assemble_udelta(free_dirac, free_profile, free_corrector, delta, L, h)
+            x = staggered_grid(10.5 * ell / delta, h)
+            with_c = assemble_udelta(free_dirac, free_profile, free_corrector, delta, x)
             without = np.sqrt(delta) * build_U0(free_dirac, free_profile, delta, with_c.x_grid)
             diffs.append(np.sqrt(h * np.sum((with_c.samples - without) ** 2)))
         # difference is sqrt(delta)*delta*U1 with U1-norm ~ delta^{-1/2}: O(delta)
@@ -273,14 +267,14 @@ class TestAssemble:
 
     def test_field_even(self, free_dirac, free_profile, free_corrector):
         ell = 1.0 / free_profile.params.decay_rate
-        L, h = 10.5 * ell / 0.1, 1 / 64
-        fld = assemble_udelta(free_dirac, free_profile, free_corrector, 0.1, L, h)
+        x = staggered_grid(10.5 * ell / 0.1, 1 / 64)
+        fld = assemble_udelta(free_dirac, free_profile, free_corrector, 0.1, x)
         mirror, _, _ = evaluate_udelta(
             free_dirac, free_profile, free_corrector, 0.1, -fld.x_grid
         )
         assert np.max(np.abs(fld.samples - mirror)) < 1e-11
-        # the grid is the Newton solver's staggered half-line
-        assert np.array_equal(fld.x_grid, staggered_grid(L, h))
+        # the field keeps the grid it was synthesised on, not a copy
+        assert fld.x_grid is x
 
     def test_evaluate_on_custom_grid(self, free_dirac, free_profile, free_corrector):
         x = np.linspace(0.25, 30.0, 500)
@@ -315,8 +309,9 @@ class TestResidual:
         norms = []
         for d in deltas:
             L = 10.5 * ell / d
-            f = assemble_udelta(free_dirac, free_profile, free_corrector, d, L, h)
-            op = discretize_operator(pot_free, pot_w, d, f.mu_delta, L, h, 1.0)
+            # mu# = 0: mu_delta is mu*
+            op = discretize_operator(pot_free, pot_w, d, free_dirac.mu_star, L, h, 1.0)
+            f = assemble_udelta(free_dirac, free_profile, free_corrector, d, op.x_grid)
             norms.append(residual_norm(op, f.samples))
         assert fit_order(deltas, norms) >= 0.8
 
@@ -336,10 +331,9 @@ class TestResidual:
         delta, h = 0.1, 1 / 64
         L = 10.5 / (profile.params.decay_rate * delta)
         corrector = solve_U1(build_G1(dirac, profile), dirac)
-        fld = assemble_udelta(dirac, profile, corrector, delta, L, h)
-        op = discretize_operator(
-            pot_free, W, delta, fld.mu_delta, L, h, dirac.theta_sharp
-        )
+        mu_delta = dirac.mu_star  # mu# = 0
+        op = discretize_operator(pot_free, W, delta, mu_delta, L, h, dirac.theta_sharp)
+        fld = assemble_udelta(dirac, profile, corrector, delta, op.x_grid)
         got = residual_norm(op, fld.samples)
 
         x = np.concatenate([-fld.x_grid[::-1], fld.x_grid])
@@ -347,7 +341,7 @@ class TestResidual:
         stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h**2)
         d2 = np.convolve(u, stencil, mode="valid")[3:-3]
         inner = slice(5, len(u) - 5)
-        pot = pot_free(x[inner]) + delta * W(x[inner]) - fld.mu_delta
+        pot = pot_free(x[inner]) + delta * W(x[inner]) - mu_delta
         r = -d2 + pot * u[inner] - u[inner] ** 3
         expect = np.sqrt(h * np.sum(r**2))
         assert got == pytest.approx(expect, rel=1e-8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diracsoliton import FourierCutoff, ParityClass, PeriodicPotential
-from diracsoliton.bloch import assemble_fb_matrix, band_sweep, fourier_eval, solve_bands_at_k
+from diracsoliton.bloch import assemble_fb_matrix, band_sweep, fourier_eval
 
 
 class TestPeriodicPotential:
@@ -66,33 +66,33 @@ class TestAssembly:
 
 class TestSolve:
     def test_free_double_degeneracy_at_pi(self, pot_free):
-        sol = solve_bands_at_k(pot_free, np.pi, FourierCutoff(8))
-        ev = sol.eigenvalues
+        sol = band_sweep(pot_free, [np.pi], FourierCutoff(8))
+        ev = sol.eigenvalues[0]
         assert ev[0] == pytest.approx(np.pi**2, abs=1e-10)
         assert ev[1] == pytest.approx(np.pi**2, abs=1e-10)
         assert ev[2] == pytest.approx(9.0 * np.pi**2, rel=1e-12)
         assert ev[3] == pytest.approx(9.0 * np.pi**2, rel=1e-12)
 
     def test_free_k_zero_spectrum(self, pot_free):
-        sol = solve_bands_at_k(pot_free, 0.0, FourierCutoff(8))
-        ev = sol.eigenvalues
+        sol = band_sweep(pot_free, [0.0], FourierCutoff(8))
+        ev = sol.eigenvalues[0]
         assert ev[0] == pytest.approx(0.0, abs=1e-12)
         assert ev[1] == pytest.approx(4.0 * np.pi**2, rel=1e-12)
         assert ev[2] == pytest.approx(4.0 * np.pi**2, rel=1e-12)
 
     def test_default_potential_keeps_lowest_pair_degenerate(self, pot_v, cut64):
-        ev = solve_bands_at_k(pot_v, np.pi, cut64).eigenvalues
+        ev = band_sweep(pot_v, [np.pi], cut64).eigenvalues[0]
         assert abs(ev[1] - ev[0]) <= 1e-8 * (1.0 + abs(ev[0]))
 
     def test_eigenvectors_orthonormal(self, pot_v, cut64):
-        sol = solve_bands_at_k(pot_v, 2.0, cut64)
-        G = sol.eigenvectors.T @ sol.eigenvectors
+        vecs = band_sweep(pot_v, [2.0], cut64).eigenvectors[0]
+        G = vecs.T @ vecs
         assert np.max(np.abs(G - np.eye(G.shape[0]))) < 1e-10
 
     def test_cutoff_convergence(self, pot_v):
         for k in (0.0, 1.0, np.pi):
-            e1 = solve_bands_at_k(pot_v, k, FourierCutoff(64)).eigenvalues[:8]
-            e2 = solve_bands_at_k(pot_v, k, FourierCutoff(128)).eigenvalues[:8]
+            e1 = band_sweep(pot_v, [k], FourierCutoff(64)).eigenvalues[0][:8]
+            e2 = band_sweep(pot_v, [k], FourierCutoff(128)).eigenvalues[0][:8]
             assert np.max(np.abs(e1 - e2)) < 1e-10
 
 
@@ -124,7 +124,7 @@ class TestSweep:
         shift = sum(abs(amp) for amp in pot_v.coeffs.values())
         cut = FourierCutoff(8)
         for k in (0.5, np.pi, 5.0):
-            ev = solve_bands_at_k(pot_v, k, cut64).eigenvalues
+            ev = band_sweep(pot_v, [k], cut64).eigenvalues[0]
             free = np.sort((2.0 * np.pi * cut.indices() + k) ** 2)
             for n in range(3, 10):
                 assert free[n] - shift <= ev[n] <= free[n] + shift
@@ -142,9 +142,9 @@ class TestSweep:
         assert calls == [(17, 129, 129)]
         monkeypatch.undo()
         for i, k in enumerate(k_grid):
-            sol = solve_bands_at_k(pot_v, k, cut64)
-            assert sweep.eigenvalues[i].tobytes() == sol.eigenvalues.tobytes()
-            assert sweep.eigenvectors[i].tobytes() == sol.eigenvectors.tobytes()
+            one = band_sweep(pot_v, [k], cut64)
+            assert sweep.eigenvalues[i].tobytes() == one.eigenvalues[0].tobytes()
+            assert sweep.eigenvectors[i].tobytes() == one.eigenvectors[0].tobytes()
 
     def test_residual_failure_names_first_bad_k(self, pot_v, monkeypatch):
         k_grid = np.linspace(0.0, 2.0 * np.pi, 9)
@@ -184,10 +184,10 @@ class TestBlochWave:
     """Bloch waves Phi_n(x, k) = e^{ikx} sum_m p_{n,m} e^{2 pi i m x}."""
 
     def test_single_mode_is_plane_wave(self, pot_free):
-        sol = solve_bands_at_k(pot_free, np.pi, FourierCutoff(4))
+        vecs = band_sweep(pot_free, [np.pi], FourierCutoff(4)).eigenvectors[0]
         x = np.linspace(0.0, 1.0, 51)
         # lowest two coefficient vectors span modes m = 0 and m = -1
-        vals = fourier_eval(sol.eigenvectors[:, 0], sol.k, x)
+        vals = fourier_eval(vecs[:, 0], np.pi, x)
         target0 = np.exp(1j * np.pi * x)
         target1 = np.exp(-1j * np.pi * x)
         err0 = min(
@@ -199,16 +199,17 @@ class TestBlochWave:
         assert min(err0, err1) < 1e-10
 
     def test_pseudo_periodicity(self, pot_v, cut64):
-        sol = solve_bands_at_k(pot_v, 1.7, cut64)
+        k = 1.7
+        vecs = band_sweep(pot_v, [k], cut64).eigenvectors[0]
         x = np.linspace(0.0, 1.0, 17)
-        a = fourier_eval(sol.eigenvectors[:, 2], sol.k, x + 1.0)
-        b = np.exp(1j * sol.k) * fourier_eval(sol.eigenvectors[:, 2], sol.k, x)
+        a = fourier_eval(vecs[:, 2], k, x + 1.0)
+        b = np.exp(1j * k) * fourier_eval(vecs[:, 2], k, x)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_cell_normalization(self, pot_v, cut64):
-        sol = solve_bands_at_k(pot_v, 0.9, cut64)
+        vecs = band_sweep(pot_v, [0.9], cut64).eigenvectors[0]
         x = np.arange(2048) / 2048.0
-        vals = fourier_eval(sol.eigenvectors[:, 1], sol.k, x)
+        vals = fourier_eval(vecs[:, 1], 0.9, x)
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 

@@ -1,7 +1,9 @@
 import ast
+import contextlib
 import dataclasses
 import importlib.util
 import inspect
+import io
 import json
 import math
 import multiprocessing
@@ -386,14 +388,75 @@ class TestExitCodes:
         assert err.startswith("numerical failure: out of memory:"), err
 
     @pytest.mark.parametrize(
-        "deltas,named", [("0.1", 0.1), ("0.2,0.1", 0.2)], ids=["in_process", "workers"]
+        "line,deltas,expect",
+        [
+            ("L = 1e8", "0.1", "soliton delta=0.1, N=6400000000: "),
+            ("L = 1e8", "0.2,0.1", "soliton delta=0.2, N=6400000000: "),
+            ("L = 1e300", "0.2", "soliton delta=0.2: a grid of 6.4e+301 points"),
+            ("h = 1e-300", "0.2", "soliton delta=0.2: a grid of 1.16e+303 points"),
+            ("", "1e-300", "soliton delta=1e-300: a grid of 1.49e+304 points"),
+        ],
+        ids=["in_process", "workers", "beyond_any_array", "tiny_h", "tiny_delta"],
     )
-    def test_soliton_grid_out_of_memory_exits_3(self, tmp_path, deltas, named):
+    def test_soliton_grid_out_of_memory_exits_3(self, tmp_path, line, deltas, expect):
         """L = 1e8 asks for a grid of 6.4e9 points, 51 GB per array; a
-        worker's numpy out-of-memory error comes back pickled."""
-        err = self._cli_in_2_gib(tmp_path, FREE_CFG + "L = 1e8\n", "soliton", "--delta", deltas)
-        expect = f"numerical failure: out of memory: soliton delta={named}, N=6400000000: "
-        assert err.startswith(expect), err
+        worker's numpy out-of-memory error comes back pickled.  An L of
+        1e300, or the default L over an h or delta of 1e-300, asks for
+        more points than numpy can address: the grid's size rule rejects
+        it before any artifact, its count written as a float."""
+        err = self._cli_in_2_gib(tmp_path, FREE_CFG + line + "\n", "soliton", "--delta", deltas)
+        assert err.startswith(f"numerical failure: out of memory: {expect}"), err
+        assert not re.search(r"\d{20}", err), err
+        if "N=" not in expect:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", ["soliton", "verify-all"])
+    @pytest.mark.parametrize("deltas", ["0.1", "0.2,0.1"])
+    def test_domain_below_the_decay_floor_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, deltas
+    ):
+        """FREE_CFG's decay length is 4 pi: L = 1000 is below the floor
+        10 ell / delta = 1257 at delta = 0.1, not at 0.2.  Rejected with
+        the shared stages, before bands, dirac, nld or delta 0.2 write."""
+        _usable_cpus(monkeypatch, 2)
+        p = tmp_path / "short.cfg"
+        p.write_text(FREE_CFG + "L = 1000.0\n")
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(p), "--out", str(out), "--delta", deltas])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err == (
+            "validation error: soliton delta=0.1: L = 1000 below the envelope-decay "
+            "floor 10 ell / delta = 1257\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_default_domain_below_the_decay_floor_exits_2(self, tmp_path, capsys):
+        """W = 1e100 leaves a decay length of 4 pi 1e-100: the default rule
+        floor(18.5 ell / delta) gives L = 0, and the message says so."""
+        p = tmp_path / "steep.cfg"
+        p.write_text(FREE_CFG.replace("W = [[1, 1.0]]", "W = [[1, 1e100]]"))
+        rc = main(["soliton", "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(
+            "validation error: soliton delta=0.1: the default L = floor(18.5 ell / delta) "
+            "= 0 below the envelope-decay floor"
+        ), err
+
+    @pytest.mark.parametrize("command", ["nld", "soliton"])
+    def test_decay_rate_beyond_float_range_exits_2(self, tmp_path, capsys, command):
+        """W = 1e300 makes theta#^2 overflow: the envelope stage rejects
+        its decay rate instead of raising OverflowError."""
+        p = tmp_path / "steep.cfg"
+        p.write_text(FREE_CFG.replace("W = [[1, 1.0]]", "W = [[1, 1e300]]"))
+        rc = main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(
+            "validation error: envelope decay rate sqrt(theta#^2 - mu#^2) / |c#| = inf "
+            "is not a positive finite number: theta#=5e+299"
+        ), err
 
 
 CONFIG_DEFECTS = [
@@ -483,6 +546,59 @@ class TestConfigFuzz:
             except ValueError:
                 return
         assert isinstance(cfg, RunConfig)
+
+
+# the end-to-end fuzz's largest grid: more would cost seconds an example
+_FUZZ_MAX_POINTS = 100_000
+
+
+def _magnitudes(*typical):
+    """One of the typical values, or |x| from 1e-300 to 1e300, log-uniform."""
+    return st.sampled_from(typical) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+class TestMainFuzz:
+    @given(
+        M=st.integers(3, 16),
+        amps=st.lists(
+            st.tuples(st.sampled_from([1.0, -1.0]), _magnitudes(1.0, 0.5, 2.0)).map(
+                lambda t: t[0] * t[1]
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        L=st.none() | _magnitudes(1000.0, 300.0, 2500.0),
+        delta=_magnitudes(0.2, 0.5, 0.1),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_exit_code_without_traceback(self, M, amps, L, delta):
+        """nld and soliton on small free lattices (one delta, h = 1/64) with
+        W amplitudes, L and delta anywhere from 1e-300 to 1e300 exit 0, 2
+        or 3.  A grid past _FUZZ_MAX_POINTS raises MemoryError, as on a
+        machine too small for it, so no example allocates a large grid."""
+        W = [[2 * i + 1, amp] for i, amp in enumerate(amps)]
+        config = FREE_CFG.replace("M = 16", f"M = {M}").replace("W = [[1, 1.0]]", f"W = {W!r}")
+        config = config.replace("deltas = [0.1]", f"deltas = [{delta!r}]")
+        if L is not None:
+            config += f"L = {L!r}\n"
+        grid_points = newton.grid_points
+
+        def capped(L, h):
+            n = grid_points(L, h)
+            if n > _FUZZ_MAX_POINTS:
+                raise MemoryError(f"{n} points past the fuzz's cap")
+            return n
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(newton, "grid_points", capped)
+            cfg = Path(tmp) / "fuzz.cfg"
+            cfg.write_text(config)
+            for command in ("nld", "soliton"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+                assert rc in (0, 2, 3), (command, config, err.getvalue())
+                assert "Traceback" not in err.getvalue(), (command, config)
 
 
 class TestBandsCommand:
@@ -963,7 +1079,7 @@ class TestSharedStages:
     def test_synthesis_covers_the_newton_grid_only(self, verify_all_run):
         _, root, _, _, synthesis_points = verify_all_run
         runs = json.loads((root / "all" / "soliton_scaling.json").read_text())["runs"]
-        expect = [len(ansatz.staggered_grid(float(r["L"]), 0.015625)) for r in runs]
+        expect = [len(newton.staggered_grid(float(r["L"]), 0.015625)) for r in runs]
         assert synthesis_points == expect
 
     def test_one_carrier_sum_per_grid_at_cell_offsets(self, verify_all_run):
@@ -971,6 +1087,28 @@ class TestSharedStages:
         assert len(carrier_points) == calls["evaluate_udelta"]
         # h = 1/64: the staggered grid x = (i + 1/2) h has 64 cell offsets
         assert all(0 < n <= 64 for n in carrier_points)
+
+    def test_field_synthesised_on_the_operator_grid(self, free_cfg_path, tmp_path, monkeypatch):
+        """One half-line grid per delta: Newton's operator builds it, and the
+        synthesised field holds that very array."""
+        made = {"staggered_grid": [], "discretize_operator": [], "assemble_udelta": []}
+
+        def recording(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                made[name].append(fn(*args, **kwargs))
+                return made[name][-1]
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recording(newton, "staggered_grid")
+        recording(newton, "discretize_operator")
+        recording(ansatz, "assemble_udelta")
+        assert main(["soliton", "--config", free_cfg_path, "--out", str(tmp_path)]) == 0
+        (grid,), (op,), (fld,) = made.values()  # FREE_CFG has one delta
+        assert op.x_grid is grid
+        assert fld.x_grid is grid
 
     def test_same_bytes_as_single_commands(self, verify_all_run):
         cfg, root, _, _, _ = verify_all_run
@@ -1146,7 +1284,7 @@ class TestTracedBenchmarkChild:
         assert metrics["newton.iterations"] >= 1
         runs = json.loads((tmp_path / "out" / "soliton_scaling.json").read_text())["runs"]
         (run,) = runs  # FREE_CFG has one delta
-        points = len(ansatz.staggered_grid(float(run["L"]), 0.015625))
+        points = len(newton.staggered_grid(float(run["L"]), 0.015625))
         assert metrics["ansatz.synthesis_points"] == points
 
     def test_two_deltas_in_workers(self, free_cfg_path, tmp_path):
