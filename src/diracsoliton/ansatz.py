@@ -213,15 +213,21 @@ def solvability_check(
     weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * s)
     psi = 0.5 * (u[2] + 1j * v[2])
     dpsi = 0.5 * (weights @ u + 1j * (weights @ v))
-    G = np.stack([g(psi, dpsi) for g in forcing.y_factors], axis=1)
-    proj = G @ ip
-    coeffs = G @ forcing.x_profiles
-    scale = np.max(np.linalg.norm(coeffs, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        G = np.stack([g(psi, dpsi) for g in forcing.y_factors], axis=1)
+        proj = np.max(np.abs(G @ ip), axis=1)
+        scale = np.max(np.linalg.norm(G @ forcing.x_profiles, axis=1))
+    if not (np.isfinite(scale) and np.all(np.isfinite(proj))):
+        raise ValueError(
+            f"corrector: the forcing's size {scale:.3g} or its kernel projection "
+            f"{np.max(proj):.3g} is not a finite number: "
+            f"theta#={env.params.theta_sharp:.6g}, decay rate {env.params.decay_rate:.6g}"
+        )
     if scale == 0.0:
         return 0.0
-    rel = float(np.max(np.abs(proj)) / scale)
-    if fail_tol is not None and rel > fail_tol:
-        bad = float(y_grid[np.argmax(np.max(np.abs(proj), axis=1))])
+    rel = float(np.max(proj) / scale)
+    if fail_tol is not None and not rel <= fail_tol:
+        bad = float(y_grid[np.argmax(proj)])
         raise RuntimeError(
             f"kernel projection {rel:.3e} exceeds {fail_tol:.1e} at y={bad:.4g}: "
             "the envelope does not solve the effective spinor system accurately"

@@ -119,8 +119,6 @@ class RunConfig:
                 )
         if not 0.0 < self.h <= 1.0 / 64.0:
             raise ValueError("h must lie in (0, 1/64]")
-        if self.L is not None and not math.isfinite(self.L / self.h):
-            raise ValueError(f"L / h = {self.L!r} / {self.h!r} has no finite grid size")
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:

@@ -304,16 +304,19 @@ def kernel_check_on_Y(
     and the second for theta# < 0.  Each sector is folded onto y >= 0
     through its mirror ghosts (_sector_bands), as in
     newton.discretize_operator.  The eigenvalues of each bandwidth-3
-    sector come from LAPACK band storage.  Unrestricted, the translation
+    sector come from LAPACK dsbevd on its upper band storage, as
+    scipy.linalg.eigvals_banded calls it.  Unrestricted, the translation
     mode Psi' gives a near-kernel; on Y the smallest |eigenvalue| stays
     bounded away from zero.
     """
-    from scipy.linalg import eigvals_banded  # here: bands and dirac start without scipy
+    from ._lapack import dsbevd  # here: bands and dirac start without scipy
 
-    spectra = {
-        sign: np.abs(eigvals_banded(band))
-        for sign, band in _sector_bands(params, profile, n_points).items()
-    }
+    spectra = {}
+    for sign, band in _sector_bands(params, profile, n_points).items():
+        w, _, info = dsbevd(np.asarray_chkfinite(band), compute_v=0, lower=0, overwrite_ab=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsbevd did not converge (LAPACK info={info})")
+        spectra[sign] = np.abs(w)
     both = np.concatenate(list(spectra.values()))
     return KernelCheckResult(
         sigma_min_unrestricted=float(np.min(both)),

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from ._lapack import dgbtrf, dgbtrs, dstevd
 # build_U0 is re-exported, not called: solbench/spans.py patches
 # newton.build_U0 until a run record of the package's own replaces the spans
 from .ansatz import TwoScaleField, build_U0  # noqa: F401
@@ -187,6 +186,19 @@ def newton_solve(
     return SolitonField(samples=u, newton_history=history)
 
 
+def _tridiagonal_eigh(alpha: list[float], beta: list[float]):
+    """Eigenpairs of the symmetric tridiagonal matrix with diagonal alpha
+    and off-diagonal beta, as scipy.linalg.eigh_tridiagonal gives them:
+    LAPACK dstevd, its driver for all eigenpairs, and its 1x1 shortcut."""
+    d, e = np.asarray_chkfinite(alpha, dtype=float), np.asarray_chkfinite(beta, dtype=float)
+    if len(d) == 1:
+        return d, np.ones((1, 1))
+    theta, s, info = dstevd(d, e, compute_v=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
+    return theta, s
+
+
 def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
     """Smallest-magnitude eigenvalue of the Jacobian A - 3 diag(u^2).
 
@@ -216,7 +228,7 @@ def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
         if beta:
             w -= beta[-1] * q_prev
         b = float(np.linalg.norm(w))
-        theta, s = eigh_tridiagonal(np.array(alpha), np.array(beta))
+        theta, s = _tridiagonal_eigh(alpha, beta)
         i = int(np.argmax(np.abs(theta)))
         if abs(b * s[-1, i]) <= 1e-8 * abs(theta[i]):
             return float(1.0 / theta[i])

@@ -109,11 +109,56 @@ class TestImportCost:
         lines = self._scipy_after(tmp_path, command, "--config", free_cfg_path)
         assert lines == ["", "", ""]
 
+    def _assert_lapack_module_alone(self, tmp_path, *cli_args):
+        """After the run: scipy, but not the scipy.linalg package, whose init
+        loads scipy's array-API layer and with it numpy.f2py and
+        numpy.testing, nor scipy.sparse."""
+        *_, after_run = self._scipy_after(
+            tmp_path, *cli_args, prefixes=("scipy", "numpy.f2py", "numpy.testing")
+        )
+        loaded = after_run.split()
+        assert "scipy" in loaded
+        unwanted = [
+            m for m in loaded
+            if m in ("scipy.linalg", "scipy._lib._array_api")
+            or m.startswith(("scipy.sparse", "numpy.f2py", "numpy.testing"))
+        ]
+        assert not unwanted, unwanted
+
     def test_verify_all_loads_no_scipy_sparse(self, free_cfg_path, tmp_path):
-        """The Jacobian's eigenvalue comes from scipy.linalg alone."""
-        *_, after_run = self._scipy_after(tmp_path, "verify-all", "--config", free_cfg_path)
-        assert "scipy.linalg" in after_run.split()
-        assert not [m for m in after_run.split() if m.startswith("scipy.sparse")]
+        """Newton, the Jacobian's eigenvalue and the kernel check take their
+        LAPACK routines from scipy's compiled module, without scipy.linalg,
+        its array-API layer, scipy.sparse, numpy.f2py or numpy.testing."""
+        self._assert_lapack_module_alone(tmp_path, "verify-all", "--config", free_cfg_path)
+
+    def test_scipy_linalg_works_after_the_lapack_module(self, tmp_path):
+        """newton loads scipy's compiled LAPACK module from its file; a
+        later import of scipy.linalg still works and solves with the same
+        bits.  A scipy that moves the module fails here."""
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import diracsoliton.newton\n"
+            "def solve(lapack):\n"
+            "    ab = np.zeros((7, 50), order='F')\n"
+            "    ab[4], ab[3, 1:], ab[5, :-1] = 2.5, -1.0, -1.0\n"
+            "    lu, piv, info = lapack.dgbtrf(ab, 2, 2)\n"
+            "    x, info_solve = lapack.dgbtrs(lu, 2, 2, np.cos(np.arange(50.0)), piv)\n"
+            "    assert info == info_solve == 0\n"
+            "    return x.tobytes()\n"
+            "ours = solve(diracsoliton._lapack)\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\n"
+            "assert solve(scipy.linalg.lapack) == ours\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path,
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("command", ["bands", "dirac", "nld"])
     def test_non_soliton_commands_never_load_a_process_pool(
@@ -135,9 +180,7 @@ class TestImportCost:
         assert lines == ["", "", ""]
 
     def test_nld_loads_no_scipy_sparse(self, free_cfg_path, tmp_path):
-        *_, after_run = self._scipy_after(tmp_path, "nld", "--config", free_cfg_path)
-        assert "scipy.linalg" in after_run.split()
-        assert not [m for m in after_run.split() if m.startswith("scipy.sparse")]
+        self._assert_lapack_module_alone(tmp_path, "nld", "--config", free_cfg_path)
 
 
 class TestLoadConfig:
@@ -395,8 +438,10 @@ class TestExitCodes:
             ("L = 1e300", "0.2", "soliton delta=0.2: a grid of 6.4e+301 points"),
             ("h = 1e-300", "0.2", "soliton delta=0.2: a grid of 1.16e+303 points"),
             ("", "1e-300", "soliton delta=1e-300: a grid of 1.49e+304 points"),
+            # L / h beyond float range: the same rule, not a configuration error
+            ("L = 1e308", "0.2", "soliton delta=0.2: a grid of inf points"),
         ],
-        ids=["in_process", "workers", "beyond_any_array", "tiny_h", "tiny_delta"],
+        ids=["in_process", "workers", "beyond_any_array", "tiny_h", "tiny_delta", "infinite"],
     )
     def test_soliton_grid_out_of_memory_exits_3(self, tmp_path, line, deltas, expect):
         """L = 1e8 asks for a grid of 6.4e9 points, 51 GB per array; a
@@ -458,6 +503,25 @@ class TestExitCodes:
             "is not a positive finite number: theta#=5e+299"
         ), err
 
+    @pytest.mark.parametrize("command", ["soliton", "verify-all"])
+    @pytest.mark.filterwarnings("error")
+    def test_corrector_forcing_beyond_float_range_exits_2(self, tmp_path, capsys, command):
+        """W = 1e150 leaves theta#^2 finite but overflows the corrector
+        forcing's size: an infinite size fails the solvability check (its
+        relative projection would read 0 and pass vacuously), which names
+        the corrector before any artifact and prints no numpy warning."""
+        p = tmp_path / "steep.cfg"
+        p.write_text(FREE_CFG.replace("W = [[1, 1.0]]", "W = [[1, 1e150]]"))
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(p), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(
+            "validation error: corrector: the forcing's size inf or its kernel projection "
+        ), err
+        assert "theta#=5e+149" in err, err
+        assert list(out.iterdir()) == []
+
 
 CONFIG_DEFECTS = [
     ("deltas = 0.1", "deltas"),
@@ -478,8 +542,6 @@ CONFIG_DEFECTS = [
     ("a = 'x'", "a must"),
     ("deltas = [0.2, 0.2]", "repeats a delta"),
     ("deltas = []", "deltas must be a non-empty list"),
-    # L / h beyond float range: the grid size round(L / h) does not exist
-    ("L = 1e308", "finite grid size"),
     # only the dataclass fields are keys, not its methods or attributes
     ("validate = 1", "validate"),
     ("potential_V = 0", "potential_V"),

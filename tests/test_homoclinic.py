@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import equilibria, initial_condition, shoot_homoclinic
-from diracsoliton import NLDParams, integrate_homoclinic
+from diracsoliton import NLDParams, _lapack, integrate_homoclinic
 from diracsoliton.homoclinic import _half_orbit, hamiltonian, kernel_check_on_Y
 
 
@@ -230,6 +230,31 @@ class TestKernelCheck:
         assert res.sigma_min_restricted >= 0.1 * np.sqrt(
             canonical_params.theta_sharp**2 - canonical_params.mu_sharp**2
         )
+
+    @pytest.mark.parametrize("which", ["canonical", "default"])
+    def test_sector_spectra_equal_eigvals_banded(self, request, monkeypatch, which):
+        """dsbevd is called as scipy.linalg.eigvals_banded calls it: each
+        sector's |spectrum| has the same bits as through the public wrapper."""
+        from scipy.linalg import eigvals_banded
+
+        params = request.getfixturevalue(f"{which}_params")
+        profile = request.getfixturevalue(f"{which}_profile")
+        calls, dsbevd = [], _lapack.dsbevd
+
+        def recorded(band, **kwargs):
+            out = dsbevd(band, **kwargs)
+            calls.append((band.copy(), out[0]))
+            return out
+
+        monkeypatch.setattr(_lapack, "dsbevd", recorded)
+        res = kernel_check_on_Y(params, profile)
+        assert [band.shape[0] for band, _ in calls] == [4, 4]
+        spectra = []
+        for band, w in calls:
+            ref = np.abs(eigvals_banded(band))
+            assert np.abs(w).tobytes() == ref.tobytes()
+            spectra.append(ref)
+        assert res.operator_norm == np.max(np.concatenate(spectra))
 
     def test_gap_closing_trend(self):
         sigmas = []

@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse import diags
 from scipy.sparse.linalg import eigsh
 
-from diracsoliton import ParityClass, PeriodicPotential, newton
+from diracsoliton import ParityClass, PeriodicPotential, _lapack, newton
 from diracsoliton.ansatz import TwoScaleField, assemble_udelta, build_U0
 from diracsoliton.cli import Pipeline, load_config
 from diracsoliton.newton import (
@@ -351,3 +351,43 @@ class TestErrorVsAnsatz:
         l2, h2 = error_vs_ansatz(op, w, field)
         assert l2 == pytest.approx(np.pi**0.25, rel=1e-12)
         assert h2 == pytest.approx(np.sqrt(1.75 * np.sqrt(np.pi)), rel=1e-7)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLapackRoutines:
+    """The routines of diracsoliton._lapack against scipy.linalg's public
+    wrappers, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 30])
+    def test_lanczos_tridiagonal_solve_equals_eigh_tridiagonal(self, n):
+        from scipy.linalg import eigh_tridiagonal
+
+        rng = np.random.default_rng(n)
+        alpha, beta = list(rng.standard_normal(n)), list(rng.standard_normal(n - 1))
+        theta, s = newton._tridiagonal_eigh(alpha, beta)
+        ref_theta, ref_s = eigh_tridiagonal(np.array(alpha), np.array(beta))
+        assert _same_bits(theta, ref_theta) and _same_bits(s, ref_s)
+
+    def test_lanczos_tridiagonal_solve_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            newton._tridiagonal_eigh([1.0, np.nan], [0.5])
+
+    def test_banded_lu_equals_scipy_linalg_lapack(self):
+        from scipy.linalg import lapack
+
+        n = 200
+        rng = np.random.default_rng(7)
+        ab = np.zeros((7, n), order="F")
+        ab[2:] = rng.standard_normal((5, n))
+        b = rng.standard_normal(n)
+        lu, piv, info = _lapack.dgbtrf(ab.copy(order="F"), 2, 2)
+        ref_lu, ref_piv, ref_info = lapack.dgbtrf(ab.copy(order="F"), 2, 2)
+        assert info == ref_info == 0
+        assert _same_bits(lu, ref_lu) and _same_bits(piv, ref_piv)
+        x, info = _lapack.dgbtrs(lu, 2, 2, b, piv)
+        ref_x, ref_info = lapack.dgbtrs(ref_lu, 2, 2, b, ref_piv)
+        assert info == ref_info == 0
+        assert _same_bits(x, ref_x)
