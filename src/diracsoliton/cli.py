@@ -337,7 +337,7 @@ def cmd_nld(run: Pipeline, out: Path):
             "H": profile.hamiltonian_trace,
         },
     )
-    kres = kernel_check_on_Y(params, profile)
+    kres = kernel_check_on_Y(profile)
     diag = {
         "decay_rate_fit": _fmt(profile.decay_rate_fit),
         "decay_rate_predicted": _fmt(params.decay_rate),

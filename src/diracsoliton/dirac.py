@@ -22,8 +22,11 @@ from .bloch import (
     assemble_coefficient_matrix,
     assemble_fb_matrix,
     coupling_matrix,
-    fourier_eval,
 )
+
+# fourier_eval is re-exported, not called: solbench/spans.py patches
+# dirac.fourier_eval until a run record of the package's own replaces the spans
+from .bloch import fourier_eval  # noqa: F401
 
 DEGENERACY_RTOL = 1e-8
 
@@ -150,13 +153,14 @@ def find_dirac_point(
     return (n_star, n_star + 1), float(mu_star), g1, g2
 
 
-def compute_c_sharp(g1: np.ndarray, g2: np.ndarray, cut: FourierCutoff) -> float:
+def compute_c_sharp(g1: np.ndarray, g2: np.ndarray) -> float:
     """Crossing slope c# = -2 sum_m (2 pi m + pi) |p_m|^2 from g1.
 
     Also evaluates the g2-based expression (opposite sign convention)
     and checks consistency.
     """
-    freqs = 2.0 * np.pi * cut.indices() + np.pi
+    M = (len(g1) - 1) // 2
+    freqs = 2.0 * np.pi * np.arange(-M, M + 1) + np.pi
     c1 = -2.0 * float(freqs @ (g1 ** 2))
     c2 = 2.0 * float(freqs @ (g2 ** 2))
     if abs(c1 - c2) > 1e-12 * (1.0 + abs(c1)):
@@ -169,17 +173,11 @@ def compute_c_sharp(g1: np.ndarray, g2: np.ndarray, cut: FourierCutoff) -> float
     return c1
 
 
-def compute_theta_sharp(
-    g1: np.ndarray, g2: np.ndarray, cut: FourierCutoff, pot_W: PeriodicPotential
-) -> float:
+def compute_theta_sharp(g1: np.ndarray, g2: np.ndarray, pot_W: PeriodicPotential) -> float:
     """Gap-opening coefficient theta# = <W Phi+(., pi), Phi-(., pi)>."""
     if pot_W.parity_class is not ParityClass.ODD_INDEX:
         raise ValueError("theta# requires an odd-index potential W")
-    C = coupling_matrix(pot_W.coeffs, cut.size)
-    val = complex(np.vdot(g1, C @ g2))
-    if abs(val.imag) > 1e-12 * (1.0 + abs(val)):
-        raise RuntimeError(f"theta# has spurious imaginary part {val.imag:.3e}")
-    theta = float(val.real)
+    theta = float(np.vdot(g1, coupling_matrix(pot_W.coeffs, len(g1)) @ g2))
     if abs(theta) < 1e-10:
         raise ValueError(
             "W does not open a gap at this Dirac point: theta# vanishes"
@@ -187,25 +185,19 @@ def compute_theta_sharp(
     return theta
 
 
-def compute_betas(
-    g1: np.ndarray, g2: np.ndarray, cut: FourierCutoff, n_quad: int | None = None
-) -> tuple[float, float]:
+def compute_betas(g1: np.ndarray, g2: np.ndarray) -> tuple[float, float]:
     """Quartic cell integrals beta1 = int |Phi+|^2 |Phi-|^2, beta2 = int conj(Phi+)^2 Phi-^2.
 
-    Evaluated by uniform sampling of the periodic parts; the integrand
-    is band-limited so the grid average is exact once the grid exceeds
-    the total bandwidth (>= 8M + 8 points).
+    The periodic parts are trigonometric polynomials with the real
+    coefficients g1 (Phi-) and g2 (Phi+), so each integrand is one too
+    and its cell mean is a finite sum of coefficients, exact and real:
+    a product's coefficients are the convolution of its factors', a
+    conjugate's are the reversed vector, and the mean of f g is
+    sum_m f_m g_-m.  No grid, no cutoff beyond the vectors' own.
     """
-    if n_quad is None:
-        n_quad = max(2048, 8 * cut.M + 8)
-    x = np.arange(n_quad) / n_quad
-    P1 = fourier_eval(g1, 0.0, x)
-    P2 = fourier_eval(g2, 0.0, x)
-    beta1 = float(np.mean(np.abs(P1) ** 2 * np.abs(P2) ** 2).real)
-    b2 = complex(np.mean(np.conj(P2) ** 2 * P1 ** 2))
-    if abs(b2.imag) > 1e-10 * (1.0 + abs(b2)):
-        raise RuntimeError(f"beta2 has spurious imaginary part {b2.imag:.3e}")
-    beta2 = float(b2.real)
+    conv = np.convolve
+    beta1 = float(conv(g1, g1[::-1]) @ conv(g2, g2[::-1])[::-1])
+    beta2 = float(conv(g2[::-1], g2[::-1]) @ conv(g1, g1)[::-1])
     if beta1 <= 0.0 or abs(beta2) > beta1 * (1.0 + 1e-12):
         raise RuntimeError(f"beta values violate 0 < |beta2| <= beta1: {beta1}, {beta2}")
     return beta1, beta2
@@ -221,9 +213,9 @@ def certify_dirac_point(
     band_pair, mu_star, g1, g2 = find_dirac_point(pot_V, cut, pair_selector)
     return DiracPointData(
         band_pair, mu_star, g1, g2, cut,
-        compute_c_sharp(g1, g2, cut),
-        compute_theta_sharp(g1, g2, cut, pot_W),
-        *compute_betas(g1, g2, cut),
+        compute_c_sharp(g1, g2),
+        compute_theta_sharp(g1, g2, pot_W),
+        *compute_betas(g1, g2),
         pot_V, pot_W,
     )
 

@@ -242,9 +242,7 @@ _STAGGER_D = (27.0 / 24.0, -1.0 / 24.0)
 _STAGGER_I = (9.0 / 16.0, -1.0 / 16.0)
 
 
-def _sector_bands(
-    params: NLDParams, profile: SpinorProfile, n_points: int
-) -> dict[float, np.ndarray]:
+def _sector_bands(profile: SpinorProfile, n_points: int) -> dict[float, np.ndarray]:
     """L = c J d/dy - Hess H per parity sector, in upper LAPACK band storage.
 
     Unknowns interleave p(jh), j = 0..N, at even and q((j + 1/2) h),
@@ -257,6 +255,7 @@ def _sector_bands(
     with weight sqrt(2) so the fold stays symmetric, for sign -1 it is
     zero and dropped.  Keyed by sign.
     """
+    params = profile.params
     n = 2 * (n_points // 2)
     h = 2.0 * profile.y_max / n
     u, v = profile.evaluate(0.5 * h * np.arange(n + 1))
@@ -285,9 +284,7 @@ def _sector_bands(
     return bands
 
 
-def kernel_check_on_Y(
-    params: NLDParams, profile: SpinorProfile, n_points: int = 601
-) -> KernelCheckResult:
+def kernel_check_on_Y(profile: SpinorProfile, n_points: int = 601) -> KernelCheckResult:
     """Spectrum of the linearisation L = c J d/dy - Hess H per parity sector.
 
     L acts on (p, q), zeta = ((p + iq)/2, (p - iq)/2), with
@@ -312,7 +309,7 @@ def kernel_check_on_Y(
     from ._lapack import dsbevd  # here: bands and dirac start without scipy
 
     spectra = {}
-    for sign, band in _sector_bands(params, profile, n_points).items():
+    for sign, band in _sector_bands(profile, n_points).items():
         w, _, info = dsbevd(np.asarray_chkfinite(band), compute_v=0, lower=0, overwrite_ab=0)
         if info != 0:
             raise np.linalg.LinAlgError(f"dsbevd did not converge (LAPACK info={info})")
@@ -320,6 +317,6 @@ def kernel_check_on_Y(
     both = np.concatenate(list(spectra.values()))
     return KernelCheckResult(
         sigma_min_unrestricted=float(np.min(both)),
-        sigma_min_restricted=float(np.min(spectra[np.sign(params.theta_sharp)])),
+        sigma_min_restricted=float(np.min(spectra[np.sign(profile.params.theta_sharp)])),
         operator_norm=float(np.max(both)),
     )

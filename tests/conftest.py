@@ -136,7 +136,7 @@ def _sector_residual(profile, n_points, translation=True):
         x[0] /= np.sqrt(2.0)
     else:
         x = x[1:]
-    band = _sector_bands(params, profile, n_points)[sign]
+    band = _sector_bands(profile, n_points)[sign]
     return float(np.linalg.norm(_band_apply(band, x)) / np.linalg.norm(x))
 
 

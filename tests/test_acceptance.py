@@ -110,9 +110,9 @@ def test_homoclinic_envelope_diagnostics(default_dirac, sector_residual):
         assert time.perf_counter() - t0 < 1.0
 
 
-def test_symmetric_subspace_invertibility(default_params, default_profile):
+def test_symmetric_subspace_invertibility(default_profile):
     t0 = time.perf_counter()
-    res = kernel_check_on_Y(default_params, default_profile)
+    res = kernel_check_on_Y(default_profile)
     # translation mode: near-kernel without the symmetry restriction
     assert res.sigma_min_unrestricted <= 1e-4 * res.operator_norm
     assert res.sigma_min_restricted >= 10.0 * res.sigma_min_unrestricted
@@ -191,7 +191,7 @@ def test_newton_soliton_error_scaling():
     t0 = time.perf_counter()
     run = Pipeline(RunConfig())
     data, profile = run.dirac, run.profile
-    margin = kernel_check_on_Y(run.params, profile).sigma_min_restricted
+    margin = kernel_check_on_Y(profile).sigma_min_restricted
     h = 1.0 / 256.0
     h2_errors = []
     for delta in DELTAS:

@@ -170,12 +170,19 @@ class TestImportCost:
         )
         assert lines == ["", "", ""]
 
-    def test_dirac_loads_no_numpy_ma(self, free_cfg_path, tmp_path):
-        """numpy.ma, which np.unique imports on its first call, costs dirac
-        about 18 ms and is never used.  Its package loads numpy.ma.core;
-        the bare prefix "numpy.ma" would also match numpy.matrixlib."""
+    @pytest.mark.parametrize(
+        "cli_args",
+        [("dirac",), ("soliton", "--delta", "0.2,0.1"), ("verify-all", "--delta", "0.2,0.1")],
+        ids=["dirac", "soliton", "verify-all"],
+    )
+    def test_loads_no_numpy_ma(self, free_cfg_path, tmp_path, cli_args):
+        """numpy.ma, which np.unique imports on its first call, costs a run
+        about 18 ms and is never used; two deltas take the order fit.  Its
+        package loads numpy.ma.core; the bare prefix "numpy.ma" would also
+        match numpy.matrixlib."""
         lines = self._scipy_after(
-            tmp_path, "dirac", "--config", free_cfg_path, prefixes=("numpy.ma.",)
+            tmp_path, *cli_args, "--config", free_cfg_path, "--out", str(tmp_path / "out"),
+            prefixes=("numpy.ma.",),
         )
         assert lines == ["", "", ""]
 
@@ -1039,17 +1046,21 @@ class TestDeterminismAndGolden:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     @pytest.mark.parametrize(
-        "command,files",
+        "command,files,free",
         [
-            ("nld", ("nld_profile.csv", "nld_diagnostics.json")),
-            ("dirac", ("dirac_point.json", "gap_report.json")),
-            ("soliton", ("soliton_delta_0p1.csv", "soliton_scaling.json")),
+            ("nld", ("nld_profile.csv", "nld_diagnostics.json"), True),
+            ("dirac", ("dirac_point.json", "gap_report.json"), True),
+            ("dirac", ("dirac_point.json", "gap_report.json"), False),
+            ("soliton", ("soliton_delta_0p1.csv", "soliton_scaling.json"), True),
         ],
-        ids=["nld", "dirac", "soliton"],
+        ids=["nld", "dirac", "dirac-default-lattice", "soliton"],
     )
     def test_artifacts_independent_of_blas_threads(
-        self, free_cfg_path, tmp_path, command, files
+        self, free_cfg_path, tmp_path, command, files, free
     ):
+        """On FREE_CFG, and for dirac also on the default lattice, whose
+        pair has every even-index mode."""
+        config = ["--config", free_cfg_path] if free else []
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
@@ -1060,8 +1071,7 @@ class TestDeterminismAndGolden:
                     "-c",
                     "import sys; from diracsoliton.cli import main; sys.exit(main())",
                     command,
-                    "--config",
-                    free_cfg_path,
+                    *config,
                     "--out",
                     str(out),
                 ],

@@ -5,8 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import band_slope_oracle
 from diracsoliton import FourierCutoff, ParityClass, PeriodicPotential, dirac
-from diracsoliton.bloch import assemble_coefficient_matrix, assemble_fb_matrix, band_sweep
+from diracsoliton.bloch import (
+    assemble_coefficient_matrix,
+    assemble_fb_matrix,
+    band_sweep,
+    fourier_eval,
+)
 from diracsoliton.dirac import (
+    certify_dirac_point,
     compute_betas,
     compute_c_sharp,
     compute_theta_sharp,
@@ -78,12 +84,12 @@ class TestCSharp:
         assert free_dirac.c_sharp == pytest.approx(-2.0 * np.pi, abs=1e-10)
 
     def test_sign_flip_invariance(self, default_dirac):
-        g1, g2, cut = -default_dirac.g1, -default_dirac.g2, default_dirac.cutoff
-        assert compute_c_sharp(g1, g2, cut) == pytest.approx(default_dirac.c_sharp)
-        assert compute_theta_sharp(g1, g2, cut, default_dirac.pot_W) == pytest.approx(
+        g1, g2 = -default_dirac.g1, -default_dirac.g2
+        assert compute_c_sharp(g1, g2) == pytest.approx(default_dirac.c_sharp)
+        assert compute_theta_sharp(g1, g2, default_dirac.pot_W) == pytest.approx(
             default_dirac.theta_sharp
         )
-        b1, b2 = compute_betas(g1, g2, cut)
+        b1, b2 = compute_betas(g1, g2)
         assert b1 == pytest.approx(default_dirac.beta1)
         assert b2 == pytest.approx(default_dirac.beta2)
 
@@ -128,12 +134,12 @@ class TestThetaSharp:
     def test_uncoupled_w_rejected(self, free_dirac):
         w3 = PeriodicPotential({3: 1.0}, ParityClass.ODD_INDEX)
         with pytest.raises(ValueError, match="does not open a gap"):
-            compute_theta_sharp(free_dirac.g1, free_dirac.g2, free_dirac.cutoff, w3)
+            compute_theta_sharp(free_dirac.g1, free_dirac.g2, w3)
 
     def test_even_w_rejected(self, free_dirac):
         w_even = PeriodicPotential({2: 1.0}, ParityClass.EVEN_INDEX)
         with pytest.raises(ValueError, match="odd-index"):
-            compute_theta_sharp(free_dirac.g1, free_dirac.g2, free_dirac.cutoff, w_even)
+            compute_theta_sharp(free_dirac.g1, free_dirac.g2, w_even)
 
     def test_default_nonzero(self, default_dirac):
         assert abs(default_dirac.theta_sharp) > 1e-3
@@ -141,19 +147,37 @@ class TestThetaSharp:
 
 class TestBetas:
     def test_free_values(self, free_dirac):
-        assert free_dirac.beta1 == pytest.approx(1.0, abs=1e-10)
-        assert free_dirac.beta2 == pytest.approx(0.0, abs=1e-10)
+        """Phi- = e^{i pi x}, Phi+ = e^{-i pi x}: exact finite sums give the
+        closed forms beta1 = 1 and beta2 = mean(e^{4 pi i x}) = 0."""
+        assert free_dirac.beta1 == 1.0
+        assert free_dirac.beta2 == 0.0
 
     def test_default_ordering(self, default_dirac):
         assert default_dirac.beta1 > 0.0
         assert abs(default_dirac.beta2) <= default_dirac.beta1
 
-    def test_quadrature_grid_insensitive(self, default_dirac):
-        d = default_dirac
-        b1a, b2a = compute_betas(d.g1, d.g2, d.cutoff)
-        b1b, b2b = compute_betas(d.g1, d.g2, d.cutoff, n_quad=4099)
-        assert b1a == pytest.approx(b1b, abs=1e-12)
-        assert b2a == pytest.approx(b2b, abs=1e-12)
+    @pytest.mark.parametrize("lattice", ["default", "two-harmonic"])
+    def test_equal_uniform_quadrature(self, request, cut64, lattice):
+        """The finite sums against the cell means on a uniform grid.  The
+        integrands hold modes |m| <= 4M only, so a grid of more than 4M
+        points averages them exactly, up to rounding."""
+        if lattice == "default":
+            d = request.getfixturevalue("default_dirac")
+        else:
+            d = certify_dirac_point(
+                PeriodicPotential({2: 20.0, 4: 5.0}, ParityClass.EVEN_INDEX),
+                PeriodicPotential({1: 1.0, 3: 0.5}, ParityClass.ODD_INDEX),
+                cut64,
+                pair_selector=2,
+            )
+        for n_quad in (2048, 4099):
+            x = np.arange(n_quad) / n_quad
+            P1, P2 = fourier_eval(d.g1, 0.0, x), fourier_eval(d.g2, 0.0, x)
+            beta1 = np.mean(np.abs(P1) ** 2 * np.abs(P2) ** 2)
+            beta2 = np.mean(np.conj(P2) ** 2 * P1**2)
+            assert d.beta1 == pytest.approx(beta1, abs=1e-14)
+            assert d.beta2 == pytest.approx(beta2.real, abs=1e-14)
+            assert abs(beta2.imag) <= 1e-14
 
 
 class TestGapOpening:

@@ -224,7 +224,7 @@ class TestLinearization:
 
 class TestKernelCheck:
     def test_restricted_vs_unrestricted(self, canonical_params, canonical_profile):
-        res = kernel_check_on_Y(canonical_params, canonical_profile)
+        res = kernel_check_on_Y(canonical_profile)
         assert res.sigma_min_unrestricted <= 1e-4 * res.operator_norm
         assert res.sigma_min_restricted >= 10.0 * res.sigma_min_unrestricted
         assert res.sigma_min_restricted >= 0.1 * np.sqrt(
@@ -237,7 +237,6 @@ class TestKernelCheck:
         sector's |spectrum| has the same bits as through the public wrapper."""
         from scipy.linalg import eigvals_banded
 
-        params = request.getfixturevalue(f"{which}_params")
         profile = request.getfixturevalue(f"{which}_profile")
         calls, dsbevd = [], _lapack.dsbevd
 
@@ -247,7 +246,7 @@ class TestKernelCheck:
             return out
 
         monkeypatch.setattr(_lapack, "dsbevd", recorded)
-        res = kernel_check_on_Y(params, profile)
+        res = kernel_check_on_Y(profile)
         assert [band.shape[0] for band, _ in calls] == [4, 4]
         spectra = []
         for band, w in calls:
@@ -261,13 +260,13 @@ class TestKernelCheck:
         for mu in (0.0, 0.5, 0.8):
             p = NLDParams(1.0, 1.0, mu, 1.0, 0.0)
             prof = integrate_homoclinic(p)
-            sigmas.append(kernel_check_on_Y(p, prof).sigma_min_restricted)
+            sigmas.append(kernel_check_on_Y(prof).sigma_min_restricted)
         assert sigmas[0] > sigmas[1] > sigmas[2]
 
     def test_negative_theta_restriction(self):
         p = NLDParams(1.0, -1.0, 0.0, 1.0, 0.0)
         prof = integrate_homoclinic(p, y_max=20.0)
-        res = kernel_check_on_Y(p, prof)
+        res = kernel_check_on_Y(prof)
         assert res.sigma_min_restricted >= 10.0 * res.sigma_min_unrestricted
 
     def test_canonical_margin_matches_pseudospectral_reference(
@@ -304,13 +303,13 @@ class TestKernelCheck:
         e, Q = np.linalg.eigh(R)
         B = Q[:, e > 0]
         ref = np.min(np.abs(np.linalg.eigvalsh(B.T @ L @ B)))
-        res = kernel_check_on_Y(canonical_params, canonical_profile)
+        res = kernel_check_on_Y(canonical_profile)
         assert res.sigma_min_restricted == pytest.approx(ref, abs=1e-4)
 
-    def test_default_lattice_margin_converges(self, default_params, default_profile):
+    def test_default_lattice_margin_converges(self, default_profile):
         unrestricted = []
         for n_points in (601, 1201, 2401):
-            res = kernel_check_on_Y(default_params, default_profile, n_points)
+            res = kernel_check_on_Y(default_profile, n_points)
             assert res.sigma_min_restricted == pytest.approx(0.34475, abs=1e-3)
             unrestricted.append(res.sigma_min_unrestricted)
         # the translation mode closes at fourth order: 16x per halving of h
