@@ -340,7 +340,7 @@ def residual_norm(op, u: np.ndarray) -> float:
     The last _EDGE_SKIP points are left out: their stencil reaches past,
     or lies next to, the Dirichlet cut at L.
     """
-    return op.norm((op.apply(u) - u**3)[:-_EDGE_SKIP])
+    return op.norm((op.apply(u) - u * u * u)[:-_EDGE_SKIP])
 
 
 def fit_order(deltas, norms) -> float:

@@ -118,18 +118,19 @@ def hamiltonian(params: NLDParams, u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     a, b = params.a, params.b
+    u2, v2 = u * u, v * v
     return (
-        0.25 * b * (u**4 + v**4)
-        + 0.5 * a * u**2 * v**2
-        + 0.5 * params.mu_sharp * (u**2 + v**2)
-        + 0.5 * params.theta_sharp * (v**2 - u**2)
+        0.25 * b * (u2 * u2 + v2 * v2)
+        + 0.5 * a * u2 * v2
+        + 0.5 * params.mu_sharp * (u2 + v2)
+        + 0.5 * params.theta_sharp * (v2 - u2)
     )
 
 
 def _rhs(params: NLDParams, u, v):
     a, b, mu, th, c = params.a, params.b, params.mu_sharp, params.theta_sharp, params.c_sharp
-    du = (th * v + mu * v + a * u**2 * v + b * v**3) / c
-    dv = (th * u - mu * u - b * u**3 - a * v**2 * u) / c
+    du = (th * v + mu * v + a * u**2 * v + b * v * v * v) / c
+    dv = (th * u - mu * u - b * u * u * u - a * v**2 * u) / c
     return du, dv
 
 

@@ -1326,6 +1326,31 @@ class TestReadmeIsTheApi:
         assert set(flag.findall(section)) == parser_flags
 
 
+def test_no_integer_power_above_two_in_the_package():
+    """Cubes and higher powers are products: numpy's float64 power of a
+    negative base is about 40 times slower than of a positive one, and 200
+    times slower than x * x * x, and the soliton changes sign every half
+    cell.  Squares are exempt: numpy computes x**2 as one multiply."""
+    slow = []
+    for path in sorted((ROOT / "src" / "diracsoliton").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp):
+                exponent = node.right
+            elif isinstance(node, ast.AugAssign):
+                exponent = node.value
+            else:
+                continue
+            if (
+                isinstance(node.op, ast.Pow)
+                and isinstance(exponent, ast.Constant)
+                and isinstance(exponent.value, (int, float))
+                and float(exponent.value).is_integer()
+                and exponent.value >= 3
+            ):
+                slow.append(f"{path.name}:{node.lineno}")
+    assert slow == []
+
+
 class TestTracedBenchmarkChild:
     @staticmethod
     def _traced_verify_all(free_cfg_path, tmp_path, *extra):

@@ -33,6 +33,22 @@ def free_soliton(free_dirac, free_profile):
     return op, sol
 
 
+@pytest.fixture(scope="module")
+def free_cfg_soliton():
+    """Operator and Newton soliton of the CLI tests' free lattice (FREE_CFG
+    in test_cli.py) at delta = 0.2, on the grid the soliton command uses."""
+    delta = 0.2
+    free_cfg = {"V": [], "W": [[1, 1.0]], "M": 16, "h": 1 / 64, "deltas": [delta]}
+    run = Pipeline(load_config(None, free_cfg))
+    data = run.dirac
+    op = discretize_operator(
+        data.pot_V, data.pot_W, delta, run.mu_delta(delta), run.domain(delta), run.cfg.h,
+        data.theta_sharp,
+    )
+    fld = assemble_udelta(data, run.profile, run.corrector, delta, op.x_grid)
+    return op, newton_solve(op, fld.samples, TOL, MAX_ITERS).samples
+
+
 class TestGrid:
     def test_staggered_values(self):
         x = staggered_grid(1.0, 0.25)
@@ -227,26 +243,17 @@ class TestJacobian:
         )
         assert jacobian_min_eig(op, np.zeros(n)) == pytest.approx(0.01, abs=1e-12)
 
-    def test_tolerance_matches_machine_precision_solve(self):
-        """The Lanczos stop at Ritz residual 1e-8 |theta| leaves lambda where
+    def test_tolerance_matches_machine_precision_solve(self, free_cfg_soliton):
+        """The Lanczos stop at Ritz residual 1e-6 |theta| leaves lambda where
         a machine-precision solve (ARPACK, tol = 0) puts it.
 
-        The eigenvalue error is quadratic in the Ritz residual, so what is
-        left is the rounding of the two factorizations (banded LU here,
-        SuperLU in the oracle).  The soliton Jacobian of the CLI tests'
-        free lattice (FREE_CFG in test_cli.py) at delta = 0.2, on the grid
-        the soliton command uses.
+        The eigenvalue error is quadratic in the Ritz residual, of order
+        1e-12 relative, so what is left is the rounding of the two
+        factorizations (banded LU here, SuperLU in the oracle): lambda sits
+        4.3e-13 relative from the oracle, and 4.3e-13 from the value the
+        earlier 1e-8 stop gave.
         """
-        delta = 0.2
-        free_cfg = {"V": [], "W": [[1, 1.0]], "M": 16, "h": 1 / 64, "deltas": [delta]}
-        run = Pipeline(load_config(None, free_cfg))
-        data, profile = run.dirac, run.profile
-        L = run.domain(delta)
-        op = discretize_operator(
-            data.pot_V, data.pot_W, delta, run.mu_delta(delta), L, run.cfg.h, data.theta_sharp
-        )
-        fld = assemble_udelta(data, profile, run.corrector, delta, op.x_grid)
-        u = newton_solve(op, fld.samples, TOL, MAX_ITERS).samples
+        op, u = free_cfg_soliton
         J = diags(
             [op.off2, op.off1, op.diag - 3.0 * u**2, op.off1, op.off2],
             [-2, -1, 0, 1, 2],
@@ -255,6 +262,20 @@ class TestJacobian:
         v0 = np.cos(0.37 * np.arange(len(u))) + u / (1.0 + np.max(np.abs(u)))
         (exact,) = eigsh(J, k=1, sigma=0.0, v0=v0, tol=0, return_eigenvectors=False)
         assert jacobian_min_eig(op, u) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_stop_rule_solve_count(self, free_cfg_soliton, monkeypatch):
+        """Each Lanczos step is one dgbtrs solve on the Jacobian's LU: 21 at
+        the 1e-6 stop on this Jacobian, against 25 at the earlier 1e-8."""
+        op, u = free_cfg_soliton
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return _lapack.dgbtrs(*args, **kwargs)
+
+        monkeypatch.setattr(newton, "dgbtrs", counted)
+        jacobian_min_eig(op, u)
+        assert 0 < len(solves) < 25
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_dense_spectrum(self, seed):
