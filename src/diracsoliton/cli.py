@@ -202,9 +202,9 @@ def _write_csv(path: Path, columns: dict):
 class Pipeline:
     """The stages of one invocation, each computed once, on first use.
 
-    dirac -> params -> profile -> corrector, and the deltas checked
-    against the frequency window; the subcommands write artifacts from
-    these, and verify-all shares one set between them.
+    dirac -> params -> profile -> corrector and kernel, and the deltas
+    checked against the frequency window; the subcommands write
+    artifacts from these, and verify-all shares one set between them.
     """
 
     cfg: RunConfig
@@ -257,6 +257,12 @@ class Pipeline:
     def mu_delta(self, delta: float) -> float:
         """The soliton's frequency mu* + delta mu#."""
         return float(self.dirac.mu_star + delta * self.params.mu_sharp)
+
+    @cached_property
+    def kernel(self):
+        """The NLD linearisation's spectrum on Y: nld's diagnostics, and
+        each delta's Jacobian shift delta nu."""
+        return kernel_check_on_Y(self.profile)
 
     @cached_property
     def corrector(self):
@@ -337,7 +343,7 @@ def cmd_nld(run: Pipeline, out: Path):
             "H": profile.hamiltonian_trace,
         },
     )
-    kres = kernel_check_on_Y(profile)
+    kres = run.kernel
     diag = {
         "decay_rate_fit": _fmt(profile.decay_rate_fit),
         "decay_rate_predicted": _fmt(params.decay_rate),
@@ -353,9 +359,10 @@ def cmd_nld(run: Pipeline, out: Path):
 def _soliton_delta(run: Pipeline, delta: float, L: float, out: Path):
     """One delta's soliton on [-L, L], its CSV written to `out`.
 
-    Synthesis, Newton, the Jacobian's eigenvalue nearest 0 and the
-    error norms; returns the ansatz residual norm, the H2 error and the
-    delta's entry of soliton_scaling.json's runs.
+    Synthesis, Newton, the Jacobian's eigenvalue nearest 0 (sought at
+    delta nu and certified nearest 0) and the error norms; returns the
+    ansatz residual norm, the H2 error and the delta's entry of
+    soliton_scaling.json's runs.
     """
     from . import newton as nt
 
@@ -366,7 +373,15 @@ def _soliton_delta(run: Pipeline, delta: float, L: float, out: Path):
     fld = az.assemble_udelta(data, run.profile, run.corrector, delta, op.x_grid)
     resid_norm = az.residual_norm(op, fld.samples)
     sol = nt.newton_solve(op, fld.samples, cfg.newton_tol, cfg.newton_max_iters)
-    min_eig = nt.jacobian_min_eig(op, sol.samples)
+    nu = run.kernel.nu_restricted
+    try:
+        min_eig = nt.jacobian_min_eig(op, sol.samples, delta * nu)
+    except nt.UncertifiedEigenvalue as exc:
+        # a cut mid-cell can carry an edge state nearer 0 than the soliton's
+        raise RuntimeError(
+            f"{exc}; L = {L:.10g}, L mod 1 = {L % 1.0:.6g}, lambda/delta = "
+            f"{exc.lam / delta:.6g} against nu = {nu:.6g} on Y"
+        ) from None
     l2_error, h2_error = nt.error_vs_ansatz(op, sol.samples, fld)
     tag = repr(delta).replace(".", "p")
     _write_csv(out / f"soliton_delta_{tag}.csv", {"x": op.x_grid, "u": sol.samples})
@@ -421,9 +436,10 @@ def _named(call, where: str):
 
 
 def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
-    """The shared stages and each delta's L and grid size (a failure
-    named `soliton delta=<d>`), then the commands named and each delta's
-    soliton chain as tasks; soliton_scaling.json from the deltas'.
+    """The shared stages (the kernel check's failure named `nld`) and
+    each delta's L and grid size (a failure named `soliton delta=<d>`),
+    then the commands named and each delta's soliton chain as tasks;
+    soliton_scaling.json from the deltas'.
 
     With more than one delta and usable CPU, the tasks run in workers
     forked once the shared stages are computed: the deltas queued
@@ -440,6 +456,7 @@ def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
 
     cfg, deltas = run.cfg, run.deltas  # the window check before the first artifact
     run.corrector  # every shared stage, computed once and inherited by the workers
+    _named(lambda: run.kernel, "nld")
     from . import newton  # imported once, before the workers fork
 
     # (where a failure is named, grid points, task), in the order failures are reported

@@ -229,12 +229,15 @@ class KernelCheckResult:
     singular values.  sigma_min_restricted is the smallest on Y,
     sigma_min_unrestricted the smallest over both parity sectors (the
     translation mode Psi', which lies outside Y) and operator_norm the
-    largest.
+    largest.  nu_restricted is the eigenvalue on Y nearest 0, signed:
+    sigma_min_restricted = |nu_restricted|, and delta nu_restricted
+    predicts the soliton Jacobian's eigenvalue nearest 0, sign included.
     """
 
     sigma_min_unrestricted: float
     sigma_min_restricted: float
     operator_norm: float
+    nu_restricted: float
 
 
 # fourth-order staggered derivative (1, -27, 27, -1)/24h and midpoint
@@ -314,10 +317,13 @@ def kernel_check_on_Y(profile: SpinorProfile, n_points: int = 601) -> KernelChec
         w, _, info = dsbevd(np.asarray_chkfinite(band), compute_v=0, lower=0, overwrite_ab=0)
         if info != 0:
             raise np.linalg.LinAlgError(f"dsbevd did not converge (LAPACK info={info})")
-        spectra[sign] = np.abs(w)
-    both = np.concatenate(list(spectra.values()))
+        spectra[sign] = w
+    both = np.abs(np.concatenate(list(spectra.values())))
+    on_Y = spectra[np.sign(profile.params.theta_sharp)]
+    nu = float(on_Y[np.argmin(np.abs(on_Y))])
     return KernelCheckResult(
         sigma_min_unrestricted=float(np.min(both)),
-        sigma_min_restricted=float(np.min(spectra[np.sign(profile.params.theta_sharp)])),
+        sigma_min_restricted=abs(nu),
         operator_norm=float(np.max(both)),
+        nu_restricted=nu,
     )

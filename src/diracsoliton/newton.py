@@ -24,10 +24,12 @@ from .ansatz import TwoScaleField, build_U0  # noqa: F401
 from .bloch import PeriodicPotential
 
 
-# Lanczos steps before jacobian_min_eig gives up; a soliton Jacobian needs 15-30
+# Lanczos steps before jacobian_min_eig gives up; a soliton Jacobian needs
+# 3-4 at the NLD-predicted shift, 15-30 at shift 0
 _LANCZOS_MAX_STEPS = 500
 # Ritz residual, relative to |theta|, at which jacobian_min_eig stops
 _LANCZOS_RTOL = 1e-6
+_EPS = np.finfo(float).eps
 
 
 def grid_points(L: float, h: float) -> int:
@@ -83,6 +85,15 @@ class DiscreteOperator:
         contribute equally."""
         return float(np.sqrt(2.0 * self.h * np.sum(v**2)))
 
+    def inf_norm(self, shift_diag: np.ndarray | float = 0.0) -> float:
+        """Bound on the infinity norm of A + diag(shift_diag): its largest
+        |diagonal| plus twice the largest |off-diagonal| of each band."""
+        return float(
+            np.max(np.abs(self.diag + shift_diag))
+            + 2.0 * np.max(np.abs(self.off1), initial=0.0)
+            + 2.0 * np.max(np.abs(self.off2), initial=0.0)
+        )
+
     def factor_shifted(self, shift_diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """LU factors of A + diag(shift_diag), LAPACK band storage (dgbtrf).
 
@@ -104,6 +115,15 @@ class DiscreteOperator:
         """Solve (A + diag(shift_diag)) w = rhs by a banded factorization."""
         lu, piv = self.factor_shifted(shift_diag)
         return dgbtrs(lu, 2, 2, rhs, piv)[0]
+
+    def inertia_parity(self, shift_diag: np.ndarray) -> int:
+        """Parity of the number of negative eigenvalues of the symmetric
+        A + diag(shift_diag): of the sign of its determinant, read from its
+        banded LU as the negative entries of U's diagonal (band row 4) plus
+        the row swaps."""
+        lu, piv = self.factor_shifted(shift_diag)
+        swaps = np.count_nonzero(piv != np.arange(len(piv)))
+        return int(np.count_nonzero(lu[4] < 0.0) + swaps) % 2
 
 
 def discretize_operator(
@@ -147,19 +167,27 @@ def newton_solve(
     """Newton iteration on F(u) = A u - u^3 from the two-scale initial guess.
 
     The Jacobian A - 3 diag(u^2) is symmetric banded and solved
-    directly at every step.  Collapse to zero and divergence are errors,
-    reported with the residual history.
+    directly at every step.  The iteration stops once the residual is
+    at most tol or the rounding floor eps ||A||_inf ||u||, whichever is
+    larger.  The floor is the scale of the rounding of A u, whose
+    stencil weights grow as 1/h^2: the residual stalls at 0.22 of it
+    (measured at h = 1/64 to 1/1024 on the default and free lattices),
+    so no tol below it can be met, and the default newton_tol = 1e-10
+    lies below it from h = 1/256 on.  Collapse to zero and divergence
+    are errors, reported with the residual history.
     """
     u = np.asarray(initial, dtype=float).copy()
     if len(u) != len(op.x_grid):
         raise ValueError("initial guess not sampled on the operator grid")
     scale0 = op.norm(u)
+    rounding = _EPS * op.inf_norm()
     history = []
     for _ in range(max_iters):
         r = op.apply(u) - u * u * u
         rn = op.norm(r)
         history.append(rn)
-        if rn <= tol:
+        stop = max(tol, rounding * op.norm(u))
+        if rn <= stop:
             break
         if not np.isfinite(rn) or (len(history) >= 3 and rn > 10.0 * history[0]):
             raise RuntimeError(
@@ -172,10 +200,12 @@ def newton_solve(
         r = op.apply(u) - u * u * u
         rn = op.norm(r)
         history.append(rn)
-    if not history[-1] <= tol:  # a NaN residual fails too
+        stop = max(tol, rounding * op.norm(u))
+    if not history[-1] <= stop:  # a NaN residual fails too
         raise RuntimeError(
-            f"Newton did not reach residual {tol:.1e} in {max_iters} "
-            f"iterations; history {history}"
+            f"Newton did not reach residual {stop:.1e} (newton_tol {tol:.1e} or the "
+            f"rounding floor, whichever is larger) in {max_iters} iterations; "
+            f"history {history}"
         )
     un = op.norm(u)
     if scale0 > 0.0 and un < 0.5 * scale0:
@@ -201,24 +231,52 @@ def _tridiagonal_eigh(alpha: list[float], beta: list[float]):
     return theta, s
 
 
-def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
-    """Smallest-magnitude eigenvalue of the Jacobian A - 3 diag(u^2).
+class UncertifiedEigenvalue(RuntimeError):
+    """jacobian_min_eig's eigenvalue lam, with an even number of
+    eigenvalues, so at least one more, as near 0 as it."""
 
-    Shift-invert Lanczos at 0: one banded LU of J, then the three-term
-    recurrence on J^{-1} without reorthogonalisation, from a deterministic
-    start vector so runs reproduce bit-for-bit.  The largest-|theta| Ritz
-    pair of the tridiagonal T_j is checked at every step and accepted once
-    its residual |beta_j s_j| is at most _LANCZOS_RTOL |theta|.  The
+    def __init__(self, message: str, lam: float):
+        super().__init__(message)
+        self.lam = lam
+
+
+def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray, shift: float) -> float:
+    """Eigenvalue of the Jacobian J = A - 3 diag(u^2) nearest 0, sought
+    next to shift and certified nearest 0.
+
+    Shift-invert Lanczos (Ericsson & Ruhe, Math. Comp. 35, 1980): one
+    banded LU of J - shift I, then the three-term recurrence on its
+    inverse without reorthogonalisation, from a deterministic start
+    vector so runs reproduce bit-for-bit.  The largest-|theta| Ritz pair
+    of the tridiagonal T_j is checked at every step and accepted once
+    its residual |beta_j s_j| is at most _LANCZOS_RTOL |theta|; then
+    lambda = shift + 1/theta is the eigenvalue nearest shift.  The
     eigenvalue error is quadratic in that residual, so 1e-6 leaves it at
-    the rounding of the factorization itself: against a 1e-8 stop, lambda
-    moves 1.5e-13 to 1.3e-12 relative on the test, benchmark and default
-    configs, the size of its gap to another LU (SuperLU), and takes 3-5
-    fewer solves.  A zero pivot or no convergence within
-    _LANCZOS_MAX_STEPS steps raises a RuntimeError.
+    the rounding of the factorization itself.  At shift = delta nu, nu
+    the NLD linearisation's eigenvalue on Y, lambda is isolated at once:
+    3-4 solves, against 17-27 at shift 0, and lambda moves at most 6e-12
+    relative between the two on the test, benchmark and default configs.
+
+    The recurrence cannot see an eigenvalue nearer 0 that lies farther
+    from shift: a neighbour across 0, or an edge state at a mid-cell cut.
+    So lambda is certified.  By Sylvester's law of inertia the sign of
+    det(J - tI), that of U's diagonal times (-1)^(row swaps) in J - tI's
+    banded LU, is the parity of the number of eigenvalues below t
+    (Parlett, The Symmetric Eigenvalue Problem, 1998).  Two more
+    factorizations, at t = -r and t = r, give the parity of the count in
+    (-r, r), which must be odd.  r = |lambda| + 10 eps ||J||_inf: the
+    margin is twice the banded LU's backward error (kl + ku + 1) eps ||J||
+    (no pivot growth), once for lambda's factorization and once for the
+    check's.  One more eigenvalue in (-r, r) makes the count even and
+    raises UncertifiedEigenvalue; the check cannot catch two more.
+
+    A zero pivot or no convergence within _LANCZOS_MAX_STEPS steps
+    raises a RuntimeError too.
     """
     n = len(u)
+    shift_diag = -3.0 * u**2
     try:
-        lu, piv = op.factor_shifted(-3.0 * u**2)
+        lu, piv = op.factor_shifted(shift_diag - shift)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"jacobian_min_eig: N = {n}, 0 steps: {exc}") from None
     q = np.cos(0.37 * np.arange(n)) + u / (1.0 + np.max(np.abs(u)))
@@ -235,12 +293,29 @@ def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray) -> float:
         theta, s = _tridiagonal_eigh(alpha, beta)
         i = int(np.argmax(np.abs(theta)))
         if abs(b * s[-1, i]) <= _LANCZOS_RTOL * abs(theta[i]):
-            return float(1.0 / theta[i])
+            break
         beta.append(b)
         q_prev, q = q, w / b
-    raise RuntimeError(
-        f"jacobian_min_eig: N = {n}, no converged eigenvalue after {step} Lanczos steps"
-    )
+    else:
+        raise RuntimeError(
+            f"jacobian_min_eig: N = {n}, no converged eigenvalue after {step} Lanczos steps"
+        )
+    lam = float(shift + 1.0 / theta[i])
+    del lu, piv, q, q_prev, w  # the check's factorizations reuse their memory
+    r = abs(lam) + 10.0 * _EPS * op.inf_norm(shift_diag)
+    try:
+        below = [op.inertia_parity(shift_diag - t) for t in (-r, r)]
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"jacobian_min_eig: N = {n}, the check at +-{r:.6g}: {exc}") from None
+    if below[0] == below[1]:
+        raise UncertifiedEigenvalue(
+            f"jacobian_min_eig: N = {n}: lambda = {lam:.6g}, the eigenvalue nearest "
+            f"the shift {shift:.6g}, is not alone nearest 0: the eigenvalue counts "
+            f"below -r and r = {r:.6g} have parities {below[0]} and {below[1]}, so "
+            "(-r, r) holds an even number",
+            lam,
+        )
+    return lam
 
 
 def error_vs_ansatz(

@@ -191,7 +191,8 @@ def test_newton_soliton_error_scaling():
     t0 = time.perf_counter()
     run = Pipeline(RunConfig())
     data, profile = run.dirac, run.profile
-    margin = kernel_check_on_Y(profile).sigma_min_restricted
+    kres = kernel_check_on_Y(profile)
+    margin = kres.sigma_min_restricted
     h = 1.0 / 256.0
     h2_errors = []
     for delta in DELTAS:
@@ -203,7 +204,7 @@ def test_newton_soliton_error_scaling():
         sol = newton_solve(op, fld.samples, 1e-10, 25)
         assert len(sol.newton_history) <= 8
         assert sol.newton_history[-1] < 1e-10
-        lam = jacobian_min_eig(op, sol.samples)
+        lam = jacobian_min_eig(op, sol.samples, delta * kres.nu_restricted)
         assert lam > 0.0, (delta, lam)
         assert abs(lam / delta - margin) <= 1e-3, (delta, lam / delta, margin)
         _, h2 = error_vs_ansatz(op, sol.samples, fld)

@@ -271,8 +271,10 @@ class TestExitCodes:
         assert "validation error" in capsys.readouterr().err
 
     def test_unreachable_newton_tol_exits_3(self, free_cfg_path, tmp_path, capsys):
+        """newton_tol is out of one step's reach.  (A tolerance below the
+        rounding floor is not unreachable: Newton stops at the floor.)"""
         p = tmp_path / "tight.cfg"
-        p.write_text(FREE_CFG + "newton_tol = 1e-18\n")
+        p.write_text(FREE_CFG + "newton_max_iters = 1\n")
         rc = main(["soliton", "--config", str(p), "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -281,7 +283,8 @@ class TestExitCodes:
         """A zero pivot in jacobian_min_eig's factorization is a numerical failure."""
         real = newton.jacobian_min_eig
         monkeypatch.setattr(
-            newton, "jacobian_min_eig", lambda op, u: real(*_with_zero_row(op, u))
+            newton, "jacobian_min_eig",
+            lambda op, u, shift: real(*_with_zero_row(op, u), 0.0),  # the zero pivot at 0
         )
         rc = main(["soliton", "--config", free_cfg_path, "--out", str(tmp_path / "out")])
         assert rc == 3
@@ -761,6 +764,39 @@ def test_default_domain_is_whole_cells_without_y_max(free_cfg_path, tmp_path):
     assert domains[0] == domains[1] == math.floor(18.5 * ell / 0.1)
 
 
+def test_mid_cell_cut_exits_3(tmp_path, capsys):
+    """The README's mid-cell L on the free lattice: at delta = 0.1 its cut
+    carries an edge state nearer 0 than the soliton's eigenvalue, which
+    the shift delta nu finds.  The certificate fails, named, with no
+    traceback and before soliton_scaling.json."""
+    p = tmp_path / "mid.cfg"
+    p.write_text(FREE_CFG + "L = 2250.637\n")
+    out = tmp_path / "out"
+    assert main(["soliton", "--config", str(p), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "numerical failure: soliton delta=0.1, N=144041: jacobian_min_eig: "
+    ), err
+    assert "parities 1 and 1" in err and "L = 2250.637, L mod 1 = 0.637" in err
+    assert "lambda/delta = 0.423689 against nu = 0.42318 on Y" in err
+    assert "Traceback" not in err
+    assert not (out / "soliton_scaling.json").exists()
+
+
+def test_fine_grid_stops_at_rounding_floor(tmp_path):
+    """h = 1/512 on the default lattice: the residual stalls at 2.3e-10, the
+    rounding of A u, above newton_tol = 1e-10.  Newton stops at the floor
+    eps ||A|| ||u|| (1.1e-9 here) after as many steps as at h = 1/256.  A
+    whole-cell L at delta = 0.4 keeps the grid small."""
+    p = tmp_path / "fine.cfg"
+    p.write_text("deltas = [0.4]\nh = 0.001953125\nL = 420.0\n")
+    out = tmp_path / "out"
+    assert main(["soliton", "--config", str(p), "--out", str(out)]) == 0
+    (run,) = json.loads((out / "soliton_scaling.json").read_text())["runs"]
+    assert run["iters"] == 4
+    assert 1e-10 < float(run["final_residual"]) < 1e-9
+
+
 class TestParallelDeltas:
     """soliton solves FREE_CFG at deltas 0.2 and 0.1 in two forked workers.
 
@@ -826,10 +862,10 @@ class TestParallelDeltas:
         grids = self.grids(runs[0])
         real = newton.jacobian_min_eig
 
-        def failing_for(op, u):
+        def failing_for(op, u, shift):
             if grids[len(u)] in failing:
                 raise RuntimeError(f"jacobian_min_eig: N = {len(u)}, injected")
-            return real(op, u)
+            return real(op, u, shift)
 
         monkeypatch.setattr(newton, "jacobian_min_eig", failing_for)
         _usable_cpus(monkeypatch, 2)
@@ -846,10 +882,10 @@ class TestParallelDeltas:
     def test_dead_worker_exits_3(self, free_cfg_path, tmp_path, capsys, monkeypatch):
         parent, real = os.getpid(), newton.jacobian_min_eig
 
-        def dying_in_a_worker(op, u):
+        def dying_in_a_worker(op, u, shift):
             if os.getpid() != parent:
                 os._exit(1)
-            return real(op, u)
+            return real(op, u, shift)
 
         monkeypatch.setattr(newton, "jacobian_min_eig", dying_in_a_worker)
         _usable_cpus(monkeypatch, 2)
@@ -946,7 +982,9 @@ class TestVerifyAllTasks:
         def failing(*args):
             raise exc(f"{stage}: injected")
 
-        monkeypatch.setattr(cli, stage, self._in_a_worker(failing))
+        # the kernel check is a shared stage, computed before the workers fork
+        shared = stage == "kernel_check_on_Y"
+        monkeypatch.setattr(cli, stage, failing if shared else self._in_a_worker(failing))
         _usable_cpus(monkeypatch, 2)
         out = tmp_path / "out"
         assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == rc
@@ -963,7 +1001,7 @@ class TestVerifyAllTasks:
         def failing(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(cli, "kernel_check_on_Y", self._in_a_worker(failing))
+        monkeypatch.setattr(cli, "kernel_check_on_Y", failing)
         monkeypatch.setattr(newton, "jacobian_min_eig", failing)
         _usable_cpus(monkeypatch, 2)
         out = tmp_path / "out"
@@ -972,7 +1010,7 @@ class TestVerifyAllTasks:
         assert multiprocessing.active_children() == []
 
     def test_dead_worker_names_the_command(self, free_cfg_path, tmp_path, capsys, monkeypatch):
-        """A worker dies in nld's kernel check.  It waits for bands' and
+        """A worker dies in the nld command.  It waits for bands' and
         dirac's last artifacts first, so that their tasks, reported before
         nld's, have finished and only nld's and the deltas' are broken."""
         out = tmp_path / "out"
@@ -986,7 +1024,7 @@ class TestVerifyAllTasks:
             time.sleep(0.5)
             os._exit(1)
 
-        monkeypatch.setattr(cli, "kernel_check_on_Y", self._in_a_worker(dying))
+        monkeypatch.setitem(cli.COMMANDS, "nld", self._in_a_worker(dying))
         _usable_cpus(monkeypatch, 2)
         assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == 3
         err = capsys.readouterr().err

@@ -33,20 +33,28 @@ def free_soliton(free_dirac, free_profile):
     return op, sol
 
 
-@pytest.fixture(scope="module")
-def free_cfg_soliton():
-    """Operator and Newton soliton of the CLI tests' free lattice (FREE_CFG
-    in test_cli.py) at delta = 0.2, on the grid the soliton command uses."""
-    delta = 0.2
-    free_cfg = {"V": [], "W": [[1, 1.0]], "M": 16, "h": 1 / 64, "deltas": [delta]}
-    run = Pipeline(load_config(None, free_cfg))
-    data = run.dirac
+def _cli_soliton(cfg: dict):
+    """The pipeline of cfg, and the operator and Newton soliton of its one
+    delta on the grid the soliton command uses."""
+    run = Pipeline(load_config(None, cfg))
+    data, (delta,) = run.dirac, run.deltas
     op = discretize_operator(
         data.pot_V, data.pot_W, delta, run.mu_delta(delta), run.domain(delta), run.cfg.h,
         data.theta_sharp,
     )
     fld = assemble_udelta(data, run.profile, run.corrector, delta, op.x_grid)
-    return op, newton_solve(op, fld.samples, TOL, MAX_ITERS).samples
+    return run, op, newton_solve(op, fld.samples, TOL, MAX_ITERS).samples
+
+
+@pytest.fixture(scope="module")
+def free_cfg_soliton():
+    """Operator, Newton soliton and Jacobian shift delta nu of the CLI
+    tests' free lattice (FREE_CFG in test_cli.py) at delta = 0.2, on the
+    grid the soliton command uses."""
+    delta = 0.2
+    free_cfg = {"V": [], "W": [[1, 1.0]], "M": 16, "h": 1 / 64, "deltas": [delta]}
+    run, op, u = _cli_soliton(free_cfg)
+    return op, u, delta * run.kernel.nu_restricted
 
 
 class TestGrid:
@@ -197,28 +205,38 @@ class TestNewton:
             newton_solve(op, sol.samples[:-5], TOL, MAX_ITERS)
 
     def test_unreachable_tolerance_reported(self, free_soliton):
+        """One step from a guess 20% off cannot reach the tolerance."""
         op, sol = free_soliton
         with pytest.raises(RuntimeError, match="did not reach"):
-            newton_solve(op, sol.samples, 1e-18, 6)
+            newton_solve(op, 1.2 * sol.samples, 1e-18, 1)
+
+    def test_tolerance_below_rounding_floor_stops_at_it(self, free_soliton):
+        """No residual falls below the rounding of A u, 0.22 eps ||A|| ||u||
+        measured; a tolerance under it stops at the floor eps ||A|| ||u||."""
+        op, sol = free_soliton
+        floor = np.finfo(float).eps * op.inf_norm() * op.norm(sol.samples)
+        again = newton_solve(op, sol.samples, 1e-18, 6)
+        assert len(again.newton_history) == 1
+        assert 0.1 * floor < again.newton_history[0] <= floor
 
 
 class TestJacobian:
     def test_min_eig_positive_and_small(self, free_soliton):
         op, sol = free_soliton
-        lam = jacobian_min_eig(op, sol.samples)
+        lam = jacobian_min_eig(op, sol.samples, 0.0)
         # gap coefficient protects the soliton at scale delta * theta
         assert 0.0 < lam < 1.0
 
     def test_deterministic(self, free_soliton):
         op, sol = free_soliton
-        a = jacobian_min_eig(op, sol.samples)
-        b = jacobian_min_eig(op, sol.samples)
+        a = jacobian_min_eig(op, sol.samples, 0.0)
+        b = jacobian_min_eig(op, sol.samples, 0.0)
         assert a == b
 
     def test_rayleigh_quotient_is_attained(self, free_soliton):
         """The reported value is an actual eigenvalue, not just a bound."""
         op, sol = free_soliton
-        lam = jacobian_min_eig(op, sol.samples)
+        lam = jacobian_min_eig(op, sol.samples, 0.0)
         shift = -3.0 * sol.samples**2
         v = np.cos(0.37 * np.arange(len(sol.samples)))
         v += sol.samples / (1.0 + np.max(np.abs(sol.samples)))
@@ -241,19 +259,18 @@ class TestJacobian:
             off2=np.zeros(n - 2),
             sign=1.0,
         )
-        assert jacobian_min_eig(op, np.zeros(n)) == pytest.approx(0.01, abs=1e-12)
+        assert jacobian_min_eig(op, np.zeros(n), 0.0) == pytest.approx(0.01, abs=1e-12)
 
     def test_tolerance_matches_machine_precision_solve(self, free_cfg_soliton):
-        """The Lanczos stop at Ritz residual 1e-6 |theta| leaves lambda where
-        a machine-precision solve (ARPACK, tol = 0) puts it.
+        """The Lanczos stop at Ritz residual 1e-6 |theta|, at the shift
+        delta nu, leaves lambda where a machine-precision solve at 0
+        (ARPACK, tol = 0) puts it.
 
         The eigenvalue error is quadratic in the Ritz residual, of order
         1e-12 relative, so what is left is the rounding of the two
-        factorizations (banded LU here, SuperLU in the oracle): lambda sits
-        4.3e-13 relative from the oracle, and 4.3e-13 from the value the
-        earlier 1e-8 stop gave.
+        factorizations (banded LU here, SuperLU in the oracle).
         """
-        op, u = free_cfg_soliton
+        op, u, shift = free_cfg_soliton
         J = diags(
             [op.off2, op.off1, op.diag - 3.0 * u**2, op.off1, op.off2],
             [-2, -1, 0, 1, 2],
@@ -261,26 +278,34 @@ class TestJacobian:
         )
         v0 = np.cos(0.37 * np.arange(len(u))) + u / (1.0 + np.max(np.abs(u)))
         (exact,) = eigsh(J, k=1, sigma=0.0, v0=v0, tol=0, return_eigenvectors=False)
-        assert jacobian_min_eig(op, u) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert jacobian_min_eig(op, u, shift) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_stop_rule_solve_count(self, free_cfg_soliton, monkeypatch):
-        """Each Lanczos step is one dgbtrs solve on the Jacobian's LU: 21 at
-        the 1e-6 stop on this Jacobian, against 25 at the earlier 1e-8."""
-        op, u = free_cfg_soliton
-        solves = []
+        """Each Lanczos step is one dgbtrs solve on the LU of J - shift I: at
+        shift delta nu the 1e-6 stop takes 3-4 of them, against 21 at shift
+        0.  Three dgbtrf: that LU and the certificate's two."""
+        op, u, shift = free_cfg_soliton
+        calls = {"dgbtrs": 0, "dgbtrf": 0}
 
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return _lapack.dgbtrs(*args, **kwargs)
+        def counted(name):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return getattr(_lapack, name)(*args, **kwargs)
 
-        monkeypatch.setattr(newton, "dgbtrs", counted)
-        jacobian_min_eig(op, u)
-        assert 0 < len(solves) < 25
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(newton, name, counted(name))
+        jacobian_min_eig(op, u, shift)
+        assert 0 < calls["dgbtrs"] <= 5
+        assert calls["dgbtrf"] <= 3
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_dense_spectrum(self, seed):
         """Small symmetric indefinite pentadiagonal Jacobians against a dense
-        eigensolve; the two eigenvalues nearest 0 differ by 1% in magnitude."""
+        eigensolve; the two eigenvalues nearest 0 differ by 1% in magnitude.
+        Both at shift 0 and at a shift 0.1% from the eigenvalue, as a
+        prediction puts it."""
         rng = np.random.default_rng(seed)
         while True:
             n = int(rng.integers(5, 201))
@@ -301,7 +326,62 @@ class TestJacobian:
             lam = lam[np.argsort(np.abs(lam))]
             if abs(lam[1]) >= 1.01 * abs(lam[0]):
                 break
-        assert jacobian_min_eig(op, u) == pytest.approx(lam[0], rel=1e-10, abs=0.0)
+        for shift in (0.0, 1.001 * lam[0]):
+            assert jacobian_min_eig(op, u, shift) == pytest.approx(lam[0], rel=1e-10, abs=0.0)
+
+    def test_planted_eigenvalue_nearer_zero_raises(self):
+        """An eigenvalue nearer 0 than the one next to the shift, as an edge
+        state at a mid-cell cut is: (-r, r) holds two, an even count, and
+        the certificate raises.  At the planted eigenvalue it passes."""
+        rng = np.random.default_rng(3)
+        n = 120
+        diag = rng.uniform(1.0, 4.0, n) * rng.choice([-1.0, 1.0], n)
+        diag[[40, 80]] = 0.3, -0.02  # the target, and the planted state
+        op = DiscreteOperator(
+            x_grid=staggered_grid(n / 64, 1 / 64),
+            h=1 / 64,
+            potential=np.zeros(n),
+            diag=diag,
+            off1=rng.uniform(-0.05, 0.05, n - 1),
+            off2=rng.uniform(-0.05, 0.05, n - 2),
+            sign=1.0,
+        )
+        J = np.diag(op.diag)
+        for k, off in ((1, op.off1), (2, op.off2)):
+            J += np.diag(off, k) + np.diag(off, -k)
+        lam = np.linalg.eigvalsh(J)
+        planted, target, rest = lam[np.argsort(np.abs(lam))][:3]
+        assert planted < 0.0 < target < abs(rest) / 2.0
+        with pytest.raises(newton.UncertifiedEigenvalue, match="parities 1 and 1") as info:
+            jacobian_min_eig(op, np.zeros(n), 1.001 * target)
+        assert info.value.lam == pytest.approx(target, rel=1e-10)
+        assert jacobian_min_eig(op, np.zeros(n), 0.0) == pytest.approx(planted, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "cfg,theta_sign",
+        [
+            ({"V": [[2, 20.0]], "W": [[1, 1.0]], "M": 32, "deltas": [0.4], "L": 900.0}, 1.0),
+            (
+                {"V": [], "W": [[1, -1.0]], "M": 16, "mu_sharp": 0.1, "deltas": [0.2],
+                 "L": 1400.0},
+                -1.0,
+            ),
+        ],
+        ids=["default_lattice", "free_minus_cos"],
+    )
+    def test_shift_has_the_eigenvalue_sign(self, cfg, theta_sign):
+        """delta nu, nu the signed eigenvalue on Y nearest 0, has the sign of
+        the Jacobian's eigenvalue nearest 0 on both parities: theta# > 0 on
+        the default lattice, theta# < 0 on the free lattice with
+        W = -cos 2 pi x.  At that shift lambda is the one found at 0."""
+        run, op, u = _cli_soliton(dict(cfg, h=1 / 64))
+        (delta,) = run.deltas
+        assert np.sign(run.dirac.theta_sharp) == theta_sign
+        nu = run.kernel.nu_restricted
+        lam = jacobian_min_eig(op, u, 0.0)
+        assert np.sign(nu) == np.sign(lam)
+        assert abs(lam / delta - nu) <= 1e-2 * abs(nu)
+        assert jacobian_min_eig(op, u, delta * nu) == pytest.approx(lam, rel=1e-11, abs=0.0)
 
     def test_singular_jacobian_raises(self):
         """Row and column 17 of the Jacobian are zero: a zero pivot."""
@@ -314,7 +394,7 @@ class TestJacobian:
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             op.solve_shifted(np.zeros(n), np.ones(n))
         with pytest.raises(RuntimeError, match=r"jacobian_min_eig: N = 60, 0 steps"):
-            jacobian_min_eig(op, np.zeros(n))
+            jacobian_min_eig(op, np.zeros(n), 0.0)
 
     def test_step_cap_raises(self, monkeypatch):
         n = 400
@@ -329,7 +409,7 @@ class TestJacobian:
         )
         monkeypatch.setattr(newton, "_LANCZOS_MAX_STEPS", 2)
         with pytest.raises(RuntimeError, match=r"jacobian_min_eig: N = 400, .* 2 Lanczos"):
-            jacobian_min_eig(op, np.zeros(n))
+            jacobian_min_eig(op, np.zeros(n), 0.0)
 
 
 def _leading_order(op, delta, dirac, profile):
