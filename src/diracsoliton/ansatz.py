@@ -1,7 +1,9 @@
 """Two-scale soliton ansatz: carrier Bloch pair times the spinor envelope.
 
 The candidate field is u_delta(x) = sqrt(delta) (U0(x, delta x)
-+ delta U1(x, delta x)) with U0 = Psi-(y) Phi-(x) + Psi+(y) Phi+(x).
++ delta U1(x, delta x)) with U0 = Psi-(y) Phi-(x) + Psi+(y) Phi+(x)
+= 2 Re(Psi- Phi-).  U1 is real the same way: its forcing is G1 = H + c.c.
+and its cell operator is real, so U1 = 2 Re of the solution for H.
 All fast-variable functions here are pi-pseudo-periodic,
 f(x) = e^{i pi x} sum_m c_m e^{2 pi i m x}, and are kept as their
 plane-wave coefficients c_m, the representation of the Bloch modes.  The
@@ -44,13 +46,13 @@ class TwoScaleField:
 
 @dataclass
 class SeparableForcing:
-    """Corrector forcing G1(x, y) = sum_j f_j(x) g_j(y), ten terms.
+    """Corrector forcing G1 = H + c.c., H(x, y) = sum_j f_j(x) g_j(y), four terms.
 
     x_profiles[j] holds the plane-wave coefficients of f_j at the
     extended cutoff, entry M_ext + m that of e^{i pi x} e^{2 pi i m x}.
     g_j(y) = y_factors[j](psi, dpsi) takes samples of the envelope
     Psi-(y) and of dy Psi-(y), so one evaluation of profile feeds all
-    ten terms.  kernel holds the carriers Phi-, Phi+ (rows g1, g2) at
+    four terms.  kernel holds the carriers Phi-, Phi+ (rows g1, g2) at
     the same cutoff: the kernel of the corrector's cell operator.
     """
 
@@ -85,7 +87,8 @@ def _synthesise(
     carriers are summed once at the grid's distinct cell offsets, as one
     table of g1 and the corrector x-solutions, and gathered term by term;
     the Bloch phase e^{i pi n} = (-1)^n of the cell n = floor(x) multiplies
-    last.
+    last.  U1 = 2 Re(sum_j s_j(x) g_j(y)), s_j the x-solution of H's
+    term j: real by construction, as U0 is.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     u, v = profile.evaluate(delta * x_grid)
@@ -105,12 +108,7 @@ def _synthesise(
     field1 = np.zeros(x_grid.shape, dtype=complex)
     for row, g in zip(table[1:], corrector.forcing.y_factors):
         field1 += row[where] * g(psi, dpsi)
-    field1 *= sign
-    im_max = np.max(np.abs(field1.imag))
-    re_max = max(np.max(np.abs(field1.real)), 1.0)
-    if im_max > 1e-10 * re_max:
-        raise RuntimeError(f"corrector field has imaginary residue {im_max:.3e}")
-    return u0, field1.real
+    return u0, 2.0 * sign * field1.real
 
 
 def build_U0(
@@ -124,21 +122,23 @@ def build_U0(
 
 
 def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
-    """Ten-term separable corrector forcing.
+    """Corrector forcing G1 = H + c.c., its four Phi- terms H.
 
-    Two terms from the mixed fast/slow derivative 2 dx dy U0, two from
-    (mu# - W) U0, six from the cubic power |U0|^2 U0.  Slow-variable
-    derivatives come from the envelope vector field, not differences.
-    W multiplies through bloch.coupling_matrix.  The coefficients are
-    real and Phi+ is g1 index-flipped, so conj(Phi-) = Phi+ and
-    conj(Phi+) = Phi-: every cubic term is one of P^2 Q, P Q^2, P^3, Q^3.
+    With a = Psi- Phi- (U0 = a + c.c.), H holds one of each conjugate
+    pair: 2 dxPhi- dyPsi- from 2 dx dy U0, (mu# - W) Phi- Psi- from
+    (mu# - W) U0, and 3 |Phi-|^2 Phi- |Psi-|^2 Psi- and Phi-^3 Psi-^3 from
+    U0^3 = 3 |a|^2 a + a^3 + c.c.  Slow-variable derivatives come from the
+    envelope vector field, not differences; W multiplies through
+    bloch.coupling_matrix.  The coefficients are real and Phi+ is g1
+    index-flipped, so conj(Phi-) = Phi+ and |Phi-|^2 Phi- is P^2 Q.
     """
     mu_sharp = profile.params.mu_sharp
     cut_ext = extended_cutoff(dirac.cutoff)
     M, M_ext = dirac.cutoff.M, cut_ext.M
     kernel = np.stack([_pad_modes(g, M, M_ext) for g in (dirac.g1, dirac.g2)])
     P, Q = kernel
-    # W Phi reaches mode |m| + j from carrier mode m; past M_ext it would be lost
+    # W Phi reaches mode |m| + j from carrier mode m; past M_ext it would be lost.
+    # Within it, mode M_ext of every Phi- term is zero, so _conj_flip is exact
     modes = np.flatnonzero(np.any(kernel != 0.0, axis=0)) - M_ext
     reach = dirac.pot_W.max_index + int(np.max(np.abs(modes)))
     if reach > M_ext:
@@ -150,30 +150,17 @@ def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
         # e^{3 i pi x} = e^{i pi x} e^{2 pi i x}: one mode up, support within 3M + 1
         return np.convolve(np.convolve(a, b), c)[2 * M_ext - 1 : 4 * M_ext]
 
-    PPQ, PQQ = cube(P, P, Q), cube(P, Q, Q)
     x_profiles = np.stack([
         dx * P,  # 2 dxPhi- * dyPsi-
-        dx * Q,  # 2 dxPhi+ * dyPsi+
         mu_sharp * P - C @ P,  # (mu# - W) Phi- * Psi-
-        mu_sharp * Q - C @ Q,  # (mu# - W) Phi+ * Psi+
-        PPQ,  # |Phi-|^2 Phi- * |Psi-|^2 Psi-
-        PQQ,  # |Phi+|^2 Phi+ * |Psi+|^2 Psi+
-        cube(P, P, P),  # Phi-^2 conj(Phi+) * Psi-^2 conj(Psi+)
-        cube(Q, Q, Q),  # Phi+^2 conj(Phi-) * Psi+^2 conj(Psi-)
-        2.0 * PQQ,  # 2 |Phi-|^2 Phi+ * |Psi-|^2 Psi+
-        2.0 * PPQ,  # 2 |Phi+|^2 Phi- * |Psi+|^2 Psi-
+        cube(P, P, Q),  # 3 |Phi-|^2 Phi- * |Psi-|^2 Psi-
+        cube(P, P, P),  # Phi-^3 * Psi-^3
     ])
     y_factors = [
         lambda p, dp: 2.0 * dp,
-        lambda p, dp: 2.0 * np.conj(dp),
         lambda p, dp: p,
-        lambda p, dp: np.conj(p),
-        lambda p, dp: np.abs(p) ** 2 * p,
-        lambda p, dp: np.abs(p) ** 2 * np.conj(p),
+        lambda p, dp: 3.0 * np.abs(p) ** 2 * p,
         lambda p, dp: p**2 * p,
-        lambda p, dp: np.conj(p) ** 2 * np.conj(p),
-        lambda p, dp: np.abs(p) ** 2 * np.conj(p),
-        lambda p, dp: np.abs(p) ** 2 * p,
     ]
     return SeparableForcing(
         x_profiles=x_profiles,
@@ -190,19 +177,27 @@ def _pad_modes(c: np.ndarray, M_from: int, M_to: int) -> np.ndarray:
     return out
 
 
+def _conj_flip(c: np.ndarray) -> np.ndarray:
+    """Coefficients of conj(f) from those of f, along the last axis:
+    c_n -> conj(c_{-n-1}).  Mode M_ext of f has no image and must be zero."""
+    out = np.zeros_like(c)
+    out[..., :-1] = np.conj(c[..., -2::-1])
+    return out
+
+
 def solvability_check(
     forcing: SeparableForcing, y_grid, fail_tol: float | None = None
 ) -> float:
     """Largest kernel projection of the forcing, relative to its size.
 
-    For an envelope that solves the effective spinor system the forcing
-    is orthogonal to the carrier pair at every y, which is exactly the
+    The forcing is the whole real G1, at each y H plus its conj-flip.
+    For an envelope that solves the effective spinor system it is
+    orthogonal to the carrier pair at every y, which is exactly the
     condition making the corrector solvable.  dy Psi comes from
     differences of the envelope's samples at y +- s, y +- 2s with
     s = 1e-3 / decay_rate, so an envelope that does not solve the
     system shows in the projection.
     """
-    ip = forcing.x_profiles @ forcing.kernel.T  # the carriers are real
     env = forcing.profile
     y_grid = np.asarray(y_grid, dtype=float)
     # dy Psi from fourth-order differences of evaluate: taken from the
@@ -214,9 +209,10 @@ def solvability_check(
     psi = 0.5 * (u[2] + 1j * v[2])
     dpsi = 0.5 * (weights @ u + 1j * (weights @ v))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        G = np.stack([g(psi, dpsi) for g in forcing.y_factors], axis=1)
-        proj = np.max(np.abs(G @ ip), axis=1)
-        scale = np.max(np.linalg.norm(G @ forcing.x_profiles, axis=1))
+        H = np.stack([g(psi, dpsi) for g in forcing.y_factors], axis=1) @ forcing.x_profiles
+        G1 = H + _conj_flip(H)
+        proj = np.max(np.abs(G1 @ forcing.kernel.T), axis=1)  # the carriers are real
+        scale = np.max(np.linalg.norm(G1, axis=1))
     if not (np.isfinite(scale) and np.all(np.isfinite(proj))):
         raise ValueError(
             f"corrector: the forcing's size {scale:.3g} or its kernel projection "

@@ -118,7 +118,9 @@ def find_dirac_point(
     A = assemble_fb_matrix(pot_V, np.pi, cut)
     A_even, A_odd, even_pos, odd_pos = parity_block_split(A)
     evals_e, evecs_e = np.linalg.eigh(A_even)
-    evals_o = np.linalg.eigvalsh(A_odd)
+    # eigh on both blocks: eigvalsh reads the graded diagonal of a large
+    # cutoff ~1e-7 differently (M = 1000), enough to fail the check below
+    evals_o = np.linalg.eigh(A_odd)[0]
     if pair_selector > len(evals_e):
         raise ValueError(f"pair_selector {pair_selector} exceeds cutoff range")
     c = pair_selector - 1

@@ -182,12 +182,12 @@ def newton_solve(
     scale0 = op.norm(u)
     rounding = _EPS * op.inf_norm()
     history = []
-    for _ in range(max_iters):
+    for step in range(max_iters + 1):
         r = op.apply(u) - u * u * u
         rn = op.norm(r)
         history.append(rn)
         stop = max(tol, rounding * op.norm(u))
-        if rn <= stop:
+        if rn <= stop or step == max_iters:
             break
         if not np.isfinite(rn) or (len(history) >= 3 and rn > 10.0 * history[0]):
             raise RuntimeError(
@@ -196,12 +196,7 @@ def newton_solve(
             )
         du = op.solve_shifted(-3.0 * u**2, -r)
         u = u + du
-    else:
-        r = op.apply(u) - u * u * u
-        rn = op.norm(r)
-        history.append(rn)
-        stop = max(tol, rounding * op.norm(u))
-    if not history[-1] <= stop:  # a NaN residual fails too
+    if not rn <= stop:  # a NaN residual fails too
         raise RuntimeError(
             f"Newton did not reach residual {stop:.1e} (newton_tol {tol:.1e} or the "
             f"rounding floor, whichever is larger) in {max_iters} iterations; "

@@ -13,7 +13,9 @@ from diracsoliton import (
     integrate_homoclinic,
 )
 from diracsoliton.ansatz import (
+    _conj_flip,
     _spinor,
+    _synthesise,
     assemble_udelta,
     build_G1,
     build_U0,
@@ -24,7 +26,7 @@ from diracsoliton.ansatz import (
     solvability_check,
     solve_U1,
 )
-from diracsoliton.bloch import assemble_coefficient_matrix, fourier_eval
+from diracsoliton.bloch import assemble_coefficient_matrix, coupling_matrix, fourier_eval
 from diracsoliton.newton import discretize_operator, staggered_grid
 
 
@@ -75,11 +77,51 @@ class TestBuildU0:
         assert np.max(np.abs(resid)) < 1e-8
 
 
+# y-factors of the ten terms: Psi+ = conj(Psi-)
+_TEN_Y_FACTORS = [
+    lambda p, dp: 2.0 * dp,
+    lambda p, dp: 2.0 * np.conj(dp),
+    lambda p, dp: p,
+    lambda p, dp: np.conj(p),
+    lambda p, dp: np.abs(p) ** 2 * p,
+    lambda p, dp: np.abs(p) ** 2 * np.conj(p),
+    lambda p, dp: p**3,
+    lambda p, dp: np.conj(p) ** 3,
+    lambda p, dp: np.abs(p) ** 2 * np.conj(p),
+    lambda p, dp: np.abs(p) ** 2 * p,
+]
+
+
+def _ten_term_forcing(dirac, profile):
+    """x-profiles of G1 written out as ten separable terms, the
+    reference for build_G1, at the extended cutoff; _TEN_Y_FACTORS are
+    their y-factors.  Each conjugate pair is a row of its own, and the
+    cubic term 3 |Phi-|^2 Phi- |Psi-|^2 Psi- is split into a 1x and a
+    2x row.
+    """
+    forcing = build_G1(dirac, profile)
+    P, Q = forcing.kernel
+    cut = forcing.cutoff_ext
+    dx = 1j * np.pi * (2 * cut.indices() + 1)
+    C = coupling_matrix(dirac.pot_W.coeffs, cut.size)
+    mu = profile.params.mu_sharp
+
+    def cube(a, b, c):
+        return np.convolve(np.convolve(a, b), c)[2 * cut.M - 1 : 4 * cut.M]
+
+    PPQ, PQQ = cube(P, P, Q), cube(P, Q, Q)
+    x_profiles = np.stack([
+        dx * P, dx * Q, mu * P - C @ P, mu * Q - C @ Q, PPQ, PQQ,
+        cube(P, P, P), cube(Q, Q, Q), 2.0 * PQQ, 2.0 * PPQ,
+    ])
+    return x_profiles
+
+
 class TestBuildG1:
-    def test_ten_terms(self, default_dirac, default_profile):
+    def test_four_terms(self, default_dirac, default_profile):
         forcing = build_G1(default_dirac, default_profile)
-        assert forcing.x_profiles.shape[0] == 10
-        assert len(forcing.y_factors) == 10
+        assert forcing.x_profiles.shape[0] == 4
+        assert len(forcing.y_factors) == 4
 
     def test_free_profiles_are_sparse(self, free_dirac, free_profile):
         forcing = build_G1(free_dirac, free_profile)
@@ -93,7 +135,8 @@ class TestBuildG1:
 
     @pytest.mark.parametrize("lattice", ["default", "free"])
     def test_rows_match_their_physical_definition(self, request, lattice):
-        """Each x-profile, summed at sample points, against its definition.
+        """Each x-profile, summed at sample points, against its definition,
+        and H + c.c. against the ten physical terms of G1.
 
         Phi-, Phi+ and W are sampled directly and multiplied pointwise;
         dx Phi comes from fourth-order differences of the sampled carrier.
@@ -115,19 +158,26 @@ class TestBuildG1:
         dpm, dpp = (weights @ fourier_eval(g, np.pi, stencil) for g in (dirac.g1, dirac.g2))
         expect = [
             (dpm, 1e-8),
-            (dpp, 1e-8),
             ((mu - W) * pm, 1e-13),
-            ((mu - W) * pp, 1e-13),
             (np.abs(pm) ** 2 * pm, 1e-13),
-            (np.abs(pp) ** 2 * pp, 1e-13),
-            (pm**2 * np.conj(pp), 1e-13),
-            (pp**2 * np.conj(pm), 1e-13),
-            (2.0 * np.abs(pm) ** 2 * pp, 1e-13),
-            (2.0 * np.abs(pp) ** 2 * pm, 1e-13),
+            (pm**3, 1e-13),
         ]
         for j, (row, (want, tol)) in enumerate(zip(rows, expect)):
             err = np.max(np.abs(row - want)) / np.max(np.abs(want))
             assert err < tol, (j, err)
+
+        ten = [
+            dpm, dpp, (mu - W) * pm, (mu - W) * pp,
+            np.abs(pm) ** 2 * pm, np.abs(pp) ** 2 * pp,
+            pm**2 * np.conj(pp), pp**2 * np.conj(pm),
+            2.0 * np.abs(pm) ** 2 * pp, 2.0 * np.abs(pp) ** 2 * pm,
+        ]
+        for psi, dpsi in [(0.7 - 0.4j, 0.2 + 0.5j), (-0.3 + 1.1j, -0.8 - 0.1j)]:
+            H = sum(g(psi, dpsi) * f for f, g in zip(forcing.x_profiles, forcing.y_factors))
+            got = fourier_eval(H + _conj_flip(H), np.pi, x)
+            want = sum(g(psi, dpsi) * f for f, g in zip(ten, _TEN_Y_FACTORS))
+            assert np.max(np.abs(want.imag)) < 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
     def test_W_beyond_the_extended_cutoff_rejected(self, pot_free, free_profile):
         """M = 16: the free carriers sit at modes 0 and -1, M_ext = 50."""
@@ -275,6 +325,31 @@ class TestAssemble:
         assert np.max(np.abs(fld.samples - mirror)) < 1e-11
         # the field keeps the grid it was synthesised on, not a copy
         assert fld.x_grid is x
+
+    @pytest.mark.parametrize("lattice", ["default", "free"])
+    def test_corrector_is_real_part_of_ten_term_sum(self, request, lattice):
+        """U1 = 2 Re(four-term sum) against the ten-term solution summed
+        explicitly, whose imaginary part must cancel."""
+        dirac = request.getfixturevalue(f"{lattice}_dirac")
+        profile = request.getfixturevalue(f"{lattice}_profile")
+        corrector = request.getfixturevalue(f"{lattice}_corrector")
+        ten = solve_U1(
+            dataclasses.replace(
+                corrector.forcing,
+                x_profiles=_ten_term_forcing(dirac, profile),
+                y_factors=_TEN_Y_FACTORS,
+            ),
+            dirac,
+        )
+        delta = 0.1
+        x = np.linspace(-20.0, 20.0, 161)
+        psi, dpsi = _spinor(profile.params, *profile.evaluate(delta * x))
+        rows = fourier_eval(ten.x_solutions, np.pi, x)
+        want = sum(row * g(psi, dpsi) for row, g in zip(rows, _TEN_Y_FACTORS))
+        scale = np.max(np.abs(want.real))
+        assert np.max(np.abs(want.imag)) < 1e-12 * scale
+        _, u1 = _synthesise(dirac, profile, delta, x, corrector)
+        assert np.max(np.abs(u1 - want.real)) < 1e-12 * scale
 
     def test_evaluate_on_custom_grid(self, free_dirac, free_profile, free_corrector):
         x = np.linspace(0.25, 30.0, 500)

@@ -64,6 +64,11 @@ class TestFindDiracPoint:
         with pytest.raises(ValueError, match="even-index"):
             find_dirac_point(pot_w, FourierCutoff(8))
 
+    def test_fine_cutoff_is_a_dirac_point(self, pot_v, default_dirac):
+        """M = 1000: both parity blocks' eigenvalues agree, and mu* is M = 64's."""
+        _, mu_star, _, _ = find_dirac_point(pot_v, FourierCutoff(1000))
+        assert abs(mu_star - default_dirac.mu_star) < 1e-10
+
 
 class TestParityBlockSplit:
     def test_free_blocks_diagonal(self, pot_free):
