@@ -1,12 +1,12 @@
-"""The four LAPACK routines the package calls, taken from scipy's compiled
+"""The three LAPACK routines the package calls, taken from scipy's compiled
 LAPACK module without importing the scipy.linalg package.
 
-dgbtrf/dgbtrs serve Newton and the Jacobian's eigenvalue, dstevd the
-Lanczos Ritz values and dsbevd the NLD kernel check.  They are the f2py
-wrappers that scipy.linalg.lapack re-exports.  Loading the one extension
-module costs about 20 ms; importing scipy.linalg costs 0.2-0.3 s, most of
-it scipy's array-API layer loading numpy.f2py, numpy.testing and
-numpy.random, and another ~50 ms to tear those down at exit.
+dgbtrf/dgbtrs serve Newton and the Jacobian's eigenvalue, dsbevd the NLD
+kernel check.  They are the f2py wrappers that scipy.linalg.lapack
+re-exports.  Loading the one extension module costs about 20 ms;
+importing scipy.linalg costs 0.2-0.3 s, most of it scipy's array-API
+layer loading numpy.f2py, numpy.testing and numpy.random, and another
+~50 ms to tear those down at exit.
 """
 
 import importlib.machinery
@@ -28,6 +28,4 @@ if _flapack is None:
     _flapack = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(_flapack)
 
-dgbtrf, dgbtrs, dstevd, dsbevd = (
-    _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dstevd, _flapack.dsbevd
-)
+dgbtrf, dgbtrs, dsbevd = _flapack.dgbtrf, _flapack.dgbtrs, _flapack.dsbevd

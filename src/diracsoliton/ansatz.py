@@ -21,6 +21,7 @@ from .bloch import (
     FourierCutoff,
     assemble_coefficient_matrix,
     cell_offsets,
+    conj_flip,
     coupling_matrix,
     fourier_eval,
 )
@@ -129,20 +130,16 @@ def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
     (mu# - W) U0, and 3 |Phi-|^2 Phi- |Psi-|^2 Psi- and Phi-^3 Psi-^3 from
     U0^3 = 3 |a|^2 a + a^3 + c.c.  Slow-variable derivatives come from the
     envelope vector field, not differences; W multiplies through
-    bloch.coupling_matrix.  The coefficients are real and Phi+ is g1
-    index-flipped, so conj(Phi-) = Phi+ and |Phi-|^2 Phi- is P^2 Q.
+    bloch.coupling_matrix.  The coefficients are real and Phi+ is
+    conj_flip(g1), so conj(Phi-) = Phi+ and |Phi-|^2 Phi- is P^2 Q.
     """
     mu_sharp = profile.params.mu_sharp
     cut_ext = extended_cutoff(dirac.cutoff)
     M, M_ext = dirac.cutoff.M, cut_ext.M
     kernel = np.stack([_pad_modes(g, M, M_ext) for g in (dirac.g1, dirac.g2)])
     P, Q = kernel
-    # W Phi reaches mode |m| + j from carrier mode m; past M_ext it would be lost.
-    # Within it, mode M_ext of every Phi- term is zero, so _conj_flip is exact
-    modes = np.flatnonzero(np.any(kernel != 0.0, axis=0)) - M_ext
-    reach = dirac.pot_W.max_index + int(np.max(np.abs(modes)))
-    if reach > M_ext:
-        raise RuntimeError(f"W Phi reaches mode {reach}, beyond the extended cutoff {M_ext}")
+    # W Phi reaches mode |m| + j <= 3M from carrier mode m (certify_dirac_point
+    # holds j <= 2M), so mode M_ext of every Phi- term is zero: conj_flip is exact
     dx = 1j * np.pi * (2 * cut_ext.indices() + 1)
     C = coupling_matrix(dirac.pot_W.coeffs, cut_ext.size)
 
@@ -177,14 +174,6 @@ def _pad_modes(c: np.ndarray, M_from: int, M_to: int) -> np.ndarray:
     return out
 
 
-def _conj_flip(c: np.ndarray) -> np.ndarray:
-    """Coefficients of conj(f) from those of f, along the last axis:
-    c_n -> conj(c_{-n-1}).  Mode M_ext of f has no image and must be zero."""
-    out = np.zeros_like(c)
-    out[..., :-1] = np.conj(c[..., -2::-1])
-    return out
-
-
 def solvability_check(
     forcing: SeparableForcing, y_grid, fail_tol: float | None = None
 ) -> float:
@@ -210,7 +199,7 @@ def solvability_check(
     dpsi = 0.5 * (weights @ u + 1j * (weights @ v))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         H = np.stack([g(psi, dpsi) for g in forcing.y_factors], axis=1) @ forcing.x_profiles
-        G1 = H + _conj_flip(H)
+        G1 = H + conj_flip(H)
         proj = np.max(np.abs(G1 @ forcing.kernel.T), axis=1)  # the carriers are real
         scale = np.max(np.linalg.norm(G1, axis=1))
     if not (np.isfinite(scale) and np.all(np.isfinite(proj))):

@@ -121,6 +121,15 @@ def coupling_matrix(coeffs: dict[int, float], size: int) -> np.ndarray:
     return C
 
 
+def conj_flip(c: np.ndarray) -> np.ndarray:
+    """Coefficients of conj(f) from those of f = e^{i pi x} sum_n c_n
+    e^{2 pi i n x}, along the last axis: c_n -> conj(c_{-n-1}).  For real
+    c that is also f(-x).  Mode M has no image and is dropped."""
+    out = np.zeros_like(c)
+    out[..., :-1] = np.conj(c[..., -2::-1])
+    return out
+
+
 def assemble_coefficient_matrix(coeffs: dict[int, float], k: float, M: int) -> np.ndarray:
     """Matrix of -(d/dx+ik)^2 + sum_j coeffs[j] cos(2 pi j x), any index mix."""
     m = np.arange(-M, M + 1)

@@ -466,7 +466,8 @@ def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
         L = _named(partial(run.domain, d), where)
         n = _named(partial(newton.grid_points, L, cfg.h), where)
         tasks.append((f"{where}, N={n}", n, ("delta", d, L, out)))
-    workers = min(len(deltas), len(os.sched_getaffinity(0)))
+    affinity = getattr(os, "sched_getaffinity", None)  # none on macOS and Windows
+    workers = min(len(deltas), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # forked, not spawned: initargs are inherited, never pickled
         with ProcessPoolExecutor(

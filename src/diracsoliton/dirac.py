@@ -4,8 +4,8 @@ For an even-index cosine potential the truncated matrix at k = pi
 decouples into blocks of even and odd Fourier index.  The inversion
 x -> -x maps one block onto the other, so every eigenvalue at k = pi
 is doubly degenerate and each pair is a linear band crossing.  The
-even-block eigenvector supplies g1; its index-flipped copy
-q_n = p_{-n-1} supplies g2 = g1(-x), and the effective coefficients
+even-block eigenvector supplies g1; its flipped copy q_n = p_{-n-1}
+(bloch.conj_flip) supplies g2 = g1(-x), and the effective coefficients
 c#, theta#, beta1, beta2 are coefficient-space forms of the pair.
 """
 
@@ -21,6 +21,7 @@ from .bloch import (
     PeriodicPotential,
     assemble_coefficient_matrix,
     assemble_fb_matrix,
+    conj_flip,
     coupling_matrix,
 )
 
@@ -92,15 +93,6 @@ def parity_block_split(matrix: np.ndarray):
     )
 
 
-def _index_flip(p: np.ndarray) -> np.ndarray:
-    """q_n = p_{-n-1}: coefficients of g(x) -> g(-x) at k = pi."""
-    M = (len(p) - 1) // 2
-    q = np.zeros_like(p)
-    n = np.arange(-M, M - 1 + 1)  # -n-1 stays within [-M, M]
-    q[n + M] = p[(-n - 1) + M]
-    return q
-
-
 def find_dirac_point(
     pot_V: PeriodicPotential, cut: FourierCutoff, pair_selector: int = 1
 ) -> tuple[tuple[int, int], float, np.ndarray, np.ndarray]:
@@ -108,8 +100,8 @@ def find_dirac_point(
 
     Returns (band_pair, mu*, g1, g2).  g1 is taken from the even-index
     block only, so the splitting and inversion structure hold exactly by
-    construction; g2 is the index-flipped copy.  Both are re-verified
-    against the full matrix.
+    construction; g2 is its conj_flip, Phi+ = conj(Phi-).  Both are
+    re-verified against the full matrix.
     """
     if pot_V.parity_class is not ParityClass.EVEN_INDEX:
         raise ValueError("Dirac-point search requires an even-index potential V")
@@ -142,7 +134,7 @@ def find_dirac_point(
     g1[even_pos] = evecs_e[:, c]
     if g1[np.argmax(np.abs(g1))] < 0:
         g1 = -g1
-    g2 = _index_flip(g1)
+    g2 = conj_flip(g1)
 
     for g in (g1, g2):
         resid = np.max(np.abs(A @ g - mu_star * g))
@@ -211,7 +203,16 @@ def certify_dirac_point(
     cut: FourierCutoff,
     pair_selector: int = 1,
 ) -> DiracPointData:
-    """find_dirac_point plus all effective coefficients, in one record."""
+    """find_dirac_point plus all effective coefficients, in one record.
+
+    A W cosine index above 2M, which couples no two retained modes, is
+    rejected: the cutoff would drop it unseen from theta# and the gap sweep.
+    """
+    if pot_W.max_index > 2 * cut.M:
+        raise ValueError(
+            f"W cosine index {pot_W.max_index} above 2M = {2 * cut.M}: the cutoff "
+            f"M={cut.M} couples no two modes through it"
+        )
     band_pair, mu_star, g1, g2 = find_dirac_point(pot_V, cut, pair_selector)
     return DiracPointData(
         band_pair, mu_star, g1, g2, cut,
@@ -266,15 +267,16 @@ def verify_gap_opening(data: DiracPointData, delta: float, a: float) -> GapRepor
     margin = _FLAG_RTOL * (1.0 + abs(data.mu_star))
     flagged = (counts[0] != counts[1]) | np.any(nearest <= margin, axis=0)
     violations = []
+    # eigh, as find_dirac_point: eigvalsh's half gap drifts 1e-7 by M = 1000
     for k in k_grid[flagged]:
-        evals = np.linalg.eigvalsh(assemble_coefficient_matrix(coeffs, k, M))
+        evals = np.linalg.eigh(assemble_coefficient_matrix(coeffs, k, M))[0]
         if half == 0.0:
             inside = np.where(np.abs(evals - data.mu_star) <= tol)[0]
         else:
             inside = np.where((evals > lo) & (evals < hi))[0]
         for n in inside:
             violations.append((float(k), int(n + 1), float(evals[n])))
-    evals_pi = np.linalg.eigvalsh(assemble_coefficient_matrix(coeffs, np.pi, M))
+    evals_pi = np.linalg.eigh(assemble_coefficient_matrix(coeffs, np.pi, M))[0]
     i = data.band_pair[0] - 1
     half_gap = 0.5 * float(evals_pi[i + 1] - evals_pi[i])
     return GapReport(
@@ -324,8 +326,8 @@ def _inertia_counts(coeffs: dict[int, float], M: int, k_grid, sigmas):
     the number of eigenvalues below sigma.  Returns counts and the
     smallest |eigenvalue| of each S, both of shape (len(sigmas), len(k)).
     """
-    # the cosine amplitudes that couple retained modes, by index j <= 2M
-    bands = {j: amp for j, amp in coeffs.items() if amp != 0.0 and j <= 2 * M}
+    # every index is at most 2M: V's by its cutoff rule, W's by certify_dirac_point
+    bands = {j: amp for j, amp in coeffs.items() if amp != 0.0}
     u = max(bands, default=0)
     k = np.asarray(k_grid, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dgbtrf, dgbtrs, dstevd
+from ._lapack import dgbtrf, dgbtrs
 # build_U0 is re-exported, not called: solbench/spans.py patches
 # newton.build_U0 until a run record of the package's own replaces the spans
 from .ansatz import TwoScaleField, build_U0  # noqa: F401
@@ -213,19 +213,6 @@ def newton_solve(
     return SolitonField(samples=u, newton_history=history)
 
 
-def _tridiagonal_eigh(alpha: list[float], beta: list[float]):
-    """Eigenpairs of the symmetric tridiagonal matrix with diagonal alpha
-    and off-diagonal beta, as scipy.linalg.eigh_tridiagonal gives them:
-    LAPACK dstevd, its driver for all eigenpairs, and its 1x1 shortcut."""
-    d, e = np.asarray_chkfinite(alpha, dtype=float), np.asarray_chkfinite(beta, dtype=float)
-    if len(d) == 1:
-        return d, np.ones((1, 1))
-    theta, s, info = dstevd(d, e, compute_v=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info={info})")
-    return theta, s
-
-
 class UncertifiedEigenvalue(RuntimeError):
     """jacobian_min_eig's eigenvalue lam, with an even number of
     eigenvalues, so at least one more, as near 0 as it."""
@@ -265,8 +252,8 @@ def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray, shift: float) -> float
     check's.  One more eigenvalue in (-r, r) makes the count even and
     raises UncertifiedEigenvalue; the check cannot catch two more.
 
-    A zero pivot or no convergence within _LANCZOS_MAX_STEPS steps
-    raises a RuntimeError too.
+    A zero pivot, a Lanczos coefficient that is not finite or no
+    convergence within _LANCZOS_MAX_STEPS steps raises a RuntimeError too.
     """
     n = len(u)
     shift_diag = -3.0 * u**2
@@ -285,7 +272,12 @@ def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray, shift: float) -> float
         if beta:
             w -= beta[-1] * q_prev
         b = float(np.linalg.norm(w))
-        theta, s = _tridiagonal_eigh(alpha, beta)
+        if not np.isfinite(alpha[-1] + b):  # eigh gives finite, wrong values for NaN
+            raise RuntimeError(
+                f"jacobian_min_eig: N = {n}, Lanczos step {step}: alpha = "
+                f"{alpha[-1]!r}, beta = {b!r} not finite"
+            )
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))  # lower triangle
         i = int(np.argmax(np.abs(theta)))
         if abs(b * s[-1, i]) <= _LANCZOS_RTOL * abs(theta[i]):
             break

@@ -13,7 +13,6 @@ from diracsoliton import (
     integrate_homoclinic,
 )
 from diracsoliton.ansatz import (
-    _conj_flip,
     _spinor,
     _synthesise,
     assemble_udelta,
@@ -26,7 +25,12 @@ from diracsoliton.ansatz import (
     solvability_check,
     solve_U1,
 )
-from diracsoliton.bloch import assemble_coefficient_matrix, coupling_matrix, fourier_eval
+from diracsoliton.bloch import (
+    assemble_coefficient_matrix,
+    conj_flip,
+    coupling_matrix,
+    fourier_eval,
+)
 from diracsoliton.newton import discretize_operator, staggered_grid
 
 
@@ -174,21 +178,23 @@ class TestBuildG1:
         ]
         for psi, dpsi in [(0.7 - 0.4j, 0.2 + 0.5j), (-0.3 + 1.1j, -0.8 - 0.1j)]:
             H = sum(g(psi, dpsi) * f for f, g in zip(forcing.x_profiles, forcing.y_factors))
-            got = fourier_eval(H + _conj_flip(H), np.pi, x)
+            got = fourier_eval(H + conj_flip(H), np.pi, x)
             want = sum(g(psi, dpsi) * f for f, g in zip(ten, _TEN_Y_FACTORS))
             assert np.max(np.abs(want.imag)) < 1e-12 * np.max(np.abs(want))
             assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
 
     def test_W_beyond_the_extended_cutoff_rejected(self, pot_free, free_profile):
-        """M = 16: the free carriers sit at modes 0 and -1, M_ext = 50."""
+        """M = 16: certify_dirac_point rejects a W index of 2M + 1 = 33,
+        which no two retained modes couple through; 2M - 1 = 31 is
+        accepted, and build_G1, its W Phi within 3M < M_ext = 50, runs."""
 
         def lattice(j):
             W = PeriodicPotential({1: 1.0, j: 0.5}, ParityClass.ODD_INDEX)
             return certify_dirac_point(pot_free, W, FourierCutoff(16))
 
-        build_G1(lattice(49), free_profile)  # W Phi+ reaches mode -50
-        with pytest.raises(RuntimeError, match="extended cutoff"):
-            build_G1(lattice(51), free_profile)
+        build_G1(lattice(31), free_profile)
+        with pytest.raises(ValueError, match=r"W cosine index 33 above 2M = 32"):
+            lattice(33)
 
     def test_terms_vanish_with_the_envelope(self, default_dirac, default_profile):
         """Far in the tail every slow factor is at the decay floor."""

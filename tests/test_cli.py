@@ -318,6 +318,22 @@ class TestExitCodes:
         assert "frequency window" in capsys.readouterr().err
         assert not (out / "soliton_scaling.json").exists()
 
+    def test_W_beyond_the_cutoff_exits_2(self, tmp_path, capsys):
+        """The default lattice (M = 64) with a W index 201 above 2M = 128:
+        no two retained modes couple through it, so the cutoff would drop
+        it unseen.  dirac and soliton reject it alike, before any artifact."""
+        p = tmp_path / "far.cfg"
+        p.write_text("W = [[1, 1.0], [201, 0.5]]\n")
+        errs = []
+        for command in ("dirac", "soliton"):
+            out = tmp_path / command
+            rc = main([command, "--config", str(p), "--out", str(out)])
+            errs.append(capsys.readouterr().err)
+            assert rc == 2, errs[-1]
+            assert list(out.iterdir()) == []
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("validation error: W cosine index 201 above 2M = 128"), errs[0]
+
     @pytest.mark.parametrize("command", ["nld", "soliton", "verify-all"])
     def test_y_max_past_the_decay_exits_2(self, tmp_path, capsys, command):
         """FREE_CFG's envelope (decay length about 13) underflows to 0 well
@@ -841,6 +857,16 @@ class TestParallelDeltas:
         assert names == sorted(p.name for p in (root / "cpus1").iterdir())
         for name in names:
             assert (root / "cpus2" / name).read_bytes() == (root / "cpus1" / name).read_bytes(), name
+
+    def test_same_bytes_without_an_affinity_mask(self, runs, monkeypatch):
+        """Where os has no sched_getaffinity (macOS, Windows) the workers
+        are counted from os.cpu_count."""
+        root, _ = runs
+        monkeypatch.delattr(os, "sched_getaffinity")
+        cfg, out = root / "free.cfg", root / "no-affinity"
+        assert main(["soliton", "--config", str(cfg), "--out", str(out), *self.ARGS]) == 0
+        for path in (root / "cpus1").iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_workers_only_with_two_cpus(self, runs):
         root, _ = runs

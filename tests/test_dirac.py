@@ -196,6 +196,14 @@ class TestGapOpening:
         predicted = 0.1 * abs(default_dirac.theta_sharp)
         assert rep.half_gap_at_pi == pytest.approx(predicted, rel=0.1)
 
+    def test_half_gap_at_pi_holds_under_a_fine_cutoff(self, pot_v, pot_w, default_dirac):
+        """M = 400 gives M = 64's half gap at pi to 1e-12.  eigvalsh, which
+        reads the graded diagonal differently, drifted 8e-11 there (at one
+        BLAS thread, 1.4e-9 at M = 800); eigh moves less than 1e-13."""
+        fine = certify_dirac_point(pot_v, pot_w, FourierCutoff(400))
+        half = [verify_gap_opening(d, 0.1, 0.9).half_gap_at_pi for d in (default_dirac, fine)]
+        assert abs(half[1] - half[0]) < 1e-12
+
     def test_violation_count_monotone_in_a(self, default_dirac):
         delta = 0.4  # large perturbation so the first-order law degrades
         counts = [

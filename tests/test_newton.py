@@ -398,18 +398,23 @@ class TestJacobian:
 
     def test_step_cap_raises(self, monkeypatch):
         n = 400
-        op = DiscreteOperator(
-            x_grid=staggered_grid(n / 128, 1 / 128),
-            h=1 / 128,
-            potential=np.zeros(n),
-            diag=np.linspace(0.01, 5.0, n),
-            off1=np.zeros(n - 1),
-            off2=np.zeros(n - 2),
-            sign=1.0,
-        )
+        op = _diagonal_operator(n)
         monkeypatch.setattr(newton, "_LANCZOS_MAX_STEPS", 2)
         with pytest.raises(RuntimeError, match=r"jacobian_min_eig: N = 400, .* 2 Lanczos"):
             jacobian_min_eig(op, np.zeros(n), 0.0)
+
+
+def _diagonal_operator(n: int) -> DiscreteOperator:
+    """A Jacobian with spread eigenvalues 0.01..5 that Lanczos needs many steps for."""
+    return DiscreteOperator(
+        x_grid=staggered_grid(n / 128, 1 / 128),
+        h=1 / 128,
+        potential=np.zeros(n),
+        diag=np.linspace(0.01, 5.0, n),
+        off1=np.zeros(n - 1),
+        off2=np.zeros(n - 2),
+        sign=1.0,
+    )
 
 
 def _leading_order(op, delta, dirac, profile):
@@ -464,17 +469,33 @@ class TestLapackRoutines:
 
     @pytest.mark.parametrize("n", [1, 30])
     def test_lanczos_tridiagonal_solve_equals_eigh_tridiagonal(self, n):
+        """jacobian_min_eig's Ritz pairs: numpy's eigh of the assembled T_j
+        gives eigh_tridiagonal's theta, and |s[-1]|, bit for bit."""
         from scipy.linalg import eigh_tridiagonal
 
         rng = np.random.default_rng(n)
-        alpha, beta = list(rng.standard_normal(n)), list(rng.standard_normal(n - 1))
-        theta, s = newton._tridiagonal_eigh(alpha, beta)
-        ref_theta, ref_s = eigh_tridiagonal(np.array(alpha), np.array(beta))
-        assert _same_bits(theta, ref_theta) and _same_bits(s, ref_s)
+        alpha, beta = rng.standard_normal(n), rng.standard_normal(n - 1)
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+        ref_theta, ref_s = eigh_tridiagonal(alpha, beta)
+        assert _same_bits(theta, ref_theta)
+        assert _same_bits(np.abs(s[-1]), np.abs(ref_s[-1]))
 
-    def test_lanczos_tridiagonal_solve_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            newton._tridiagonal_eigh([1.0, np.nan], [0.5])
+    def test_lanczos_tridiagonal_solve_rejects_non_finite(self, monkeypatch):
+        """A NaN solve makes the Lanczos coefficients NaN, for which eigh
+        would return finite eigenvalues; the step that made them is named."""
+        n = 400
+        op = _diagonal_operator(n)
+        solves = []
+
+        def nan_on_second(lu, kl, ku, b, piv):
+            solves.append(b)
+            x, info = _lapack.dgbtrs(lu, kl, ku, b, piv)
+            return (np.full_like(x, np.nan) if len(solves) == 2 else x), info
+
+        monkeypatch.setattr(newton, "dgbtrs", nan_on_second)
+        with pytest.raises(RuntimeError, match=r"N = 400, Lanczos step 2: alpha = nan, beta = nan"):
+            jacobian_min_eig(op, np.zeros(n), 0.0)
+        assert len(solves) == 2
 
     def test_banded_lu_equals_scipy_linalg_lapack(self):
         from scipy.linalg import lapack
