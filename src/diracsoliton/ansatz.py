@@ -9,6 +9,10 @@ f(x) = e^{i pi x} sum_m c_m e^{2 pi i m x}, and are kept as their
 plane-wave coefficients c_m, the representation of the Bloch modes.  The
 corrector forcing lives at the extended cutoff M_ext = 3M + 2, which
 holds the triple products of the carriers exactly.
+
+H = sum_j f_j(x) g_j(y), four terms.  The corrector is one array, row j
+the kernel-orthogonal x-solution of f_j (build_G1, then solve_U1); the
+g_j, fixed by the NLD structure, come from y_factors.
 """
 
 from __future__ import annotations
@@ -34,34 +38,15 @@ class TwoScaleField:
     """Real candidate soliton sqrt(delta) (U0 + delta U1) on a parity half-line.
 
     x_grid is the array of Newton's operator it was synthesised on, not
-    a copy; the operator also holds the mirror sign that extends the
-    field to the full line.  samples holds the scaled field, u0_samples
-    the unscaled U0.
+    a copy; the operator's first rows fold in the mirror image that
+    extends the field to the full line.  samples holds the scaled field,
+    u0_samples the unscaled U0.
     """
 
     delta: float
     x_grid: np.ndarray
     samples: np.ndarray
     u0_samples: np.ndarray
-
-
-@dataclass
-class SeparableForcing:
-    """Corrector forcing G1 = H + c.c., H(x, y) = sum_j f_j(x) g_j(y), four terms.
-
-    x_profiles[j] holds the plane-wave coefficients of f_j at the
-    extended cutoff, entry M_ext + m that of e^{i pi x} e^{2 pi i m x}.
-    g_j(y) = y_factors[j](psi, dpsi) takes samples of the envelope
-    Psi-(y) and of dy Psi-(y), so one evaluation of profile feeds all
-    four terms.  kernel holds the carriers Phi-, Phi+ (rows g1, g2) at
-    the same cutoff: the kernel of the corrector's cell operator.
-    """
-
-    x_profiles: np.ndarray
-    y_factors: list
-    cutoff_ext: FourierCutoff
-    kernel: np.ndarray
-    profile: SpinorProfile
 
 
 def extended_cutoff(cut: FourierCutoff) -> FourierCutoff:
@@ -75,14 +60,32 @@ def _spinor(params, u, v) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (u + 1j * v), 0.5 * (du + 1j * dv)
 
 
+def y_factors(psi, dpsi):
+    """The y-factors g_j of H's four terms, in build_G1's row order, from
+    samples of Psi-(y) and dy Psi-(y): one array at a time."""
+    yield 2.0 * dpsi
+    yield psi
+    yield 3.0 * np.abs(psi) ** 2 * psi
+    yield psi**2 * psi
+
+
+def _kernel(dirac: DiracPointData) -> np.ndarray:
+    """The carriers Phi-, Phi+ (rows g1, g2) at the extended cutoff: the
+    kernel of the corrector's cell operator."""
+    M, M_ext = dirac.cutoff.M, extended_cutoff(dirac.cutoff).M
+    kernel = np.zeros((2, 2 * M_ext + 1))
+    kernel[:, M_ext - M : M_ext + M + 1] = dirac.g1, dirac.g2
+    return kernel
+
+
 def _synthesise(
     dirac: DiracPointData,
     profile: SpinorProfile,
     delta: float,
     x_grid,
-    corrector: CorrectorSolution | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """U0 samples, and U1 samples when a corrector is given.
+    x_solutions: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """U0 samples and U1 samples, from the corrector's x-solutions.
 
     Every carrier is e^{i pi x} times a 1-periodic function, so the
     carriers are summed once at the grid's distinct cell offsets, as one
@@ -93,22 +96,16 @@ def _synthesise(
     """
     x_grid = np.asarray(x_grid, dtype=float)
     u, v = profile.evaluate(delta * x_grid)
-    if corrector is None:
-        carriers = dirac.g1[None, :]
-    else:
-        carriers = np.vstack([corrector.forcing.kernel[0], corrector.x_solutions])
+    carriers = np.vstack([_kernel(dirac)[:1], x_solutions])
     r, where, n = cell_offsets(x_grid)
     where = where.reshape(x_grid.shape)
     sign = (1.0 - 2.0 * (n % 2)).reshape(x_grid.shape)  # e^{i pi n}, exactly
     table = fourier_eval(carriers, np.pi, r)
     phi = table[0][where] * sign
     u0 = u * phi.real - v * phi.imag
-    if corrector is None:
-        return u0, None
-    psi, dpsi = _spinor(profile.params, u, v)
     field1 = np.zeros(x_grid.shape, dtype=complex)
-    for row, g in zip(table[1:], corrector.forcing.y_factors):
-        field1 += row[where] * g(psi, dpsi)
+    for row, g in zip(table[1:], y_factors(*_spinor(profile.params, u, v))):
+        field1 += row[where] * g
     return u0, 2.0 * sign * field1.real
 
 
@@ -119,11 +116,12 @@ def build_U0(
 
     Real by construction since Psi+ = conj(Psi-) and Phi+ = conj(Phi-).
     """
-    return _synthesise(dirac, profile, delta, x_grid, None)[0]
+    no_terms = np.empty((0, extended_cutoff(dirac.cutoff).size))
+    return _synthesise(dirac, profile, delta, x_grid, no_terms)[0]
 
 
-def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
-    """Corrector forcing G1 = H + c.c., its four Phi- terms H.
+def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> np.ndarray:
+    """x-profiles f_j of G1 = H + c.c.'s four Phi- terms H, at the extended cutoff.
 
     With a = Psi- Phi- (U0 = a + c.c.), H holds one of each conjugate
     pair: 2 dxPhi- dyPsi- from 2 dx dy U0, (mu# - W) Phi- Psi- from
@@ -135,9 +133,8 @@ def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
     """
     mu_sharp = profile.params.mu_sharp
     cut_ext = extended_cutoff(dirac.cutoff)
-    M, M_ext = dirac.cutoff.M, cut_ext.M
-    kernel = np.stack([_pad_modes(g, M, M_ext) for g in (dirac.g1, dirac.g2)])
-    P, Q = kernel
+    M_ext = cut_ext.M
+    P, Q = _kernel(dirac)
     # W Phi reaches mode |m| + j <= 3M from carrier mode m (certify_dirac_point
     # holds j <= 2M), so mode M_ext of every Phi- term is zero: conj_flip is exact
     dx = 1j * np.pi * (2 * cut_ext.indices() + 1)
@@ -147,66 +144,50 @@ def build_G1(dirac: DiracPointData, profile: SpinorProfile) -> SeparableForcing:
         # e^{3 i pi x} = e^{i pi x} e^{2 pi i x}: one mode up, support within 3M + 1
         return np.convolve(np.convolve(a, b), c)[2 * M_ext - 1 : 4 * M_ext]
 
-    x_profiles = np.stack([
+    return np.stack([
         dx * P,  # 2 dxPhi- * dyPsi-
         mu_sharp * P - C @ P,  # (mu# - W) Phi- * Psi-
         cube(P, P, Q),  # 3 |Phi-|^2 Phi- * |Psi-|^2 Psi-
         cube(P, P, P),  # Phi-^3 * Psi-^3
     ])
-    y_factors = [
-        lambda p, dp: 2.0 * dp,
-        lambda p, dp: p,
-        lambda p, dp: 3.0 * np.abs(p) ** 2 * p,
-        lambda p, dp: p**2 * p,
-    ]
-    return SeparableForcing(
-        x_profiles=x_profiles,
-        y_factors=y_factors,
-        cutoff_ext=cut_ext,
-        kernel=kernel,
-        profile=profile,
-    )
-
-
-def _pad_modes(c: np.ndarray, M_from: int, M_to: int) -> np.ndarray:
-    out = np.zeros(2 * M_to + 1, dtype=c.dtype)
-    out[M_to - M_from : M_to + M_from + 1] = c
-    return out
 
 
 def solvability_check(
-    forcing: SeparableForcing, y_grid, fail_tol: float | None = None
+    dirac: DiracPointData,
+    profile: SpinorProfile,
+    x_profiles: np.ndarray,
+    y_grid,
+    fail_tol: float | None = None,
 ) -> float:
     """Largest kernel projection of the forcing, relative to its size.
 
-    The forcing is the whole real G1, at each y H plus its conj-flip.
-    For an envelope that solves the effective spinor system it is
-    orthogonal to the carrier pair at every y, which is exactly the
-    condition making the corrector solvable.  dy Psi comes from
-    differences of the envelope's samples at y +- s, y +- 2s with
-    s = 1e-3 / decay_rate, so an envelope that does not solve the
-    system shows in the projection.
+    The forcing is the whole real G1 of x_profiles (build_G1) and
+    profile, at each y H plus its conj-flip.  For an envelope that
+    solves the effective spinor system it is orthogonal to the carrier
+    pair at every y, which is exactly the condition making the corrector
+    solvable.  dy Psi comes from differences of the envelope's samples
+    at y +- s, y +- 2s with s = 1e-3 / decay_rate, so an envelope that
+    does not solve the system shows in the projection.
     """
-    env = forcing.profile
     y_grid = np.asarray(y_grid, dtype=float)
     # dy Psi from fourth-order differences of evaluate: taken from the
     # vector field instead, any (u, v) would project to zero
-    s = 1e-3 / env.params.decay_rate
+    s = 1e-3 / profile.params.decay_rate
     stencil = np.add.outer(s * np.arange(-2.0, 3.0), y_grid)
-    u, v = (w.reshape(stencil.shape) for w in env.evaluate(stencil.ravel()))
+    u, v = (w.reshape(stencil.shape) for w in profile.evaluate(stencil.ravel()))
     weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * s)
     psi = 0.5 * (u[2] + 1j * v[2])
     dpsi = 0.5 * (weights @ u + 1j * (weights @ v))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        H = np.stack([g(psi, dpsi) for g in forcing.y_factors], axis=1) @ forcing.x_profiles
+        H = np.stack(list(y_factors(psi, dpsi)), axis=1) @ x_profiles
         G1 = H + conj_flip(H)
-        proj = np.max(np.abs(G1 @ forcing.kernel.T), axis=1)  # the carriers are real
+        proj = np.max(np.abs(G1 @ _kernel(dirac).T), axis=1)  # the carriers are real
         scale = np.max(np.linalg.norm(G1, axis=1))
     if not (np.isfinite(scale) and np.all(np.isfinite(proj))):
         raise ValueError(
             f"corrector: the forcing's size {scale:.3g} or its kernel projection "
             f"{np.max(proj):.3g} is not a finite number: "
-            f"theta#={env.params.theta_sharp:.6g}, decay rate {env.params.decay_rate:.6g}"
+            f"theta#={profile.params.theta_sharp:.6g}, decay rate {profile.params.decay_rate:.6g}"
         )
     if scale == 0.0:
         return 0.0
@@ -220,24 +201,15 @@ def solvability_check(
     return rel
 
 
-@dataclass
-class CorrectorSolution:
-    """Kernel-orthogonal x-solutions of the corrector equation, per term."""
+def solve_U1(dirac: DiracPointData, x_profiles: np.ndarray) -> np.ndarray:
+    """Kernel-orthogonal x-solutions of the corrector equation, one row
+    per x-profile row (build_G1).
 
-    x_solutions: np.ndarray
-    forcing: SeparableForcing
-
-
-def solve_U1(
-    forcing: SeparableForcing, dirac: DiracPointData
-) -> CorrectorSolution:
-    """Invert the frozen-y cell operator on the kernel complement.
-
-    The operator -dx^2 + V - mu* is diagonalized once at the extended
-    cutoff; the degenerate crossing eigenspace is dropped and each
-    separable x-profile is solved in the remaining eigenbasis.
+    The frozen-y cell operator -dx^2 + V - mu* is diagonalized once at
+    the extended cutoff; the degenerate crossing eigenspace is dropped
+    and each separable x-profile is solved in the remaining eigenbasis.
     """
-    M_ext = forcing.cutoff_ext.M
+    M_ext = extended_cutoff(dirac.cutoff).M
     A = assemble_coefficient_matrix(dirac.pot_V.coeffs, np.pi, M_ext)
     evals, evecs = np.linalg.eigh(A)
     mu = dirac.mu_star
@@ -260,7 +232,7 @@ def solve_U1(
     K = evecs[:, kernel_mask]
     lam = evals[~kernel_mask]
 
-    F = forcing.x_profiles
+    F = x_profiles
     coeffs = np.conj(U).T @ F.T
     sols = (U @ (coeffs / (lam - mu)[:, None])).T
     sols -= (K @ (np.conj(K).T @ sols.T)).T
@@ -271,13 +243,13 @@ def solve_U1(
     res_max = float(np.max(np.linalg.norm(resid, axis=1) / (1.0 + fnorm)))
     if res_max > 1e-10:
         raise RuntimeError(f"corrector solve residual {res_max:.3e} above 1e-10")
-    return CorrectorSolution(x_solutions=sols, forcing=forcing)
+    return sols
 
 
 def evaluate_udelta(
     dirac: DiracPointData,
     profile: SpinorProfile,
-    corrector: CorrectorSolution,
+    corrector: np.ndarray,
     delta: float,
     x_grid,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,15 +272,15 @@ def evaluate_udelta(
 def assemble_udelta(
     dirac: DiracPointData,
     profile: SpinorProfile,
-    corrector: CorrectorSolution,
+    corrector: np.ndarray,
     delta: float,
     x_grid: np.ndarray,
 ) -> TwoScaleField:
     """Candidate soliton sqrt(delta) (U0 + delta U1) on the half-line x_grid.
 
     x_grid is Newton's operator's own grid (newton.discretize_operator),
-    kept as the field's; the parity fixed by the sign of theta#, the
-    operator's mirror sign, extends the field to the full line.
+    kept as the field's; the parity fixed by the sign of theta#, folded
+    into the operator's first rows, extends the field to the full line.
     """
     samples, u0, _ = evaluate_udelta(dirac, profile, corrector, delta, x_grid=x_grid)
     return TwoScaleField(delta=float(delta), x_grid=x_grid, samples=samples, u0_samples=u0)

@@ -133,14 +133,16 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            key = key.strip()
+            key, val = key.strip(), val.strip()
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
             try:
-                setattr(cfg, key, ast.literal_eval(val.strip()))
-            except (ValueError, SyntaxError, TypeError) as exc:
+                setattr(cfg, key, ast.literal_eval(val))
+            except (ValueError, SyntaxError, TypeError):
                 # TypeError: a set or dict literal with an unhashable member
-                raise ValueError(f"{path}:{lineno}: bad value for '{key}': {exc}")
+                raise ValueError(
+                    f"{path}:{lineno}: bad value for '{key}': {val!r} is not a Python literal"
+                ) from None
     for key, val in (overrides or {}).items():
         if key not in keys:
             raise ValueError(f"unknown config key '{key}'")
@@ -265,11 +267,12 @@ class Pipeline:
         return kernel_check_on_Y(self.profile)
 
     @cached_property
-    def corrector(self):
-        forcing = az.build_G1(self.dirac, self.profile)
-        y = self.profile.y_grid
-        az.solvability_check(forcing, y[:: max(1, len(y) // 400)], fail_tol=1e-6)
-        return az.solve_U1(forcing, self.dirac)
+    def corrector(self) -> np.ndarray:
+        dirac, profile = self.dirac, self.profile
+        x_profiles = az.build_G1(dirac, profile)
+        y = profile.y_grid[:: max(1, len(profile.y_grid) // 400)]
+        az.solvability_check(dirac, profile, x_profiles, y, fail_tol=1e-6)
+        return az.solve_U1(dirac, x_profiles)
 
 
 def cmd_bands(run: Pipeline, out: Path):
@@ -397,16 +400,6 @@ def _soliton_delta(run: Pipeline, delta: float, L: float, out: Path):
     }
 
 
-# A forked worker's pipeline, inherited from the CLI process: it cannot
-# be pickled, because the corrector's forcing holds lambdas.
-_worker_run: Pipeline | None = None
-
-
-def _adopt(run: Pipeline):
-    global _worker_run
-    _worker_run = run
-
-
 def _task(run: Pipeline, name: str, *args):
     """One task of soliton or verify-all: "delta" is one delta's soliton
     chain, any other name the command COMMANDS[name].  Commands go by
@@ -415,10 +408,6 @@ def _task(run: Pipeline, name: str, *args):
     if name == "delta":
         return _soliton_delta(run, *args)
     return COMMANDS[name](run, *args)
-
-
-def _task_in_worker(name: str, *args):
-    return _task(_worker_run, name, *args)
 
 
 def _named(call, where: str):
@@ -441,12 +430,12 @@ def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
     then the commands named and each delta's soliton chain as tasks;
     soliton_scaling.json from the deltas'.
 
-    With more than one delta and usable CPU, the tasks run in workers
-    forked once the shared stages are computed: the deltas queued
-    largest grid first, the commands after them, so the worker done
-    first with its delta takes them.  Otherwise they run here, in
-    order.  Either way the failure raised is the first in the order
-    commands, then deltas in config order, each named as it ran:
+    With more than one delta and usable CPU, the tasks run in forked
+    workers, each task sent with the pipeline and its shared stages: the
+    deltas queued largest grid first, the commands after them, so the
+    worker done first with its delta takes them.  Otherwise they run
+    here, in order.  Either way the failure raised is the first in the
+    order commands, then deltas in config order, each named as it ran:
     the command, or `soliton delta=<d>, N=<grid points>`.
     """
     # here, not at module top: bands and dirac start without scipy, and
@@ -455,7 +444,7 @@ def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
     from concurrent.futures import ProcessPoolExecutor
 
     cfg, deltas = run.cfg, run.deltas  # the window check before the first artifact
-    run.corrector  # every shared stage, computed once and inherited by the workers
+    run.corrector  # every shared stage, computed once and sent with each task
     _named(lambda: run.kernel, "nld")
     from . import newton  # imported once, before the workers fork
 
@@ -469,16 +458,12 @@ def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
     affinity = getattr(os, "sched_getaffinity", None)  # none on macOS and Windows
     workers = min(len(deltas), len(affinity(0)) if affinity else os.cpu_count() or 1)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # forked, not spawned: initargs are inherited, never pickled
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt,
-            initargs=(run,),
-        ) as pool:
+        # forked, not spawned: the workers inherit this process's modules,
+        # replaced functions included, and are sent only the pipeline's data
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             # the largest grids first; the commands, of no grid, last
             futures = {
-                where: pool.submit(_task_in_worker, *task)
+                where: pool.submit(_task, run, *task)
                 for where, _, task in sorted(tasks, key=lambda t: -t[1])
             }
             results = [_named(futures[where].result, where) for where, _, _ in tasks]

@@ -107,14 +107,17 @@ def find_dirac_point(
         raise ValueError("Dirac-point search requires an even-index potential V")
     if pair_selector < 1:
         raise ValueError("pair_selector is a 1-based crossing ordinal")
+    if pair_selector > cut.M:  # the smaller parity block holds M eigenvalues
+        raise ValueError(
+            f"pair_selector {pair_selector} exceeds the cutoff M = {cut.M}: "
+            "a parity block at k = pi holds only M eigenvalues"
+        )
     A = assemble_fb_matrix(pot_V, np.pi, cut)
     A_even, A_odd, even_pos, odd_pos = parity_block_split(A)
     evals_e, evecs_e = np.linalg.eigh(A_even)
     # eigh on both blocks: eigvalsh reads the graded diagonal of a large
     # cutoff ~1e-7 differently (M = 1000), enough to fail the check below
     evals_o = np.linalg.eigh(A_odd)[0]
-    if pair_selector > len(evals_e):
-        raise ValueError(f"pair_selector {pair_selector} exceeds cutoff range")
     c = pair_selector - 1
     mu_star = evals_e[c]
     tol = DEGENERACY_RTOL * (1.0 + abs(mu_star))

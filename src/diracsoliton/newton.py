@@ -6,9 +6,10 @@ condition at 0 (even or odd, fixed by the sign of the gap coefficient)
 and a Dirichlet cutoff at L.  The reduction removes the translation
 zero mode exactly, so the Jacobian stays invertible at the soliton.
 DiscreteOperator is the one record of that discretisation, built once
-per delta: grid, h, mirror sign, potential and stencil; the two-scale
-field, the residual, Newton, the Jacobian's eigenvalue and the error
-norms all read them from it.
+per delta: grid, h, potential and stencil, the mirror parity folded
+into the stencil's first rows; the two-scale field, the residual,
+Newton, the Jacobian's eigenvalue and the error norms all read them
+from it.
 """
 
 from __future__ import annotations
@@ -59,14 +60,14 @@ class DiscreteOperator:
     """Symmetric pentadiagonal form of -d^2/dx^2 + V + delta W - mu_delta
     on the half-line grid x_grid = staggered_grid(L, h).
 
-    sign is the mirror parity at 0: +1 (even) for theta# > 0, -1 (odd)
-    otherwise, as in homoclinic.SpinorProfile.evaluate.  potential,
-    V + delta W - mu_delta, is diag less the stencil -d^2/dx^2.
+    The mirror parity at 0, even for theta# > 0 and odd otherwise as in
+    homoclinic.SpinorProfile.evaluate, is folded into diag[0] and
+    off1[0].  potential, V + delta W - mu_delta, is diag less the
+    stencil -d^2/dx^2.
     """
 
     x_grid: np.ndarray
     h: float
-    sign: float
     potential: np.ndarray
     diag: np.ndarray
     off1: np.ndarray
@@ -157,7 +158,7 @@ def discretize_operator(
     off1[0] += sign * c2
     off2 = np.full(n - 2, c2)
     return DiscreteOperator(
-        x_grid=x_grid, h=h, sign=sign, potential=pot, diag=diag, off1=off1, off2=off2
+        x_grid=x_grid, h=h, potential=pot, diag=diag, off1=off1, off2=off2
     )
 
 

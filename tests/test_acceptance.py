@@ -147,22 +147,22 @@ def test_linearised_nld_margin_matches_lattice_jacobian(tmp_path):
 
 def test_corrector_solvability(default_dirac, default_profile):
     t0 = time.perf_counter()
-    forcing = build_G1(default_dirac, default_profile)
-    rel = solvability_check(forcing, default_profile.y_grid[::10])
+    x_profiles = build_G1(default_dirac, default_profile)
+    rel = solvability_check(
+        default_dirac, default_profile, x_profiles, default_profile.y_grid[::10]
+    )
     assert rel <= 1e-6
-    sol = solve_U1(forcing, default_dirac)
-    from diracsoliton.ansatz import _pad_modes
+    sols = solve_U1(default_dirac, x_profiles)
+    from diracsoliton.ansatz import _kernel
 
-    M, Me = default_dirac.cutoff.M, forcing.cutoff_ext.M
-    for g in (default_dirac.g1, default_dirac.g2):
-        gp = _pad_modes(g.astype(complex), M, Me)
-        assert np.max(np.abs(sol.x_solutions @ np.conj(gp))) <= 1e-10
+    for gp in _kernel(default_dirac):  # the carriers at the extended cutoff, real
+        assert np.max(np.abs(sols @ gp)) <= 1e-10
     assert time.perf_counter() - t0 < 5.0
 
 
 def test_residual_scaling_order(pot_v, pot_w, default_dirac, default_profile):
     t0 = time.perf_counter()
-    corrector = solve_U1(build_G1(default_dirac, default_profile), default_dirac)
+    corrector = solve_U1(default_dirac, build_G1(default_dirac, default_profile))
     ell = 1.0 / default_profile.params.decay_rate
     h = 1.0 / 256.0
     theta = default_dirac.theta_sharp

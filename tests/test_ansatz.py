@@ -13,6 +13,7 @@ from diracsoliton import (
     integrate_homoclinic,
 )
 from diracsoliton.ansatz import (
+    _kernel,
     _spinor,
     _synthesise,
     assemble_udelta,
@@ -24,6 +25,7 @@ from diracsoliton.ansatz import (
     residual_norm,
     solvability_check,
     solve_U1,
+    y_factors,
 )
 from diracsoliton.bloch import (
     assemble_coefficient_matrix,
@@ -36,12 +38,12 @@ from diracsoliton.newton import discretize_operator, staggered_grid
 
 @pytest.fixture(scope="module")
 def default_corrector(default_dirac, default_profile):
-    return solve_U1(build_G1(default_dirac, default_profile), default_dirac)
+    return solve_U1(default_dirac, build_G1(default_dirac, default_profile))
 
 
 @pytest.fixture(scope="module")
 def free_corrector(free_dirac, free_profile):
-    return solve_U1(build_G1(free_dirac, free_profile), free_dirac)
+    return solve_U1(free_dirac, build_G1(free_dirac, free_profile))
 
 
 @pytest.fixture(scope="module")
@@ -103,9 +105,8 @@ def _ten_term_forcing(dirac, profile):
     cubic term 3 |Phi-|^2 Phi- |Psi-|^2 Psi- is split into a 1x and a
     2x row.
     """
-    forcing = build_G1(dirac, profile)
-    P, Q = forcing.kernel
-    cut = forcing.cutoff_ext
+    cut = extended_cutoff(dirac.cutoff)
+    P, Q = _kernel(dirac)
     dx = 1j * np.pi * (2 * cut.indices() + 1)
     C = coupling_matrix(dirac.pot_W.coeffs, cut.size)
     mu = profile.params.mu_sharp
@@ -123,19 +124,19 @@ def _ten_term_forcing(dirac, profile):
 
 class TestBuildG1:
     def test_four_terms(self, default_dirac, default_profile):
-        forcing = build_G1(default_dirac, default_profile)
-        assert forcing.x_profiles.shape[0] == 4
-        assert len(forcing.y_factors) == 4
+        x_profiles = build_G1(default_dirac, default_profile)
+        assert x_profiles.shape[0] == 4
+        assert len(list(y_factors(0.7 - 0.4j, 0.2 + 0.5j))) == 4
 
     def test_free_profiles_are_sparse(self, free_dirac, free_profile):
-        forcing = build_G1(free_dirac, free_profile)
-        for coeffs in forcing.x_profiles:
+        for coeffs in build_G1(free_dirac, free_profile):
             assert int(np.sum(np.abs(coeffs) > 1e-14)) <= 3
 
     def test_extended_cutoff(self, default_dirac, default_profile):
-        forcing = build_G1(default_dirac, default_profile)
-        assert forcing.cutoff_ext.M == 3 * default_dirac.cutoff.M + 2
-        assert extended_cutoff(default_dirac.cutoff).M == forcing.cutoff_ext.M
+        x_profiles = build_G1(default_dirac, default_profile)
+        M_ext = 3 * default_dirac.cutoff.M + 2
+        assert x_profiles.shape == (4, 2 * M_ext + 1)
+        assert extended_cutoff(default_dirac.cutoff).M == M_ext
 
     @pytest.mark.parametrize("lattice", ["default", "free"])
     def test_rows_match_their_physical_definition(self, request, lattice):
@@ -151,9 +152,9 @@ class TestBuildG1:
         detuned = dataclasses.replace(
             profile, params=dataclasses.replace(profile.params, mu_sharp=mu)
         )
-        forcing = build_G1(dirac, detuned)
+        x_profiles = build_G1(dirac, detuned)
         x = np.linspace(-1.3, 2.1, 37)
-        rows = fourier_eval(forcing.x_profiles, np.pi, x)
+        rows = fourier_eval(x_profiles, np.pi, x)
         pm, pp = (fourier_eval(g, np.pi, x) for g in (dirac.g1, dirac.g2))
         W = dirac.pot_W(x)
         s = 1e-3
@@ -177,7 +178,7 @@ class TestBuildG1:
             2.0 * np.abs(pm) ** 2 * pp, 2.0 * np.abs(pp) ** 2 * pm,
         ]
         for psi, dpsi in [(0.7 - 0.4j, 0.2 + 0.5j), (-0.3 + 1.1j, -0.8 - 0.1j)]:
-            H = sum(g(psi, dpsi) * f for f, g in zip(forcing.x_profiles, forcing.y_factors))
+            H = sum(g * f for f, g in zip(x_profiles, y_factors(psi, dpsi)))
             got = fourier_eval(H + conj_flip(H), np.pi, x)
             want = sum(g(psi, dpsi) * f for f, g in zip(ten, _TEN_Y_FACTORS))
             assert np.max(np.abs(want.imag)) < 1e-12 * np.max(np.abs(want))
@@ -198,35 +199,39 @@ class TestBuildG1:
 
     def test_terms_vanish_with_the_envelope(self, default_dirac, default_profile):
         """Far in the tail every slow factor is at the decay floor."""
-        forcing = build_G1(default_dirac, default_profile)
         y = np.array([default_profile.y_max])
         psi, dpsi = _spinor(default_profile.params, *default_profile.evaluate(y))
-        for g in forcing.y_factors:
-            assert abs(g(psi, dpsi)[0]) < 1e-5
+        for g in y_factors(psi, dpsi):
+            assert abs(g[0]) < 1e-5
 
 
 class TestSolvability:
     def test_converged_envelope_projects_to_zero(
         self, default_dirac, default_profile
     ):
-        forcing = build_G1(default_dirac, default_profile)
-        rel = solvability_check(forcing, default_profile.y_grid[::10])
+        x_profiles = build_G1(default_dirac, default_profile)
+        rel = solvability_check(
+            default_dirac, default_profile, x_profiles, default_profile.y_grid[::10]
+        )
         assert rel <= 1e-6
 
     def test_perturbed_envelope_detected(
         self, default_dirac, default_profile, detuned_profile
     ):
-        forcing = build_G1(default_dirac, detuned_profile)
-        rel = solvability_check(forcing, default_profile.y_grid[::10])
+        x_profiles = build_G1(default_dirac, detuned_profile)
+        rel = solvability_check(
+            default_dirac, detuned_profile, x_profiles, default_profile.y_grid[::10]
+        )
         assert 1e-5 < rel < 1e-1
 
     def test_fail_tol_raises_with_location(
         self, default_dirac, default_profile, detuned_profile
     ):
-        forcing = build_G1(default_dirac, detuned_profile)
+        x_profiles = build_G1(default_dirac, detuned_profile)
         with pytest.raises(RuntimeError, match="y="):
             solvability_check(
-                forcing, default_profile.y_grid[::10], fail_tol=1e-6
+                default_dirac, detuned_profile, x_profiles,
+                default_profile.y_grid[::10], fail_tol=1e-6,
             )
 
 
@@ -238,57 +243,41 @@ class TestSolvability:
 
         offset = copy.copy(default_profile)
         offset.evaluate = shifted
-        forcing = build_G1(default_dirac, offset)
+        x_profiles = build_G1(default_dirac, offset)
         with pytest.raises(RuntimeError, match="kernel projection"):
             solvability_check(
-                forcing, default_profile.y_grid[::10], fail_tol=1e-6
+                default_dirac, offset, x_profiles,
+                default_profile.y_grid[::10], fail_tol=1e-6,
             )
 
 
 class TestSolveU1:
-    def _forcing_from_vector(self, dirac, profile, vec):
-        """The one-term forcing vec(x) * 1 on the carriers of dirac."""
-        return dataclasses.replace(
-            build_G1(dirac, profile),
-            x_profiles=np.stack([vec.astype(complex)]),
-            y_factors=[lambda psi, dpsi: np.ones_like(psi)],
-        )
+    def test_pure_kernel_forcing_gives_zero(self, default_dirac):
+        vec = _kernel(default_dirac)[0].astype(complex)
+        sols = solve_U1(default_dirac, vec[None, :])  # the one-term forcing vec(x) * 1
+        assert np.max(np.abs(sols)) < 1e-12
 
-    def test_pure_kernel_forcing_gives_zero(self, default_dirac, default_profile):
-        from diracsoliton.ansatz import _pad_modes
-
-        M, Me = default_dirac.cutoff.M, extended_cutoff(default_dirac.cutoff).M
-        vec = _pad_modes(default_dirac.g1.astype(complex), M, Me)
-        forcing = self._forcing_from_vector(default_dirac, default_profile, vec)
-        sol = solve_U1(forcing, default_dirac)
-        assert np.max(np.abs(sol.x_solutions)) < 1e-12
-
-    def test_eigenvector_identity(self, default_dirac, default_profile):
+    def test_eigenvector_identity(self, default_dirac):
         Me = extended_cutoff(default_dirac.cutoff).M
         A = assemble_coefficient_matrix(default_dirac.pot_V.coeffs, np.pi, Me)
         evals, evecs = np.linalg.eigh(A)
         mu = default_dirac.mu_star
         third = np.where(np.abs(evals - mu) > 1e-6 * (1 + abs(mu)))[0][2]
         vec = (evals[third] - mu) * evecs[:, third]
-        forcing = self._forcing_from_vector(default_dirac, default_profile, vec)
-        sol = solve_U1(forcing, default_dirac)
-        assert np.max(np.abs(sol.x_solutions[0] - evecs[:, third])) < 1e-9
+        sols = solve_U1(default_dirac, vec[None, :].astype(complex))
+        assert np.max(np.abs(sols[0] - evecs[:, third])) < 1e-9
 
     def test_kernel_orthogonality(self, default_dirac, default_profile):
-        from diracsoliton.ansatz import _pad_modes
-
-        forcing = build_G1(default_dirac, default_profile)
-        sol = solve_U1(forcing, default_dirac)  # raises on a residual above 1e-10
-        M, Me = default_dirac.cutoff.M, forcing.cutoff_ext.M
-        for g in (default_dirac.g1, default_dirac.g2):
-            gp = _pad_modes(g.astype(complex), M, Me)
-            assert np.max(np.abs(sol.x_solutions @ np.conj(gp))) <= 1e-10
+        x_profiles = build_G1(default_dirac, default_profile)
+        sols = solve_U1(default_dirac, x_profiles)  # raises on a residual above 1e-10
+        for gp in _kernel(default_dirac):  # the carriers at the extended cutoff, real
+            assert np.max(np.abs(sols @ gp)) <= 1e-10
 
     def test_displaced_crossing_energy_detected(self, default_dirac, default_profile):
-        forcing = build_G1(default_dirac, default_profile)
+        x_profiles = build_G1(default_dirac, default_profile)
         shifted = dataclasses.replace(default_dirac, mu_star=default_dirac.mu_star + 5e-4)
         with pytest.raises(RuntimeError, match="double eigenvalue"):
-            solve_U1(forcing, shifted)
+            solve_U1(shifted, x_profiles)
 
 
 class TestAssemble:
@@ -339,18 +328,11 @@ class TestAssemble:
         dirac = request.getfixturevalue(f"{lattice}_dirac")
         profile = request.getfixturevalue(f"{lattice}_profile")
         corrector = request.getfixturevalue(f"{lattice}_corrector")
-        ten = solve_U1(
-            dataclasses.replace(
-                corrector.forcing,
-                x_profiles=_ten_term_forcing(dirac, profile),
-                y_factors=_TEN_Y_FACTORS,
-            ),
-            dirac,
-        )
+        ten = solve_U1(dirac, _ten_term_forcing(dirac, profile))
         delta = 0.1
         x = np.linspace(-20.0, 20.0, 161)
         psi, dpsi = _spinor(profile.params, *profile.evaluate(delta * x))
-        rows = fourier_eval(ten.x_solutions, np.pi, x)
+        rows = fourier_eval(ten, np.pi, x)
         want = sum(row * g(psi, dpsi) for row, g in zip(rows, _TEN_Y_FACTORS))
         scale = np.max(np.abs(want.real))
         assert np.max(np.abs(want.imag)) < 1e-12 * scale
@@ -411,14 +393,14 @@ class TestResidual:
         )
         delta, h = 0.1, 1 / 64
         L = 10.5 / (profile.params.decay_rate * delta)
-        corrector = solve_U1(build_G1(dirac, profile), dirac)
+        corrector = solve_U1(dirac, build_G1(dirac, profile))
         mu_delta = dirac.mu_star  # mu# = 0
         op = discretize_operator(pot_free, W, delta, mu_delta, L, h, dirac.theta_sharp)
         fld = assemble_udelta(dirac, profile, corrector, delta, op.x_grid)
         got = residual_norm(op, fld.samples)
 
         x = np.concatenate([-fld.x_grid[::-1], fld.x_grid])
-        u = np.concatenate([op.sign * fld.samples[::-1], fld.samples])
+        u = np.concatenate([np.sign(dirac.theta_sharp) * fld.samples[::-1], fld.samples])
         stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h**2)
         d2 = np.convolve(u, stencil, mode="valid")[3:-3]
         inner = slice(5, len(u) - 5)

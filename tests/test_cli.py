@@ -210,10 +210,17 @@ class TestLoadConfig:
             load_config(str(p))
 
     def test_bad_value(self, tmp_path):
+        """A value that is not a Python literal is named by its text, not
+        by the parser's node (whose address changes from run to run)."""
         p = tmp_path / "bad.cfg"
-        p.write_text("M = sixty-four\n")
-        with pytest.raises(ValueError, match="bad value"):
-            load_config(str(p))
+        for line, text in (("M = sixty-four", "'sixty-four'"), ("h = 1/64", "'1/64'")):
+            p.write_text(line + "\n")
+            key = line.split()[0]
+            with pytest.raises(ValueError, match="bad value") as err:
+                load_config(str(p))
+            assert str(err.value) == (
+                f"{p}:1: bad value for '{key}': {text} is not a Python literal"
+            )
 
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -256,6 +263,18 @@ class TestExitCodes:
         rc = main(["bands", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("M", [16, 17], ids=["even_M", "odd_M"])
+    def test_pair_beyond_the_cutoff_exits_2(self, tmp_path, capsys, M):
+        """pair = M + 1: for either parity of M the smaller parity block at
+        k = pi holds M eigenvalues, so the pair is rejected naming M."""
+        p = tmp_path / "pair.cfg"
+        p.write_text(f"M = {M}\npair = {M + 1}\n")
+        rc = main(["dirac", "--config", str(p), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert f"validation error: pair_selector {M + 1} exceeds the cutoff M = {M}" in err
+        assert "Traceback" not in err
 
     def test_detuning_outside_gap_exits_2(self, free_cfg_path, tmp_path, capsys):
         # theta# = 1/2 for this lattice; mu# = 0.6 leaves the gap window
@@ -1245,6 +1264,38 @@ class TestSharedStages:
         (grid,), (op,), (fld,) = made.values()  # FREE_CFG has one delta
         assert op.x_grid is grid
         assert fld.x_grid is grid
+
+    def test_each_stage_runs_once_here_with_workers(self, free_cfg_path, tmp_path, monkeypatch):
+        """With the deltas in two forked workers, each shared stage still
+        runs once, in this process: the workers receive its result with
+        the pipeline and recompute none."""
+        stages = [
+            (cli, "certify_dirac_point"),
+            (cli, "integrate_homoclinic"),
+            (ansatz, "build_G1"),
+            (ansatz, "solve_U1"),
+            (cli, "kernel_check_on_Y"),
+            (cli, "_soliton_delta"),
+        ]
+
+        def recording_pid(name, fn):
+            def wrapper(*args, **kwargs):
+                with (tmp_path / f"{name}.pid").open("a") as f:
+                    f.write(f"{os.getpid()}\n")
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in stages:
+            monkeypatch.setattr(owner, name, recording_pid(name, getattr(owner, name)))
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        assert main(["verify-all", "--config", free_cfg_path, "--out", str(out),
+                     "--delta", "0.2,0.1"]) == 0
+        pids = {name: (tmp_path / f"{name}.pid").read_text().split() for _, name in stages}
+        deltas = pids.pop("_soliton_delta")
+        assert len(deltas) == 2 and str(os.getpid()) not in deltas  # solved in workers
+        assert pids == {name: [str(os.getpid())] for name in pids}
 
     def test_same_bytes_as_single_commands(self, verify_all_run):
         cfg, root, _, _, _ = verify_all_run

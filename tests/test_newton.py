@@ -76,13 +76,20 @@ class TestDiscreteOperator:
 
     def test_owns_grid_spacing_and_parity(self, pot_free):
         """The operator builds staggered_grid(L, h) itself, keeps h as given
-        and takes its mirror sign from theta#."""
+        and folds the mirror image at 0, even for theta# > 0 and odd
+        otherwise, into its first rows."""
         L, h = 900.0, 1 / 96
         even = discretize_operator(pot_free, pot_free, 0.0, 0.0, L, h, 0.4)
         odd = discretize_operator(pot_free, pot_free, 0.0, 0.0, L, h, -0.4)
         assert np.array_equal(even.x_grid, staggered_grid(L, h))
         assert even.h == h
-        assert (even.sign, odd.sign) == (1.0, -1.0)
+        # the ghost values +-u(h/2), +-u(3h/2) add +-c1 to diag[0], +-c2 to off1[0]
+        c1, c2 = -4.0 / (3.0 * h**2), 1.0 / (12.0 * h**2)
+        for op, sign in ((even, 1.0), (odd, -1.0)):
+            assert op.diag[0] - op.diag[1] == pytest.approx(sign * c1, rel=1e-12)
+            assert op.off1[0] - op.off1[1] == pytest.approx(sign * c2, rel=1e-12)
+            assert np.array_equal(op.diag[1:], even.diag[1:])
+            assert np.array_equal(op.off1[1:], even.off1[1:])
 
     def test_factorization_in_place(self):
         """dgbtrf factors the Fortran-ordered band in place: the traced peak
@@ -97,7 +104,6 @@ class TestDiscreteOperator:
             diag=rng.uniform(4.0, 6.0, n),
             off1=rng.uniform(-1.0, 1.0, n - 1),
             off2=rng.uniform(-1.0, 1.0, n - 2),
-            sign=1.0,
         )
         shift = np.zeros(n)
         tracemalloc.start()
@@ -257,7 +263,6 @@ class TestJacobian:
             diag=diag,
             off1=np.zeros(n - 1),
             off2=np.zeros(n - 2),
-            sign=1.0,
         )
         assert jacobian_min_eig(op, np.zeros(n), 0.0) == pytest.approx(0.01, abs=1e-12)
 
@@ -316,7 +321,6 @@ class TestJacobian:
                 diag=rng.uniform(-3.0, 3.0, n),
                 off1=rng.uniform(-1.0, 1.0, n - 1),
                 off2=rng.uniform(-1.0, 1.0, n - 2),
-                sign=(1.0, -1.0)[seed % 2],
             )
             u = rng.uniform(-1.0, 1.0, n)
             J = np.diag(op.diag - 3.0 * u**2)
@@ -344,7 +348,6 @@ class TestJacobian:
             diag=diag,
             off1=rng.uniform(-0.05, 0.05, n - 1),
             off2=rng.uniform(-0.05, 0.05, n - 2),
-            sign=1.0,
         )
         J = np.diag(op.diag)
         for k, off in ((1, op.off1), (2, op.off2)):
@@ -413,7 +416,6 @@ def _diagonal_operator(n: int) -> DiscreteOperator:
         diag=np.linspace(0.01, 5.0, n),
         off1=np.zeros(n - 1),
         off2=np.zeros(n - 2),
-        sign=1.0,
     )
 
 
