@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
 from itertools import chain
@@ -126,6 +126,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     keys = {f.name for f in fields(RunConfig)}
     if path is not None:
         text = Path(path).read_text()
+        seen = {}  # key -> the line that set it
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -136,6 +137,9 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             key, val = key.strip(), val.strip()
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+            if key in seen:  # no silent merge: the later value would win
+                raise ValueError(f"{path}:{lineno}: '{key}' already set on line {seen[key]}")
+            seen[key] = lineno
             try:
                 setattr(cfg, key, ast.literal_eval(val))
             except (ValueError, SyntaxError, TypeError):
@@ -400,16 +404,6 @@ def _soliton_delta(run: Pipeline, delta: float, L: float, out: Path):
     }
 
 
-def _task(run: Pipeline, name: str, *args):
-    """One task of soliton or verify-all: "delta" is one delta's soliton
-    chain, any other name the command COMMANDS[name].  Commands go by
-    name, looked up where the task runs, so that a replaced entry is the
-    one called: a replacement function need not pickle."""
-    if name == "delta":
-        return _soliton_delta(run, *args)
-    return COMMANDS[name](run, *args)
-
-
 def _named(call, where: str):
     """call(), a failure re-raised naming where it happened, as the class
     main maps to an exit code: numpy's out-of-memory error takes no
@@ -427,16 +421,16 @@ def _named(call, where: str):
 def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
     """The shared stages (the kernel check's failure named `nld`) and
     each delta's L and grid size (a failure named `soliton delta=<d>`),
-    then the commands named and each delta's soliton chain as tasks;
+    then the commands named, run here, and each delta's soliton chain;
     soliton_scaling.json from the deltas'.
 
-    With more than one delta and usable CPU, the tasks run in forked
-    workers, each task sent with the pipeline and its shared stages: the
-    deltas queued largest grid first, the commands after them, so the
-    worker done first with its delta takes them.  Otherwise they run
-    here, in order.  Either way the failure raised is the first in the
-    order commands, then deltas in config order, each named as it ran:
-    the command, or `soliton delta=<d>, N=<grid points>`.
+    With more than one delta and usable CPU, the deltas are solved in
+    forked workers, each sent with the pipeline and its shared stages and
+    queued largest grid first, while this process runs the commands.
+    Otherwise they are solved here, after the commands, in order.  Either
+    way the failure raised is the first in the order commands, then
+    deltas in config order, each named as it ran: the command, or
+    `soliton delta=<d>, N=<grid points>`.
     """
     # here, not at module top: bands and dirac start without scipy, and
     # bands, dirac and nld without multiprocessing
@@ -444,32 +438,35 @@ def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
     from concurrent.futures import ProcessPoolExecutor
 
     cfg, deltas = run.cfg, run.deltas  # the window check before the first artifact
-    run.corrector  # every shared stage, computed once and sent with each task
+    run.corrector  # every shared stage, computed once and sent with each delta
     _named(lambda: run.kernel, "nld")
     from . import newton  # imported once, before the workers fork
 
-    # (where a failure is named, grid points, task), in the order failures are reported
-    tasks = [(name, 0, (name, out)) for name in commands]
+    # (where a failure is named, grid points, soliton chain), in config order
+    tasks = []
     for d in deltas:  # each delta's L and grid size, checked before any artifact
         where = f"soliton delta={d}"
         L = _named(partial(run.domain, d), where)
         n = _named(partial(newton.grid_points, L, cfg.h), where)
-        tasks.append((f"{where}, N={n}", n, ("delta", d, L, out)))
+        tasks.append((f"{where}, N={n}", n, partial(_soliton_delta, run, d, L, out)))
     affinity = getattr(os, "sched_getaffinity", None)  # none on macOS and Windows
     workers = min(len(deltas), len(affinity(0)) if affinity else os.cpu_count() or 1)
+    pool = None
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # forked, not spawned: the workers inherit this process's modules,
         # replaced functions included, and are sent only the pipeline's data
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            # the largest grids first; the commands, of no grid, last
-            futures = {
-                where: pool.submit(_task, run, *task)
-                for where, _, task in sorted(tasks, key=lambda t: -t[1])
-            }
-            results = [_named(futures[where].result, where) for where, _, _ in tasks]
-    else:
-        results = [_named(partial(_task, run, *task), where) for where, _, task in tasks]
-    resid_norms, h2_errors, per_delta = zip(*results[len(commands):])
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    with pool or nullcontext():
+        # each delta's result, asked for by name after the commands: in the
+        # pool, submitted largest grid first; without it, computed when asked
+        solves = {
+            where: pool.submit(solve).result if pool else solve
+            for where, _, solve in sorted(tasks, key=lambda t: -t[1])
+        }
+        for name in commands:
+            _named(partial(COMMANDS[name], run, out), name)
+        results = [_named(solves[where], where) for where, *_ in tasks]
+    resid_norms, h2_errors, per_delta = zip(*results)
     report = {
         "deltas": [_fmt(d) for d in deltas],
         "residual_norms": [_fmt(r) for r in resid_norms],

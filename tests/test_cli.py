@@ -13,7 +13,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -38,6 +37,15 @@ h = 0.015625
 n_bands = 6
 n_k = 33
 """
+
+
+def _free_cfg(line: str) -> str:
+    """FREE_CFG with `line`, a `key = value` line, in place of that key's
+    line, or after the others if FREE_CFG does not set the key: a config
+    file sets a key once."""
+    key = line.partition("=")[0].strip()
+    old = re.search(rf"^{re.escape(key)} =.*$", FREE_CFG, flags=re.M)
+    return FREE_CFG.replace(old[0], line) if old else FREE_CFG + line + "\n"
 
 
 @pytest.fixture()
@@ -221,6 +229,14 @@ class TestLoadConfig:
             assert str(err.value) == (
                 f"{p}:1: bad value for '{key}': {text} is not a Python literal"
             )
+
+    def test_repeated_key(self, tmp_path):
+        """A key set twice is rejected, not merged: neither value is taken."""
+        p = tmp_path / "bad.cfg"
+        p.write_text("M = 16\n# the cutoff again\nM = 24\n")
+        with pytest.raises(ValueError) as err:
+            load_config(str(p))
+        assert str(err.value) == f"{p}:3: 'M' already set on line 1"
 
     def test_missing_equals(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -494,7 +510,7 @@ class TestExitCodes:
         1e300, or the default L over an h or delta of 1e-300, asks for
         more points than numpy can address: the grid's size rule rejects
         it before any artifact, its count written as a float."""
-        err = self._cli_in_2_gib(tmp_path, FREE_CFG + line + "\n", "soliton", "--delta", deltas)
+        err = self._cli_in_2_gib(tmp_path, _free_cfg(line), "soliton", "--delta", deltas)
         assert err.startswith(f"numerical failure: out of memory: {expect}"), err
         assert not re.search(r"\d{20}", err), err
         if "N=" not in expect:
@@ -619,7 +635,7 @@ class TestConfigContract:
     @pytest.mark.parametrize("line,key", CONFIG_DEFECTS)
     def test_rejected_before_numerical_work(self, tmp_path, capsys, line, key):
         p = tmp_path / "bad.cfg"
-        p.write_text(FREE_CFG + line + "\n")
+        p.write_text(_free_cfg(line))
         out = tmp_path / "out"
         rc = main(["verify-all", "--config", str(p), "--out", str(out)])
         err = capsys.readouterr().err
@@ -722,7 +738,7 @@ class TestBandsCommand:
     def test_every_band_of_the_cutoff(self, tmp_path):
         """n_bands = 2M + 1 writes that many bands, each with its range."""
         p = tmp_path / "all.cfg"
-        p.write_text(FREE_CFG + "n_bands = 33\n")
+        p.write_text(_free_cfg("n_bands = 33"))
         out = tmp_path / "out"
         assert main(["bands", "--config", str(p), "--out", str(out)]) == 0
         payload = json.loads((out / "bands.json").read_text())
@@ -847,15 +863,17 @@ class TestParallelDeltas:
         root = tmp_path_factory.mktemp("parallel")
         cfg = root / "free.cfg"
         cfg.write_text(FREE_CFG)
-        real = cli._soliton_delta
+        real = newton.discretize_operator
 
-        def recording_pid(run, delta, L, out):
+        # the chain's first stage, looked up in newton where it runs: the
+        # submitted _soliton_delta is pickled by name, so it is not replaced
+        def recording_pid(pot_V, pot_W, delta, *args):
             (out.parent / f"{out.name}-{delta}.pid").write_text(str(os.getpid()))
-            return real(run, delta, L, out)
+            return real(pot_V, pot_W, delta, *args)
 
         left = {}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_soliton_delta", recording_pid)
+            mp.setattr(newton, "discretize_operator", recording_pid)
             for cpus in (2, 1):
                 _usable_cpus(mp, cpus)
                 out = root / f"cpus{cpus}"
@@ -946,7 +964,8 @@ class TestParallelDeltas:
 
 class TestVerifyAllTasks:
     """verify-all on FREE_CFG at deltas 0.2 and 0.1: bands, dirac and nld
-    are tasks after the deltas, in the forked workers with two usable CPUs.
+    run in this process, while the forked workers solve the deltas with
+    two usable CPUs, or before the deltas are solved with one.
 
     main runs in this process, so monkeypatches reach the workers.
     """
@@ -992,27 +1011,15 @@ class TestVerifyAllTasks:
         for name in names:
             assert (root / "cpus2" / name).read_bytes() == (root / "cpus1" / name).read_bytes(), name
 
-    def test_commands_in_workers_only_with_two_cpus(self, runs):
+    def test_commands_here_with_one_or_two_cpus(self, runs):
         root, _ = runs
         for name in self.COMMANDS:
-            assert int((root / f"cpus1-{name}.pid").read_text()) == os.getpid(), name
-            assert int((root / f"cpus2-{name}.pid").read_text()) != os.getpid(), name
+            for cpus in (1, 2):
+                assert int((root / f"cpus{cpus}-{name}.pid").read_text()) == os.getpid(), name
 
     def test_no_worker_outlives_main(self, runs):
         _, left = runs
         assert left == {2: [], 1: []}
-
-    @staticmethod
-    def _in_a_worker(fn):
-        """fn, which must be called in a forked worker: in the CLI process
-        it fails the test."""
-        parent = os.getpid()
-
-        def guarded(*args):
-            assert os.getpid() != parent, "called in the CLI process"
-            return fn(*args)
-
-        return guarded
 
     @pytest.mark.parametrize(
         "stage,exc,rc,label",
@@ -1021,15 +1028,19 @@ class TestVerifyAllTasks:
             ("kernel_check_on_Y", ValueError, 2, "validation error: nld"),
         ],
     )
-    def test_stage_failure_in_a_worker(
+    def test_stage_failure_here_while_workers_solve(
         self, free_cfg_path, tmp_path, capsys, monkeypatch, stage, exc, rc, label
     ):
+        """bands' sweep fails here while the workers hold the deltas; the
+        kernel check, a shared stage, before the workers fork."""
+        parent, workers = os.getpid(), []
+
         def failing(*args):
+            assert os.getpid() == parent, "called in a worker"
+            workers.append(multiprocessing.active_children())
             raise exc(f"{stage}: injected")
 
-        # the kernel check is a shared stage, computed before the workers fork
-        shared = stage == "kernel_check_on_Y"
-        monkeypatch.setattr(cli, stage, failing if shared else self._in_a_worker(failing))
+        monkeypatch.setattr(cli, stage, failing)
         _usable_cpus(monkeypatch, 2)
         out = tmp_path / "out"
         assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == rc
@@ -1037,47 +1048,24 @@ class TestVerifyAllTasks:
         assert not (out / "soliton_scaling.json").exists()
         assert not (out / "verify_all.json").exists()
         assert multiprocessing.active_children() == []
+        assert len(workers) == 1 and len(workers[0]) == (2 if stage == "band_sweep" else 0)
 
-    def test_nld_failure_reported_before_a_delta(
-        self, free_cfg_path, tmp_path, capsys, monkeypatch
-    ):
-        """Both fail; the order is that of a serial run: nld, then the deltas."""
+    def test_nld_failure_reported_before_a_delta(self, free_cfg_path, tmp_path, capsys):
+        """Both fail, a command here and a delta in a worker; the order is
+        that of a serial run: nld, then the deltas.  The same for bands."""
 
         def failing(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(cli, "kernel_check_on_Y", failing)
-        monkeypatch.setattr(newton, "jacobian_min_eig", failing)
-        _usable_cpus(monkeypatch, 2)
-        out = tmp_path / "out"
-        assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == 3
-        assert capsys.readouterr().err == "numerical failure: nld: injected\n"
-        assert multiprocessing.active_children() == []
-
-    def test_dead_worker_names_the_command(self, free_cfg_path, tmp_path, capsys, monkeypatch):
-        """A worker dies in the nld command.  It waits for bands' and
-        dirac's last artifacts first, so that their tasks, reported before
-        nld's, have finished and only nld's and the deltas' are broken."""
-        out = tmp_path / "out"
-
-        def dying(*args):
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline and not all(
-                (out / name).exists() for name in ("bands.json", "gap_report.json")
-            ):
-                time.sleep(0.01)
-            time.sleep(0.5)
-            os._exit(1)
-
-        monkeypatch.setitem(cli.COMMANDS, "nld", self._in_a_worker(dying))
-        _usable_cpus(monkeypatch, 2)
-        assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical failure: nld: A process in the process pool"), err
-        assert "terminated abruptly" in err and "Traceback" not in err
-        assert not (out / "soliton_scaling.json").exists()
-        assert not (out / "verify_all.json").exists()
-        assert multiprocessing.active_children() == []
+        for stage, name in (("kernel_check_on_Y", "nld"), ("band_sweep", "bands")):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, stage, failing)
+                mp.setattr(newton, "jacobian_min_eig", failing)
+                _usable_cpus(mp, 2)
+                out = tmp_path / name
+                assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == 3
+            assert capsys.readouterr().err == f"numerical failure: {name}: injected\n"
+            assert multiprocessing.active_children() == []
 
 
 class TestWriteCsv:
@@ -1275,7 +1263,9 @@ class TestSharedStages:
             (ansatz, "build_G1"),
             (ansatz, "solve_U1"),
             (cli, "kernel_check_on_Y"),
-            (cli, "_soliton_delta"),
+            # each delta's first stage: the submitted _soliton_delta is
+            # pickled by name, so it is not replaced
+            (newton, "discretize_operator"),
         ]
 
         def recording_pid(name, fn):
@@ -1293,7 +1283,7 @@ class TestSharedStages:
         assert main(["verify-all", "--config", free_cfg_path, "--out", str(out),
                      "--delta", "0.2,0.1"]) == 0
         pids = {name: (tmp_path / f"{name}.pid").read_text().split() for _, name in stages}
-        deltas = pids.pop("_soliton_delta")
+        deltas = pids.pop("discretize_operator")
         assert len(deltas) == 2 and str(os.getpid()) not in deltas  # solved in workers
         assert pids == {name: [str(os.getpid())] for name in pids}
 
@@ -1482,15 +1472,19 @@ class TestTracedBenchmarkChild:
             text=True,
         )
 
-    def test_verify_all_spans(self, free_cfg_path, tmp_path):
-        """solbench/child.py --trace: the layer wrappers fit the pipeline's signatures."""
-        bench = ROOT / "solbench"
-        proc = self._traced_verify_all(free_cfg_path, tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        spec = importlib.util.spec_from_file_location("spans", bench / "spans.py")
+    @staticmethod
+    def _layer_metrics(tmp_path) -> dict:
+        """solbench/spans.py's per-layer metrics of the traced run's spans."""
+        spec = importlib.util.spec_from_file_location("spans", ROOT / "solbench" / "spans.py")
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
-        metrics = spans.layer_metrics([json.loads((tmp_path / "spans.json").read_text())])
+        return spans.layer_metrics([json.loads((tmp_path / "spans.json").read_text())])
+
+    def test_verify_all_spans(self, free_cfg_path, tmp_path):
+        """solbench/child.py --trace: the layer wrappers fit the pipeline's signatures."""
+        proc = self._traced_verify_all(free_cfg_path, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        metrics = self._layer_metrics(tmp_path)
         assert metrics["dirac.certify_calls"] == 1
         assert metrics["homoclinic.integrate_calls"] == 1
         assert metrics["newton.iterations"] >= 1
@@ -1501,8 +1495,13 @@ class TestTracedBenchmarkChild:
 
     def test_two_deltas_in_workers(self, free_cfg_path, tmp_path):
         """Two deltas are solved in forked workers, which inherit the layer
-        wrappers: a return type a wrapper cannot read fails the run there."""
+        wrappers: a return type a wrapper cannot read fails the run there.
+        bands and dirac run in the traced process meanwhile, so their
+        sweeps keep their spans."""
         proc = self._traced_verify_all(free_cfg_path, tmp_path, "--delta", "0.2,0.1")
         assert proc.returncode == 0, proc.stderr
         runs = json.loads((tmp_path / "out" / "soliton_scaling.json").read_text())["runs"]
         assert len(runs) == 2
+        metrics = self._layer_metrics(tmp_path)
+        assert metrics["bloch.band_sweep_s"] > 0
+        assert metrics["dirac.gap_sweep_s"] > 0
