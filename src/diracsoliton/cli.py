@@ -13,11 +13,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -184,24 +184,24 @@ def _write_json(path: Path, payload: dict):
         f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-# rows formatted per `%` operation: the float lists and the text of one
-# block, not of the whole table, are held at once
+# rows formatted at once: the arrays and the text of one block, not of
+# the whole table, are held at once
 _CSV_BLOCK_ROWS = 65536
 
 
 def _write_csv(path: Path, columns: dict):
     """Write equal-length columns under a header of their names.
 
-    Each block of rows is one `%` operation: integer columns as %d, the
-    others as %.17g, the digits `_fmt` writes.
+    Integer columns as %d, the others as %.17g, the digits `_fmt`
+    writes, each block of rows formatted by `_csvtext.format_rows`.
     """
+    from ._csvtext import format_rows  # not loaded with the CLI: set-up stays
+
     cols = [np.asarray(c) for c in columns.values()]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
     with _artifact(path) as f:
         f.write(",".join(columns) + "\n")
         for start in range(0, len(cols[0]), _CSV_BLOCK_ROWS):
-            block = [c[start : start + _CSV_BLOCK_ROWS].tolist() for c in cols]
-            f.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+            f.write(format_rows([c[start : start + _CSV_BLOCK_ROWS] for c in cols]))
 
 
 @dataclass
@@ -418,6 +418,92 @@ def _named(call, where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _work(solve, pipe: int):
+    """The body of a forked worker: solve() or its exception, pickled to
+    the pipe; the process then ends with os._exit, 0 once all is sent."""
+    code = 1
+    try:
+        try:
+            outcome = (True, solve())
+        except Exception as exc:
+            outcome = (False, exc)
+        view = memoryview(pickle.dumps(outcome))
+        while view:
+            view = view[os.write(pipe, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _Workers:
+    """Delta chains solved in worker processes forked from this one, at
+    most `size` at a time, queued largest grid first, the next forked as
+    a worker exits.  A worker inherits the pipeline, with its shared
+    stages and any replaced function, and sends back its chain's result
+    or exception, pickled, through a pipe.  Leaving the `with` block kills
+    and reaps every worker still running."""
+
+    def __init__(self, tasks, size: int):
+        self.queue = sorted(tasks, key=lambda t: -t[1])
+        self.size = size
+        self.running = {}  # a worker's pipe -> (pid, where, bytes read)
+        self.done = {}  # where -> (ok, result or exception)
+
+    def _fork(self):
+        while self.queue and len(self.running) < self.size:
+            where, _, solve = self.queue.pop(0)
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _work(solve, w)
+            os.close(w)
+            self.running[r] = (pid, where, [])
+
+    def __enter__(self):
+        try:
+            self._fork()
+        except BaseException:  # a failed fork: no worker outlives the run
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info):
+        import signal
+
+        for r, (pid, *_) in self.running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+        self.running.clear()
+
+    def outcome(self, where: str):
+        """The result of the chain named `where`, once its worker has sent
+        it.  Its exception is raised; so is a worker's death, at the chain
+        awaited, and the chains are awaited in config order."""
+        import select
+
+        while where not in self.done:
+            for r in select.select(list(self.running), [], [])[0]:
+                pid, name, chunks = self.running[r]
+                chunk = os.read(r, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                del self.running[r]
+                os.close(r)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code != 0:
+                    how = f"signal {-code}" if code < 0 else f"exit code {code}"
+                    raise RuntimeError(f"a worker process terminated abruptly ({how})")
+                self.done[name] = pickle.loads(b"".join(chunks))
+                self._fork()
+        ok, value = self.done.pop(where)
+        if not ok:
+            raise value
+        return value
+
+
 def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
     """The shared stages (the kernel check's failure named `nld`) and
     each delta's L and grid size (a failure named `soliton delta=<d>`),
@@ -425,22 +511,17 @@ def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
     soliton_scaling.json from the deltas'.
 
     With more than one delta and usable CPU, the deltas are solved in
-    forked workers, each sent with the pipeline and its shared stages and
-    queued largest grid first, while this process runs the commands.
-    Otherwise they are solved here, after the commands, in order.  Either
-    way the failure raised is the first in the order commands, then
-    deltas in config order, each named as it ran: the command, or
-    `soliton delta=<d>, N=<grid points>`.
+    `_Workers`, while this process runs the commands.  Otherwise they
+    are solved here, after the commands, in order.  Either way the
+    failure raised is the first in the order commands, then deltas in
+    config order, each named as it ran: the command, or
+    `soliton delta=<d>, N=<grid points>`.  It is raised as soon as it is
+    known, and the workers still running are killed.
     """
-    # here, not at module top: bands and dirac start without scipy, and
-    # bands, dirac and nld without multiprocessing
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     cfg, deltas = run.cfg, run.deltas  # the window check before the first artifact
-    run.corrector  # every shared stage, computed once and sent with each delta
+    run.corrector  # every shared stage, computed once and inherited by each worker
     _named(lambda: run.kernel, "nld")
-    from . import newton  # imported once, before the workers fork
+    from . import _csvtext, newton  # noqa: F401  imported once, before the workers fork
 
     # (where a failure is named, grid points, soliton chain), in config order
     tasks = []
@@ -451,21 +532,16 @@ def _solve(run: Pipeline, out: Path, commands: tuple[str, ...]):
         tasks.append((f"{where}, N={n}", n, partial(_soliton_delta, run, d, L, out)))
     affinity = getattr(os, "sched_getaffinity", None)  # none on macOS and Windows
     workers = min(len(deltas), len(affinity(0)) if affinity else os.cpu_count() or 1)
-    pool = None
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # forked, not spawned: the workers inherit this process's modules,
-        # replaced functions included, and are sent only the pipeline's data
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # forked, not spawned: the workers inherit this process's modules,
+    # replaced functions included; no fork on Windows
+    pool = _Workers(tasks, workers) if workers > 1 and hasattr(os, "fork") else None
     with pool or nullcontext():
-        # each delta's result, asked for by name after the commands: in the
-        # pool, submitted largest grid first; without it, computed when asked
-        solves = {
-            where: pool.submit(solve).result if pool else solve
-            for where, _, solve in sorted(tasks, key=lambda t: -t[1])
-        }
         for name in commands:
             _named(partial(COMMANDS[name], run, out), name)
-        results = [_named(solves[where], where) for where, *_ in tasks]
+        results = [
+            _named(partial(pool.outcome, where) if pool else solve, where)
+            for where, _, solve in tasks
+        ]
     resid_norms, h2_errors, per_delta = zip(*results)
     report = {
         "deltas": [_fmt(d) for d in deltas],

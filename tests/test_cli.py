@@ -6,13 +6,13 @@ import inspect
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import resource
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diracsoliton
-from diracsoliton import ansatz, cli, newton
+from diracsoliton import _csvtext, ansatz, cli, newton
 from diracsoliton.cli import Pipeline, RunConfig, load_config, main
 
 ROOT = Path(__file__).parents[1]
@@ -172,22 +172,48 @@ class TestImportCost:
     def test_non_soliton_commands_never_load_a_process_pool(
         self, free_cfg_path, tmp_path, command
     ):
-        pool = ("multiprocessing", "concurrent.futures.process")
+        pool = ("multiprocessing", "concurrent.futures")
         lines = self._scipy_after(
             tmp_path, command, "--config", free_cfg_path, prefixes=pool
         )
         assert lines == ["", "", ""]
 
+    @pytest.mark.parametrize("command", ["soliton", "verify-all"])
+    def test_soliton_commands_fork_without_a_process_pool(
+        self, free_cfg_path, tmp_path, command
+    ):
+        """Two deltas on two usable CPUs: the workers are forked by the
+        package, so neither multiprocessing nor concurrent.futures loads,
+        about 20 ms of imports on the critical path."""
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "import diracsoliton.cli\n"
+            "assert diracsoliton.cli.main(sys.argv[1:]) == 0\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.startswith(('multiprocessing', 'concurrent.futures'))))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, command, "--config", free_cfg_path,
+             "--delta", "0.2,0.1", "--out", str(tmp_path / "out")],
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "\n"
+        assert len(list((tmp_path / "out").glob("soliton_delta_*.csv"))) == 2
+
     @pytest.mark.parametrize(
         "cli_args",
-        [("dirac",), ("soliton", "--delta", "0.2,0.1"), ("verify-all", "--delta", "0.2,0.1")],
-        ids=["dirac", "soliton", "verify-all"],
+        [("dirac",), ("soliton", "--delta", "0.2,0.1"), ("verify-all", "--delta", "0.2,0.1"),
+         ("bands",), ("nld",)],
+        ids=["dirac", "soliton", "verify-all", "bands", "nld"],
     )
     def test_loads_no_numpy_ma(self, free_cfg_path, tmp_path, cli_args):
         """numpy.ma, which np.unique imports on its first call, costs a run
-        about 18 ms and is never used; two deltas take the order fit.  Its
-        package loads numpy.ma.core; the bare prefix "numpy.ma" would also
-        match numpy.matrixlib."""
+        about 18 ms and is never used; two deltas take the order fit, and
+        bands and nld write their CSVs with the formatter.  Its package
+        loads numpy.ma.core; the bare prefix "numpy.ma" would also match
+        numpy.matrixlib."""
         lines = self._scipy_after(
             tmp_path, *cli_args, "--config", free_cfg_path, "--out", str(tmp_path / "out"),
             prefixes=("numpy.ma.",),
@@ -196,6 +222,28 @@ class TestImportCost:
 
     def test_nld_loads_no_scipy_sparse(self, free_cfg_path, tmp_path):
         self._assert_lapack_module_alone(tmp_path, "nld", "--config", free_cfg_path)
+
+    def test_csv_formatter_loads_with_the_first_csv(self, free_cfg_path, tmp_path):
+        """Not with the CLI, so a run's set-up does not pay for its tables:
+        dirac writes no CSV and never loads it, bands does."""
+        name = ("diracsoliton._csvtext",)
+        assert self._scipy_after(tmp_path, "dirac", "--config", free_cfg_path,
+                                 prefixes=name) == ["", "", ""]
+        assert self._scipy_after(tmp_path, "bands", "--config", free_cfg_path,
+                                 prefixes=name) == ["", "", name[0]]
+
+    def test_csv_formatter_loads_nothing_beyond_numpy(self, tmp_path):
+        code = (
+            "import sys, diracsoliton\n"
+            "before = set(sys.modules)\n"
+            "import diracsoliton._csvtext\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=_src_env(),
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == "diracsoliton._csvtext\n"
 
 
 class TestLoadConfig:
@@ -455,7 +503,7 @@ class TestExitCodes:
         assert rc == 2, err
         assert err.startswith(f"validation error: {named}"), err
         assert err.endswith(f"cannot write {out / blocked}: Is a directory\n"), err
-        assert multiprocessing.active_children() == []
+        assert not _children_left()
 
     @staticmethod
     def _cli_in_2_gib(tmp_path, config: str, *args) -> str:
@@ -788,6 +836,16 @@ def _usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _children_left() -> bool:
+    """Whether this process has a child process, running or not yet
+    reaped: os.waitpid raises ChildProcessError once it has none."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
 def test_domain_past_y_max_runs(tmp_path):
     """The envelope is evaluated in closed form at every y, so an L whose
     grid reaches past y_max / delta is solved like any other."""
@@ -878,7 +936,7 @@ class TestParallelDeltas:
                 _usable_cpus(mp, cpus)
                 out = root / f"cpus{cpus}"
                 assert main(["soliton", "--config", str(cfg), "--out", str(out), *self.ARGS]) == 0
-                left[cpus] = multiprocessing.active_children()
+                left[cpus] = _children_left()
         return root, left
 
     @staticmethod
@@ -914,7 +972,7 @@ class TestParallelDeltas:
 
     def test_no_worker_outlives_main(self, runs):
         _, left = runs
-        assert left == {2: [], 1: []}
+        assert left == {2: False, 1: False}
 
     @pytest.mark.parametrize(
         "failing,named", [((0.1,), 0.1), ((0.2, 0.1), 0.2)], ids=["second", "both"]
@@ -940,7 +998,7 @@ class TestParallelDeltas:
         assert f"numerical failure: soliton delta={named}, N={n}: jacobian_min_eig" in err
         assert "Traceback" not in err
         assert not (out / "soliton_scaling.json").exists()
-        assert multiprocessing.active_children() == []
+        assert not _children_left()
 
     def test_dead_worker_exits_3(self, free_cfg_path, tmp_path, capsys, monkeypatch):
         parent, real = os.getpid(), newton.jacobian_min_eig
@@ -959,7 +1017,41 @@ class TestParallelDeltas:
         assert "numerical failure: soliton delta=0.2, N=" in err
         assert "terminated abruptly" in err and "Traceback" not in err
         assert not (out / "soliton_scaling.json").exists()
-        assert multiprocessing.active_children() == []
+        assert not _children_left()
+
+    def test_failing_delta_stops_the_later_ones(
+        self, runs, free_cfg_path, tmp_path, capsys, monkeypatch
+    ):
+        """delta = 0.2, first in config order, fails while the worker of
+        0.1 sleeps for a minute: the run exits 3 at once, having waited
+        for no later delta, and kills that worker."""
+        grids, real = self.grids(runs[0]), newton.jacobian_min_eig
+
+        def failing_or_slowed(op, u, shift):
+            if grids[len(u)] == 0.2:
+                raise RuntimeError("jacobian_min_eig: injected")
+            time.sleep(60.0)
+            return real(op, u, shift)
+
+        monkeypatch.setattr(newton, "jacobian_min_eig", failing_or_slowed)
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        start = time.monotonic()
+        rc = main(["soliton", "--config", free_cfg_path, "--out", str(out), *self.ARGS])
+        assert rc == 3 and time.monotonic() - start < 30.0
+        assert "numerical failure: soliton delta=0.2, N=" in capsys.readouterr().err
+        assert not list(out.iterdir())
+        assert not _children_left()
+
+    def test_same_bytes_without_fork(self, runs, monkeypatch):
+        """Where os has no fork (Windows) the deltas are solved here."""
+        root, _ = runs
+        monkeypatch.delattr(os, "fork")
+        _usable_cpus(monkeypatch, 2)
+        cfg, out = root / "free.cfg", root / "no-fork"
+        assert main(["soliton", "--config", str(cfg), "--out", str(out), *self.ARGS]) == 0
+        for path in (root / "cpus1").iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestVerifyAllTasks:
@@ -996,7 +1088,7 @@ class TestVerifyAllTasks:
                 _usable_cpus(mp, cpus)
                 out = root / f"cpus{cpus}"
                 assert main(["verify-all", "--config", str(cfg), "--out", str(out), *self.ARGS]) == 0
-                left[cpus] = multiprocessing.active_children()
+                left[cpus] = _children_left()
         return root, left
 
     def test_same_bytes_as_one_worker(self, runs):
@@ -1019,7 +1111,7 @@ class TestVerifyAllTasks:
 
     def test_no_worker_outlives_main(self, runs):
         _, left = runs
-        assert left == {2: [], 1: []}
+        assert left == {2: False, 1: False}
 
     @pytest.mark.parametrize(
         "stage,exc,rc,label",
@@ -1037,7 +1129,7 @@ class TestVerifyAllTasks:
 
         def failing(*args):
             assert os.getpid() == parent, "called in a worker"
-            workers.append(multiprocessing.active_children())
+            workers.append(_children_left())
             raise exc(f"{stage}: injected")
 
         monkeypatch.setattr(cli, stage, failing)
@@ -1047,8 +1139,32 @@ class TestVerifyAllTasks:
         assert capsys.readouterr().err == f"{label}: {stage}: injected\n"
         assert not (out / "soliton_scaling.json").exists()
         assert not (out / "verify_all.json").exists()
-        assert multiprocessing.active_children() == []
-        assert len(workers) == 1 and len(workers[0]) == (2 if stage == "band_sweep" else 0)
+        assert not _children_left()
+        assert workers == [stage == "band_sweep"]
+
+    def test_failure_here_stops_the_workers(self, free_cfg_path, tmp_path, capsys, monkeypatch):
+        """bands fails while both workers solve their deltas, each slowed
+        by a minute: the run exits 3 at once, writes no soliton CSV and
+        leaves no worker behind."""
+        real = newton.discretize_operator
+
+        def slowed(*args):
+            time.sleep(60.0)
+            return real(*args)
+
+        def failing(*args):
+            raise RuntimeError("band_sweep: injected")
+
+        monkeypatch.setattr(newton, "discretize_operator", slowed)
+        monkeypatch.setattr(cli, "band_sweep", failing)
+        _usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        start = time.monotonic()
+        rc = main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS])
+        assert rc == 3 and time.monotonic() - start < 30.0
+        assert capsys.readouterr().err == "numerical failure: bands: band_sweep: injected\n"
+        assert not list(out.glob("soliton_delta_*.csv"))
+        assert not _children_left()
 
     def test_nld_failure_reported_before_a_delta(self, free_cfg_path, tmp_path, capsys):
         """Both fail, a command here and a delta in a worker; the order is
@@ -1065,7 +1181,7 @@ class TestVerifyAllTasks:
                 out = tmp_path / name
                 assert main(["verify-all", "--config", free_cfg_path, "--out", str(out), *self.ARGS]) == 3
             assert capsys.readouterr().err == f"numerical failure: {name}: injected\n"
-            assert multiprocessing.active_children() == []
+            assert not _children_left()
 
 
 class TestWriteCsv:
@@ -1104,6 +1220,71 @@ class TestWriteCsv:
 
         block = cli._CSV_BLOCK_ROWS
         assert traced_peak(4 * block) < 1.25 * traced_peak(block)
+
+
+def _per_element(columns) -> str:
+    """The rows as the per-value `%` writes them: %d or %.17g."""
+    kinds = ["%d" if np.asarray(c).dtype.kind in "iu" else "%.17g" for c in columns]
+    rows = zip(*[np.asarray(c).tolist() for c in columns])
+    return "".join(",".join(k % v for k, v in zip(kinds, row)) + "\n" for row in rows)
+
+
+_POWERS = 10.0 ** np.arange(-45, 46)
+# the formatter's edges: neighbours of powers of 10, where X changes; %g's
+# switches to the exponent form below 1e-4 and from 1e17; the fast path's
+# range [1e-40, 1e40); exact decimal ties, settled by `%`; zeros,
+# subnormals, the largest double, inf and nan
+CSV_EDGES = np.concatenate([
+    _POWERS, np.nextafter(_POWERS, 0.0), np.nextafter(_POWERS, np.inf),
+    [1e-4, 1e16, 1e17, 1e-40, 1e40, 9.9999999999999995e-5, 99999999999999999.0],
+    np.nextafter([1e-4, 1e17, 1e-40, 1e40], 0.0),
+    np.nextafter([1e-4, 1e17, 1e-40, 1e40], np.inf),
+    [2.0**-25, 0.5, 2.5, 1e16 + 2.0, 5e-324, 2.2250738585072014e-308 / 3.0,
+     2.2250738585072014e-308, 1.7976931348623157e308, 0.0, np.inf, np.nan],
+])
+CSV_EDGES = np.concatenate([CSV_EDGES, -CSV_EDGES])
+
+
+class TestCsvText:
+    """_csvtext.format_rows writes the bytes of the per-value `%`."""
+
+    def test_edges(self):
+        assert _csvtext.format_rows([CSV_EDGES]) == _per_element([CSV_EDGES])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.floats(), st.sampled_from(CSV_EDGES.tolist())), min_size=1),
+        st.integers(-(2**63), 2**63 - 1),
+    )
+    def test_any_double_and_integer(self, values, k):
+        x = np.array(values)
+        n = np.resize(np.array([k, 0, -7, 2**63 - 1, -(2**63)]), len(x))
+        columns = [x, n, x[::-1]]
+        assert _csvtext.format_rows(columns) == _per_element(columns)
+
+    def test_random_bit_patterns(self):
+        """200,000 doubles of uniform bits: every exponent, nan included."""
+        x = np.random.default_rng(3).integers(0, 2**64, 200_000, dtype=np.uint64)
+        x = x.view(np.float64)
+        assert _csvtext.format_rows([x]) == _per_element([x])
+
+    def test_unsettled_and_out_of_range_values_go_to_percent(self):
+        """A tie 2^-25 = 2.98023223876953125e-08 (the 18th digit a 5, exact),
+        a value beyond 1e40 and one below 1e-40 are written by `%`; values
+        between are not."""
+        x = np.array([2.0**-25, 3.0e45, 1.5e-41, -0.0, np.nan, 0.1, -123.25, 7e39])
+        _, _, fallback = _csvtext._digits_and_exponents(x)
+        assert fallback.tolist() == [True] * 5 + [False] * 3
+        assert _csvtext.format_rows([x]) == _per_element([x])
+        assert _csvtext.format_rows([x]).splitlines()[0] == "2.9802322387695312e-08"
+
+    def test_soliton_csv_is_its_per_element_rendering(self, free_cfg_path, tmp_path):
+        assert main(["soliton", "--config", free_cfg_path, "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "soliton_delta_0p1.csv").read_text().splitlines()
+        assert header == "x,u" and len(rows) > 10_000
+        x, u = np.array([r.split(",") for r in rows], dtype=float).T
+        expect = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x.tolist(), u.tolist()))
+        assert "\n".join(rows) + "\n" == expect
 
 
 class TestDeterminismAndGolden:
