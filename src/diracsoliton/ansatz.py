@@ -23,11 +23,11 @@ import numpy as np
 
 from .bloch import (
     FourierCutoff,
-    assemble_coefficient_matrix,
     cell_offsets,
     conj_flip,
     coupling_matrix,
     fourier_eval,
+    parity_block_eigh,
 )
 from .dirac import DiracPointData
 from .homoclinic import SpinorProfile, _rhs
@@ -206,40 +206,42 @@ def solve_U1(dirac: DiracPointData, x_profiles: np.ndarray) -> np.ndarray:
     per x-profile row (build_G1).
 
     The frozen-y cell operator -dx^2 + V - mu* is diagonalized once at
-    the extended cutoff; the degenerate crossing eigenspace is dropped
-    and each separable x-profile is solved in the remaining eigenbasis.
+    the extended cutoff, per Fourier-index parity (bloch.parity_block_eigh);
+    each block's crossing eigenvector is dropped and each separable
+    x-profile is solved in the remaining eigenbasis.
     """
-    M_ext = extended_cutoff(dirac.cutoff).M
-    A = assemble_coefficient_matrix(dirac.pot_V.coeffs, np.pi, M_ext)
-    evals, evecs = np.linalg.eigh(A)
+    A, blocks = parity_block_eigh(dirac.pot_V, [np.pi], extended_cutoff(dirac.cutoff))
     mu = dirac.mu_star
     scale = 1.0 + abs(mu)
-    kernel_mask = np.abs(evals - mu) <= 1e-6 * scale
-    if int(np.sum(kernel_mask)) != 2:
-        raise RuntimeError(
-            f"expected a double eigenvalue at {mu:.9g}, found "
-            f"{int(np.sum(kernel_mask))} eigenvalues in its cluster"
-        )
-    rest = evals[~kernel_mask]
-    spacing = np.min(np.abs(rest - mu))
-    if spacing < 1e-3 * scale:
-        off = rest[np.argmin(np.abs(rest - mu))]
-        raise RuntimeError(
-            f"corrector system near-singular: eigenvalue {off:.9g} lies "
-            f"{spacing:.3e} from the crossing energy {mu:.9g}"
-        )
-    U = evecs[:, ~kernel_mask]
-    K = evecs[:, kernel_mask]
-    lam = evals[~kernel_mask]
+    # real and imaginary parts as rows of one real array: a real-by-complex
+    # product's rounding follows the BLAS thread count, a real product's not
+    F = np.vstack([x_profiles.real, x_profiles.imag])
+    sols, perp = np.zeros_like(F), F.copy()
+    for pos, evals, evecs in blocks:
+        evals, evecs = evals[0], evecs[0]
+        kernel_mask = np.abs(evals - mu) <= 1e-6 * scale
+        if np.count_nonzero(kernel_mask) != 1:
+            raise RuntimeError(
+                f"expected a double eigenvalue at {mu:.9g}, one per parity block: a "
+                f"block of {len(pos)} modes holds {np.count_nonzero(kernel_mask)} in its cluster"
+            )
+        lam = evals[~kernel_mask]
+        spacing = np.min(np.abs(lam - mu))
+        if spacing < 1e-3 * scale:
+            off = lam[np.argmin(np.abs(lam - mu))]
+            raise RuntimeError(
+                f"corrector system near-singular: eigenvalue {off:.9g} lies "
+                f"{spacing:.3e} from the crossing energy {mu:.9g}"
+            )
+        U, K = evecs[:, ~kernel_mask], evecs[:, kernel_mask]
+        x = (F[:, pos] @ U / (lam - mu)) @ U.T
+        sols[:, pos] = x - (x @ K) @ K.T
+        perp[:, pos] -= (F[:, pos] @ K) @ K.T
 
-    F = x_profiles
-    coeffs = np.conj(U).T @ F.T
-    sols = (U @ (coeffs / (lam - mu)[:, None])).T
-    sols -= (K @ (np.conj(K).T @ sols.T)).T
-
-    perp = F - (K @ (np.conj(K).T @ F.T)).T
-    resid = (A @ sols.T).T - mu * sols - perp
-    fnorm = np.linalg.norm(F, axis=1)
+    T = len(x_profiles)
+    sols, perp = sols[:T] + 1j * sols[T:], perp[:T] + 1j * perp[T:]
+    resid = sols @ A[0] - mu * sols - perp  # A is symmetric
+    fnorm = np.linalg.norm(x_profiles, axis=1)
     res_max = float(np.max(np.linalg.norm(resid, axis=1) / (1.0 + fnorm)))
     if res_max > 1e-10:
         raise RuntimeError(f"corrector solve residual {res_max:.3e} above 1e-10")

@@ -144,28 +144,55 @@ def assemble_fb_matrix(pot: PeriodicPotential, k: float, cut: FourierCutoff) -> 
     return assemble_coefficient_matrix(pot.coeffs, k, cut.M)
 
 
-def band_sweep(pot: PeriodicPotential, k_grid, cut: FourierCutoff) -> BandSweep:
-    """Ascending eigenpairs of H(k) at every k of k_grid, in one stacked eigh.
+def parity_block_eigh(pot: PeriodicPotential, k_grid, cut: FourierCutoff):
+    """Eigenpairs of H(k) for an even-index V, one parity block at a time.
 
-    A failure, of the solve or of the eigen-residual check, names its
-    first k and the condition number of its matrix.
+    V couples mode m only to m +- 2j, so its cross entries between modes
+    of even and of odd index are exact zeros by assembly.  Returns the
+    stacked matrices H(k) and, for the even-index then the odd-index
+    modes, (their rows in H, ascending eigenvalues (K, n), eigenvectors
+    (K, n, n)): one stacked eigh per block, of M + 1 and M modes in either
+    order.  A failed solve names its first k and the condition number of H(k).
+    """
+    if pot.parity_class is not ParityClass.EVEN_INDEX:
+        raise ValueError("the parity-block solve requires an even-index potential V")
+    A = np.stack([assemble_fb_matrix(pot, k, cut) for k in k_grid])
+    blocks = []
+    for first in (cut.M % 2, 1 - cut.M % 2):  # row i holds mode i - M
+        block = A[:, first::2, first::2]
+        try:
+            blocks.append((np.arange(first, cut.size, 2), *np.linalg.eigh(block)))
+        except np.linalg.LinAlgError as exc:
+            # the stacked solve does not say which matrix failed
+            for k, a, b in zip(k_grid, A, block):
+                try:
+                    np.linalg.eigh(b)
+                except np.linalg.LinAlgError:
+                    raise RuntimeError(
+                        f"eigensolver failed at k={k}: {exc}; cond(A)={np.linalg.cond(a):.3e}"
+                    ) from exc
+            raise
+    return A, blocks
+
+
+def band_sweep(pot: PeriodicPotential, k_grid, cut: FourierCutoff) -> BandSweep:
+    """Ascending eigenpairs of H(k) at every k of k_grid: the parity blocks'
+    (parity_block_eigh) merged, as full (2M + 1)-vectors.
+
+    A failure, of the solve or of the eigen-residual check against the
+    full H(k), names its first k and the condition number of its matrix.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid < -1e-12) or np.any(k_grid > 2.0 * np.pi + 1e-12):
         raise ValueError("k_grid must lie in [0, 2*pi]")
-    A = np.stack([assemble_fb_matrix(pot, k, cut) for k in k_grid])
-    try:
-        evals, evecs = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        # the stacked solve does not say which matrix failed
-        for k, a in zip(k_grid, A):
-            try:
-                np.linalg.eigh(a)
-            except np.linalg.LinAlgError:
-                raise RuntimeError(
-                    f"eigensolver failed at k={k}: {exc}; cond(A)={np.linalg.cond(a):.3e}"
-                ) from exc
-        raise
+    A, ((even, evals_e, evecs_e), (odd, evals_o, evecs_o)) = parity_block_eigh(pot, k_grid, cut)
+    evals = np.concatenate([evals_e, evals_o], axis=1)
+    evecs = np.zeros_like(A)
+    evecs[:, even, :len(even)] = evecs_e
+    evecs[:, odd, len(even):] = evecs_o
+    order = np.argsort(evals, axis=1, kind="stable")
+    evals = np.take_along_axis(evals, order, axis=1)
+    evecs = np.take_along_axis(evecs, order[:, None, :], axis=2)
     # backward-stable eigh leaves residuals of order eps*|A|, whatever |lambda|
     resid = np.max(np.abs(A @ evecs - evecs * evals[:, None, :]), axis=1)
     bad = resid > 1e-10 * (1.0 + np.max(np.abs(evals), axis=1, keepdims=True))

@@ -20,9 +20,9 @@ from .bloch import (
     ParityClass,
     PeriodicPotential,
     assemble_coefficient_matrix,
-    assemble_fb_matrix,
     conj_flip,
     coupling_matrix,
+    parity_block_eigh,
 )
 
 # fourier_eval is re-exported, not called: solbench/spans.py patches
@@ -67,44 +67,16 @@ class GapReport:
         return not self.violations
 
 
-def parity_block_split(matrix: np.ndarray):
-    """Split an assembled k = pi matrix into even/odd Fourier-index blocks.
-
-    Returns (even_block, odd_block, even_positions, odd_positions) where
-    the positions index rows of the full matrix.  Any cross-block entry
-    above 1e-14 indicates an assembly bug and is fatal.
-    """
-    size = matrix.shape[0]
-    M = (size - 1) // 2
-    m = np.arange(-M, M + 1)
-    even_pos = np.where(m % 2 == 0)[0]
-    odd_pos = np.where(m % 2 != 0)[0]
-    cross = matrix[np.ix_(even_pos, odd_pos)]
-    if np.max(np.abs(cross)) > 1e-14:
-        raise RuntimeError(
-            f"nonzero cross-parity entry {np.max(np.abs(cross)):.3e}: "
-            "matrix assembly violates the parity decoupling"
-        )
-    return (
-        matrix[np.ix_(even_pos, even_pos)],
-        matrix[np.ix_(odd_pos, odd_pos)],
-        even_pos,
-        odd_pos,
-    )
-
-
 def find_dirac_point(
     pot_V: PeriodicPotential, cut: FourierCutoff, pair_selector: int = 1
 ) -> tuple[tuple[int, int], float, np.ndarray, np.ndarray]:
     """Locate the pair_selector-th (1-based) band crossing at k = pi.
 
     Returns (band_pair, mu*, g1, g2).  g1 is taken from the even-index
-    block only, so the splitting and inversion structure hold exactly by
-    construction; g2 is its conj_flip, Phi+ = conj(Phi-).  Both are
-    re-verified against the full matrix.
+    block only (bloch.parity_block_eigh), so the splitting and inversion
+    structure hold exactly by construction; g2 is its conj_flip,
+    Phi+ = conj(Phi-).  Both are re-verified against the full matrix.
     """
-    if pot_V.parity_class is not ParityClass.EVEN_INDEX:
-        raise ValueError("Dirac-point search requires an even-index potential V")
     if pair_selector < 1:
         raise ValueError("pair_selector is a 1-based crossing ordinal")
     if pair_selector > cut.M:  # the smaller parity block holds M eigenvalues
@@ -112,12 +84,8 @@ def find_dirac_point(
             f"pair_selector {pair_selector} exceeds the cutoff M = {cut.M}: "
             "a parity block at k = pi holds only M eigenvalues"
         )
-    A = assemble_fb_matrix(pot_V, np.pi, cut)
-    A_even, A_odd, even_pos, odd_pos = parity_block_split(A)
-    evals_e, evecs_e = np.linalg.eigh(A_even)
-    # eigh on both blocks: eigvalsh reads the graded diagonal of a large
-    # cutoff ~1e-7 differently (M = 1000), enough to fail the check below
-    evals_o = np.linalg.eigh(A_odd)[0]
+    A, ((even_pos, evals_e, evecs_e), (_, evals_o, _)) = parity_block_eigh(pot_V, [np.pi], cut)
+    A, evals_e, evecs_e, evals_o = A[0], evals_e[0], evecs_e[0], evals_o[0]
     c = pair_selector - 1
     mu_star = evals_e[c]
     tol = DEGENERACY_RTOL * (1.0 + abs(mu_star))

@@ -263,16 +263,18 @@ def jacobian_min_eig(op: DiscreteOperator, u: np.ndarray, shift: float) -> float
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"jacobian_min_eig: N = {n}, 0 steps: {exc}") from None
     q = np.cos(0.37 * np.arange(n)) + u / (1.0 + np.max(np.abs(u)))
-    q /= np.linalg.norm(q)
+    # numpy's pairwise sums, not BLAS ddot/dnrm2, whose summation order,
+    # and so the last bits, follow the BLAS thread count
+    q /= np.sqrt(np.sum(q * q))
     q_prev = np.zeros(n)
     alpha, beta = [], []
     for step in range(1, _LANCZOS_MAX_STEPS + 1):
         w = dgbtrs(lu, 2, 2, q, piv)[0]
-        alpha.append(float(q @ w))
+        alpha.append(float(np.sum(q * w)))
         w -= alpha[-1] * q
         if beta:
             w -= beta[-1] * q_prev
-        b = float(np.linalg.norm(w))
+        b = float(np.sqrt(np.sum(w * w)))
         if not np.isfinite(alpha[-1] + b):  # eigh gives finite, wrong values for NaN
             raise RuntimeError(
                 f"jacobian_min_eig: N = {n}, Lanczos step {step}: alpha = "

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracsoliton import FourierCutoff, ParityClass, PeriodicPotential
-from diracsoliton.bloch import assemble_fb_matrix, band_sweep, fourier_eval
+from diracsoliton.bloch import (
+    assemble_fb_matrix,
+    band_sweep,
+    fourier_eval,
+    parity_block_eigh,
+)
 
 
 class TestPeriodicPotential:
@@ -133,18 +140,28 @@ class TestSweep:
         with pytest.raises(ValueError, match="k_grid"):
             band_sweep(pot_free, [-0.5, 1.0], FourierCutoff(4))
 
-    def test_one_solve_equals_per_k_solves(self, pot_v, cut64, monkeypatch):
-        """One batched eigh, bit for bit the eigenpairs of each k alone."""
-        k_grid = np.linspace(0.0, 2.0 * np.pi, 17)
-        calls, eigh = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-        sweep = band_sweep(pot_v, k_grid, cut64)
-        assert calls == [(17, 129, 129)]
-        monkeypatch.undo()
-        for i, k in enumerate(k_grid):
-            one = band_sweep(pot_v, [k], cut64)
-            assert sweep.eigenvalues[i].tobytes() == one.eigenvalues[0].tobytes()
-            assert sweep.eigenvectors[i].tobytes() == one.eigenvectors[0].tobytes()
+    def test_odd_index_potential_rejected(self, pot_w):
+        with pytest.raises(ValueError, match="even-index potential"):
+            band_sweep(pot_w, [1.0], FourierCutoff(8))
+
+    @pytest.mark.parametrize("M", [16, 17])
+    def test_merges_the_parity_blocks(self, pot_v, M):
+        """Ascending eigenvalues, each eigenvector a full (2M + 1)-vector
+        on the modes of one index parity, as the blocks give them."""
+        k_grid = np.linspace(0.0, 2.0 * np.pi, 9)
+        cut = FourierCutoff(M)
+        sweep = band_sweep(pot_v, k_grid, cut)
+        _, blocks = parity_block_eigh(pot_v, k_grid, cut)
+        assert sweep.eigenvectors.shape == (9, 2 * M + 1, 2 * M + 1)
+        assert np.all(np.diff(sweep.eigenvalues, axis=1) >= 0.0)
+        for i in range(len(k_grid)):
+            on_even = np.abs(sweep.eigenvectors[i, blocks[0][0]]).sum(axis=0) > 0.0
+            on_odd = np.abs(sweep.eigenvectors[i, blocks[1][0]]).sum(axis=0) > 0.0
+            assert np.all(on_even != on_odd)
+            for even, (pos, evals, evecs) in zip((True, False), blocks):
+                cols = np.flatnonzero(on_even == even)
+                assert sweep.eigenvalues[i, cols].tobytes() == evals[i].tobytes()
+                assert sweep.eigenvectors[i][np.ix_(pos, cols)].tobytes() == evecs[i].tobytes()
 
     def test_residual_failure_names_first_bad_k(self, pot_v, monkeypatch):
         k_grid = np.linspace(0.0, 2.0 * np.pi, 9)
@@ -178,6 +195,65 @@ class TestSweep:
         assert str(err.value).startswith(
             f"eigensolver failed at k={k_grid[2]}: Eigenvalues did not converge; cond(A)="
         )
+
+
+class TestParityBlockEigh:
+    """bloch.parity_block_eigh, the one eigen-solve of V's Bloch matrices."""
+
+    @pytest.mark.parametrize("M", [64, 63])
+    def test_one_solve_per_block_equals_per_k_solves(self, pot_v, M, monkeypatch):
+        """One stacked eigh per parity block, of M + 1 and M modes, bit for
+        bit the eigenpairs of each k's block alone; band_sweep makes no
+        other."""
+        k_grid = np.linspace(0.0, 2.0 * np.pi, 17)
+        cut = FourierCutoff(M)
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        A, blocks = parity_block_eigh(pot_v, k_grid, cut)
+        even = (M + 1, M + 1) if M % 2 == 0 else (M, M)
+        odd = (M, M) if M % 2 == 0 else (M + 1, M + 1)
+        assert calls == [(17, *even), (17, *odd)]
+        band_sweep(pot_v, k_grid, cut)
+        assert calls[2:] == calls[:2]
+        monkeypatch.undo()
+        m = cut.indices()
+        for (pos, evals, evecs), parity in zip(blocks, (0, 1)):
+            assert np.array_equal(pos, np.flatnonzero(m % 2 == parity))
+            for i, k in enumerate(k_grid):
+                block = assemble_fb_matrix(pot_v, k, cut)[np.ix_(pos, pos)]
+                one_evals, one_evecs = np.linalg.eigh(block)
+                assert evals[i].tobytes() == one_evals.tobytes()
+                assert evecs[i].tobytes() == one_evecs.tobytes()
+        assert np.array_equal(A, np.stack([assemble_fb_matrix(pot_v, k, cut) for k in k_grid]))
+
+    def test_default_cross_blocks_exactly_zero(self, pot_v, cut64):
+        A, ((even, _, _), (odd, _, _)) = parity_block_eigh(pot_v, [np.pi, 1.0], cut64)
+        assert np.max(np.abs(A[:, even][:, :, odd])) == 0.0
+        assert len(even) + len(odd) == cut64.size
+
+    def test_free_blocks_diagonal(self, pot_free):
+        """With V = 0 each block is diagonal: its eigenvectors are signed unit vectors."""
+        cut = FourierCutoff(6)
+        A, blocks = parity_block_eigh(pot_free, [np.pi], cut)
+        for pos, evals, evecs in blocks:
+            assert np.allclose(evals[0], np.sort(np.diag(A[0])[pos]), rtol=1e-14, atol=0.0)
+            assert np.allclose(np.max(np.abs(evecs[0]), axis=0), 1.0, rtol=0.0, atol=1e-14)
+
+    @given(
+        amps=st.lists(st.floats(-60.0, 60.0), min_size=3, max_size=3),
+        extra=st.integers(0, 6),
+        k=st.floats(0.0, 2.0 * np.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merged_eigenvalues_match_the_full_matrix(self, amps, extra, k):
+        """For a random even-index V, the blocks' eigenvalues merged are the
+        full matrix's, within 1e-12 (1 + |A|)."""
+        pot = PeriodicPotential(dict(zip((2, 4, 6), amps)), ParityClass.EVEN_INDEX)
+        cut = FourierCutoff(pot.max_index + 2 + extra)
+        A, blocks = parity_block_eigh(pot, [k], cut)
+        merged = np.sort(np.concatenate([evals[0] for _, evals, _ in blocks]))
+        ref = np.linalg.eigvalsh(A[0])
+        assert np.max(np.abs(merged - ref)) <= 1e-12 * (1.0 + np.linalg.norm(A[0], 2))
 
 
 class TestBlochWave:

@@ -38,6 +38,18 @@ n_bands = 6
 n_k = 33
 """
 
+# the unjittered base config of the solbench soliton-lattice workload: V != 0
+LATTICE_CFG = """\
+V = [[2, 20.0]]
+W = [[1, 1.0]]
+M = 32
+mu_sharp = 0.0
+deltas = [0.4, 0.2]
+h = 0.015625
+L = 900.0
+y_max = 370.0
+"""
+
 
 def _free_cfg(line: str) -> str:
     """FREE_CFG with `line`, a `key = value` line, in place of that key's
@@ -1298,21 +1310,29 @@ class TestDeterminismAndGolden:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     @pytest.mark.parametrize(
-        "command,files,free",
+        "command,files,cfg",
         [
-            ("nld", ("nld_profile.csv", "nld_diagnostics.json"), True),
-            ("dirac", ("dirac_point.json", "gap_report.json"), True),
-            ("dirac", ("dirac_point.json", "gap_report.json"), False),
-            ("soliton", ("soliton_delta_0p1.csv", "soliton_scaling.json"), True),
+            ("nld", ("nld_profile.csv", "nld_diagnostics.json"), FREE_CFG),
+            ("dirac", ("dirac_point.json", "gap_report.json"), FREE_CFG),
+            ("dirac", ("dirac_point.json", "gap_report.json"), None),
+            ("soliton", ("soliton_delta_0p1.csv", "soliton_scaling.json"), FREE_CFG),
+            (
+                "soliton",
+                ("soliton_delta_0p4.csv", "soliton_delta_0p2.csv", "soliton_scaling.json"),
+                LATTICE_CFG,
+            ),
         ],
-        ids=["nld", "dirac", "dirac-default-lattice", "soliton"],
+        ids=["nld", "dirac", "dirac-default-lattice", "soliton", "soliton-lattice"],
     )
-    def test_artifacts_independent_of_blas_threads(
-        self, free_cfg_path, tmp_path, command, files, free
-    ):
-        """On FREE_CFG, and for dirac also on the default lattice, whose
-        pair has every even-index mode."""
-        config = ["--config", free_cfg_path] if free else []
+    def test_artifacts_independent_of_blas_threads(self, tmp_path, command, files, cfg):
+        """Every byte, at one and at two BLAS threads: on FREE_CFG, for
+        dirac also on the default lattice, whose pair has every even-index
+        mode, and for soliton also on a lattice with V != 0, whose
+        corrector couples the modes of each parity block."""
+        config = []
+        if cfg is not None:
+            (tmp_path / "run.cfg").write_text(cfg)
+            config = ["--config", str(tmp_path / "run.cfg")]
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
@@ -1332,15 +1352,7 @@ class TestDeterminismAndGolden:
             )
             outs.append(out)
         for fname in files:
-            a, b = ((out / fname).read_bytes() for out in outs)
-            if fname == "soliton_scaling.json":
-                # the Lanczos dot products and norms are BLAS reductions, whose
-                # summation order, and so the last digits, follow the thread count
-                a, b = json.loads(a), json.loads(b)
-                for ra, rb in zip(a["runs"], b["runs"]):
-                    lam_a, lam_b = (float(r.pop("jacobian_min_eig")) for r in (ra, rb))
-                    assert lam_a == pytest.approx(lam_b, rel=1e-12)
-            assert a == b, fname
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
 
 
 @pytest.fixture(scope="module")
@@ -1482,17 +1494,6 @@ class TestSharedStages:
 
 
 REFERENCE = Path(__file__).parent / "reference"
-# the unjittered base config of the solbench soliton-lattice workload
-LATTICE_CFG = """\
-V = [[2, 20.0]]
-W = [[1, 1.0]]
-M = 32
-mu_sharp = 0.0
-deltas = [0.4, 0.2]
-h = 0.015625
-L = 900.0
-y_max = 370.0
-"""
 REFERENCE_RUNS = {
     "free_cfg": (FREE_CFG, ["--delta", "0.2,0.1"]),
     "soliton_lattice": (LATTICE_CFG, []),

@@ -7,7 +7,6 @@ from conftest import band_slope_oracle
 from diracsoliton import FourierCutoff, ParityClass, PeriodicPotential, dirac
 from diracsoliton.bloch import (
     assemble_coefficient_matrix,
-    assemble_fb_matrix,
     band_sweep,
     fourier_eval,
 )
@@ -19,7 +18,6 @@ from diracsoliton.dirac import (
     default_gap_k_grid,
     find_dirac_point,
     frequency_window_check,
-    parity_block_split,
     verify_gap_opening,
 )
 
@@ -68,20 +66,6 @@ class TestFindDiracPoint:
         """M = 1000: both parity blocks' eigenvalues agree, and mu* is M = 64's."""
         _, mu_star, _, _ = find_dirac_point(pot_v, FourierCutoff(1000))
         assert abs(mu_star - default_dirac.mu_star) < 1e-10
-
-
-class TestParityBlockSplit:
-    def test_free_blocks_diagonal(self, pot_free):
-        A = assemble_fb_matrix(pot_free, np.pi, FourierCutoff(6))
-        even, odd, _, _ = parity_block_split(A)
-        assert np.allclose(even, np.diag(np.diag(even)))
-        assert np.allclose(odd, np.diag(np.diag(odd)))
-
-    def test_default_cross_block_exactly_zero(self, pot_v, cut64):
-        A = assemble_fb_matrix(pot_v, np.pi, cut64)
-        even, odd, even_pos, odd_pos = parity_block_split(A)
-        assert np.max(np.abs(A[np.ix_(even_pos, odd_pos)])) == 0.0
-        assert even.shape[0] + odd.shape[0] == A.shape[0]
 
 
 class TestCSharp:
